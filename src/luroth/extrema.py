@@ -207,6 +207,16 @@ def rho_series(k: int, tol: float = 1e-6) -> RhoEstimate:
         partials.append(float(term.sum()))
     value = k * math.fsum(partials)
     tail_bound = k / (m_top + 1.0)
+    # Rounding allowance.  Each float term carries relative error about
+    # (k-1)*2**-53 from the power, plus a few dozen roundings (base, pow,
+    # divide, pairwise sum), all positive terms, so the sum is off by about
+    # (k+26)*2**-53*|value|.  Up to k ~ 230 the |value|*2**-45 = 256 ulp
+    # allowance covers that alone.  Beyond it the tail bound's own slack does:
+    # the true tail is k*sum_{m>M} (1-1/m)^(k-1)/(m(m+1)) and
+    # 1 - (1-1/m)^(k-1) >= (k-1)/(2m) for m > M >= k, so k/(M+1) exceeds it
+    # by at least k(k-1)/(4(M+2)^2); with M <= 1e9 (the term budget) and
+    # value <= 1 that is >= 2.2e-3*k(k-1)*2**-53 >= (k-230)*2**-53.  (M < k
+    # needs tol > 1, and then k/(M+1) >= 1/2 dwarfs the rounding.)
     bound = Fraction(tail_bound) + Fraction(abs(value)) * Fraction(1, 2**45)
     return RhoEstimate(
         k, HighPrecisionReal(Fraction(value), bound, 53), "series"

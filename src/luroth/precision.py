@@ -4,7 +4,10 @@ Arbitrary-size integer and rational arithmetic (binomial coefficients, partial
 binomial-row sums, Bernoulli numbers) plus two certified real-valued kernels:
 Riemann zeta at integer arguments via Euler-Maclaurin summation with an exact
 rational remainder bound, and the principal branch of Lambert W via a float
-seed refined by Newton steps in fixed-point integer arithmetic.
+seed refined by Newton steps in fixed-point integer arithmetic.  The seed,
+``_lambert_w_float``, is the package's one float64 Lambert W: a vectorised
+Halley iteration, also used uncertified where a W value only feeds a float
+result (B(x) and the J2 series in ``trimming``).
 
 Real results are carried as ``HighPrecisionReal``: an exact rational payload
 (usually dyadic) together with a conservative absolute error bound.  Because
@@ -17,6 +20,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
+
+import numpy as np
 
 Real = Union[int, float, Fraction]
 
@@ -297,24 +302,32 @@ def _exp_fixed(w: Fraction, scale_bits: int) -> Tuple[int, int]:
     return e_final, err_ulps
 
 
-def _lambert_float_seed(x: float) -> float:
-    # Halley iteration from a crude start; good to nearly full float precision
-    if x > math.e:
-        w = math.log(x)
-        w -= math.log(w)
-    elif x > 0.25:
-        w = 0.5
-    else:
-        w = x * (1.0 - x)
+def _lambert_w_float(x) -> np.ndarray:
+    """Principal-branch W in float64, elementwise over an array of x >= 0.
+
+    Halley iteration from log(x) - log(log(x)) above e, 1/2 on (1/4, e] and
+    x(1 - x) below; an element stops once its step is under 1e-13 relative,
+    after which the cubic convergence has left it at full float precision.
+    Uncertified: ``lambert_w0`` seeds from it and then checks the residual.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite value in Lambert W argument")
+    big = x > math.e
+    lx = np.log(np.where(big, x, math.e))
+    small = np.minimum(x, 0.25)
+    w = np.where(big, lx - np.log(lx), np.where(x > 0.25, 0.5, small * (1.0 - small)))
+    active = np.ones(w.shape, dtype=bool)
     for _ in range(64):
-        ew = math.exp(w)
+        ew = np.exp(w)
         f = w * ew - x
         wp1 = w + 1.0
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= dw
-        if abs(dw) <= 1e-13 * (abs(w) + 1e-3):
+        dw = np.where(active, f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1)), 0.0)
+        w = w - dw
+        active &= np.abs(dw) > 1e-13 * (np.abs(w) + 1e-3)
+        if not active.any():
             break
-    return max(w, 0.0)
+    return np.maximum(w, 0.0)
 
 
 def lambert_w0(x: Real, precision_bits: int = 64) -> HighPrecisionReal:
@@ -334,7 +347,7 @@ def lambert_w0(x: Real, precision_bits: int = 64) -> HighPrecisionReal:
         return HighPrecisionReal(Fraction(0), Fraction(0), precision_bits)
     target = max(Fraction(1), xq) / (1 << precision_bits)
     scale = precision_bits + 48
-    w = Fraction(round(_lambert_float_seed(float(xq)) * (1 << scale)), 1 << scale)
+    w = Fraction(round(float(_lambert_w_float(float(xq))) * (1 << scale)), 1 << scale)
     for attempt in range(40):
         e_int, err_ulps = _exp_fixed(w, scale)
         e_val = Fraction(e_int, 1 << scale)
@@ -352,56 +365,3 @@ def lambert_w0(x: Real, precision_bits: int = 64) -> HighPrecisionReal:
         if attempt % 5 == 4:
             scale += precision_bits // 2 + 32
     raise PrecisionError("Lambert W refinement did not certify at x=%r" % (x,))
-
-
-def _lambert_w_warm(x: int, seed: float, precision_bits: int = 64):
-    """Certified W(x) for integer x from a nearly-converged float seed.
-
-    One fixed-point Newton step; the residual after the step is bounded a
-    priori from the first (and only) fixed-point exponential via the standard
-    Newton contraction estimate, all in integer arithmetic.  Returns
-    (w_scaled, scale_bits, refreshed_float_seed) or None when the a priori
-    bound fails to meet the target, in which case the caller should fall back
-    to ``lambert_w0``.  Used by the tail-sum series where millions of
-    consecutive evaluations share slowly-moving seeds.
-    """
-    scale = precision_bits + 32
-    one = 1 << scale
-    w = seed
-    for _ in range(2):  # Halley polish, converges from the previous argument
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-    if not (w > 0 and math.isfinite(w)):
-        return None
-    w_int = round(w * one)
-    e_int, err_ulps = _exp_fixed(Fraction(w_int, one), scale)
-    two_s = 2 * scale
-    resid = w_int * e_int - (x << two_s)
-    resid_hi = abs(resid) + w_int * err_ulps
-    deriv_lo = (e_int - err_ulps) * (one + w_int)
-    if deriv_lo <= 0:
-        return None
-    target = max(1, x) << (two_s - precision_bits)
-    d0 = (resid_hi << scale) // deriv_lo + 1
-    if d0 >= one // 16:
-        return None
-    w1_int = w_int - (resid * one) // (e_int * (one + w_int))
-    # Newton contraction: |w1 - W| <= g''_hi * d0^2 / (2 g'(w)_lo) plus the
-    # inexact-denominator and requantization slack; residual <= g'_hi * that.
-    # e^(2*d0) <= e^(1/8) < 8/7 inflates the derivative bounds over the
-    # uncertainty interval.
-    e_hi = e_int + err_ulps
-    gpp_hi = ((2 * one + w_int + (one >> 3)) * e_hi // one + 1) * 8 // 7 + 1
-    gp_hi = ((one + w_int + (one >> 3)) * e_hi // one + 1) * 8 // 7 + 1
-    denom_sq = deriv_lo * deriv_lo // one + 1
-    delta1 = (
-        (gpp_hi * d0 * d0) // (2 * deriv_lo)
-        + (resid_hi * err_ulps * (one + w_int)) // denom_sq
-        + 2
-    )
-    resid1_hi = gp_hi * delta1 + 4 * one
-    if resid1_hi > target:
-        return None
-    return w1_int, scale, w

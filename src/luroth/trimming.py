@@ -3,15 +3,18 @@
 A(x) = x*log(x) and its inverse B(x) = x/W(x) (Lambert W), the partial sums
 of the convergence-criterion series
 
-    J2(N) = sum_{n=2}^{N} (1/n^2) * (n^2/W(n)^2 - (n-1)^2/W(n-1)^2),
+    J2(N) = sum_{n=2}^{N} (1/n^2) * (B(n)^2 - B(n-1)^2),
 
 and the centering constants c_k = (k/A(k)) * E(X | X < A(k)) for the Luroth
 digit law, whose conditional mean is a harmonic partial sum.
 
-The J2 terms need Lambert W at every integer up to N; consecutive arguments
-move the root by O(1/n), so each evaluation warm-starts from the previous
-one and is certified by a single fixed-point Newton step (falling back to
-the full solver whenever the a priori bound does not close).
+B(n)^2 - B(n-1)^2 is a difference of nearly equal values.  The series avoids
+forming it: since W(n) e^W(n) = n, B(n) = e^W(n), and the increment
+d = W(n) - W(n-1) solves the well-conditioned equation
+d + log1p(d/W(n-1)) = log1p(1/(n-1)) (Corless, Gonnet, Hare, Jeffrey, Knuth,
+"On the Lambert W function", Adv. Comput. Math. 5, 1996), so each term is
+e^(2 W(n-1)) * expm1(2d) / n^2.  All of this, like B and the asymptotic gap,
+is float64 and uncertified; the certified kernel is ``lambert_w0``.
 """
 
 import math
@@ -20,7 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .precision import _lambert_w_warm, lambert_w0
+from .precision import _lambert_w_float
 
 __all__ = [
     "EULER_GAMMA",
@@ -36,8 +39,6 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606
 
-_W_BITS = 64  # certification target for every W evaluation in the series
-_B2_SHIFT = 64  # extra fixed-point bits carried by the squared-ratio terms
 _HARMONIC_DIRECT_LIMIT = 10**8
 
 
@@ -63,7 +64,7 @@ def b_of(x: float) -> float:
     """B(x) = x/W(x), the inverse of A on (1, inf); defined for x > 0."""
     if not x > 0:
         raise ValueError("b_of requires x > 0")
-    return x / float(lambert_w0(x, _W_BITS))
+    return x / float(_lambert_w_float(x))
 
 
 def w_asymptotic_gap(x: float) -> float:
@@ -71,7 +72,7 @@ def w_asymptotic_gap(x: float) -> float:
     if not x >= math.e**2:
         raise ValueError("gap is probed for x >= e^2")
     lx = math.log(x)
-    return float(lambert_w0(x, _W_BITS)) - (lx - math.log(lx))
+    return float(_lambert_w_float(x)) - (lx - math.log(lx))
 
 
 def harmonic(n: int) -> float:
@@ -103,48 +104,26 @@ def c_k(k: int) -> float:
     return (k / a) * conditional
 
 
-def _w_scaled_sequence(n_max: int, scale_out: int):
-    """Yields (n, w_int) with w_int = W(n) * 2**scale_out certified to 2**-64.
-
-    Warm-started along consecutive n; every value is either certified by the
-    single-step Newton bound or recomputed by the full solver.
-    """
-    seed = float(lambert_w0(2, _W_BITS))
-    for n in range(2, n_max + 1):
-        got = _lambert_w_warm(n, seed, _W_BITS)
-        if got is None:
-            full = lambert_w0(n, _W_BITS)
-            seed = float(full)
-            w_int = round(full.value * (1 << scale_out))
-        else:
-            w1_int, scale, seed = got
-            if scale >= scale_out:
-                w_int = w1_int >> (scale - scale_out)
-            else:
-                w_int = w1_int << (scale_out - scale)
-        yield n, w_int
-
-
 def j2_partial_sums(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
     """Partial sums and terms of the series for N = 2..n_max.
 
     Returns (values, terms), both of length n_max - 1, where values[i] is
-    the partial sum through N = i + 2.  Terms are formed from fixed-point
-    integer squared ratios n^2/W(n)^2, so adjacent-term differences do not
-    lose mass to rounding before the final float conversion.
+    the partial sum through N = i + 2.  Each term is e^(2w) * expm1(2d) / n^2
+    with w = W(n-1) and d = W(n) - W(n-1) from 4 Newton steps on
+    d + log1p(d/w) = log1p(1/(n-1)), started at its linearisation; no nearly
+    equal values are subtracted, so every term keeps float64 relative
+    accuracy (a few ulps, growing like 2w ulps through e^(2w)).  Float64,
+    not certified.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    scale = _W_BITS + 32
-    shift = _B2_SHIFT + 2 * scale
-    w1 = lambert_w0(1, _W_BITS)
-    prev_b2 = (1 << shift) // round(w1.value * (1 << scale)) ** 2
-    terms = np.empty(n_max - 1, dtype=np.float64)
-    denom_unit = float(1 << _B2_SHIFT)
-    for n, w_int in _w_scaled_sequence(n_max, scale):
-        b2 = (n * n << shift) // (w_int * w_int)
-        terms[n - 2] = (b2 - prev_b2) / (n * n * denom_unit)
-        prev_b2 = b2
+    n = np.arange(2, n_max + 1, dtype=np.float64)
+    w = _lambert_w_float(n - 1.0)
+    r = np.log1p(1.0 / (n - 1.0))
+    d = r * w / (1.0 + w)
+    for _ in range(4):
+        d -= (d + np.log1p(d / w) - r) / (1.0 + 1.0 / (w + d))
+    terms = np.exp(2.0 * w) * np.expm1(2.0 * d) / (n * n)
     return np.cumsum(terms), terms
 
 

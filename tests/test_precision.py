@@ -12,12 +12,14 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from luroth.precision import (
     HighPrecisionReal,
     PrecisionError,
     _exp_fixed,
+    _lambert_w_float,
     bernoulli_number,
     bernoulli_triangle,
     binomial,
@@ -263,6 +265,20 @@ def test_lambert_monotone_on_grid():
 def test_lambert_rejects_negative():
     with pytest.raises(ValueError):
         lambert_w0(-0.5, 64)
+
+
+def test_lambert_float_within_two_ulps_of_certified():
+    # the shared float64 W, scalar and as the consecutive-integer array the
+    # J2 series passes in, against the certified kernel at 96 bits
+    def check(xs, got):
+        for x, w in zip(xs, got):
+            ref = float(lambert_w0(float(x), 96))
+            assert abs(w - ref) <= 2 * math.ulp(ref), x
+
+    xs = [float(x) for x in np.logspace(-3, 9, 50)] + [1.0, math.e, 1e300]
+    check(xs, [float(_lambert_w_float(x)) for x in xs])
+    n = np.arange(99_990, 100_011, dtype=np.float64)
+    check(n, _lambert_w_float(n))
 
 
 def test_lambert_random_rationals_vs_bisection():

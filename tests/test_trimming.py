@@ -1,6 +1,7 @@
 """Tests for the trimmed-sum centering ingredients."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,10 @@ def test_domain_checks():
         b_of(0.0)
     with pytest.raises(ValueError):
         w_asymptotic_gap(2.0)
+    with pytest.raises(ValueError):
+        b_of(math.inf)
+    with pytest.raises(ValueError):
+        w_asymptotic_gap(math.inf)
 
 
 # ---------------------------------------------------------------- harmonic
@@ -107,14 +112,15 @@ def test_j2_last_term_asymptotics():
     assert 0.5 <= scaled <= 2.0
 
 
-def test_j2_warm_path_matches_full_solver():
-    # spot-check the warm-started W values hiding inside the series terms
-    _, terms = j2_partial_sums(3000)
-    for n in (2, 3, 17, 500, 2999):
-        wn = float(lambert_w0(n, 96).value)
-        wm = float(lambert_w0(n - 1, 96).value) if n > 2 else float(lambert_w0(1, 96).value)
-        direct = (n**2 / wn**2 - (n - 1) ** 2 / wm**2) / n**2
-        assert abs(terms[n - 2] - direct) <= 1e-12 * max(direct, 1.0)
+def test_j2_terms_match_exact_lambert_oracle():
+    # term(n) = (n^2/W(n)^2 - (n-1)^2/W(n-1)^2) / n^2 in exact rationals from
+    # the 96-bit certified W payloads; relative, so the small far terms count
+    _, terms = j2_partial_sums(10**6)
+    for n in (2, 3, 17, 500, 2999, 10**5, 10**6):
+        wn = lambert_w0(n, 96).value
+        wm = lambert_w0(n - 1, 96).value
+        oracle = (Fraction(n * n) / wn**2 - Fraction((n - 1) ** 2) / wm**2) / (n * n)
+        assert abs(Fraction(float(terms[n - 2])) - oracle) <= Fraction(1e-13) * oracle, n
 
 
 def test_j2_rejects_small_n():
