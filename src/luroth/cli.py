@@ -16,7 +16,7 @@ import csv
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -38,20 +38,13 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-@contextmanager
-def _out_stream(path: Optional[str]):
-    if path is None:
-        yield sys.stdout
-    else:
-        fh = open(path, "w", newline="")
-        try:
-            yield fh
-        finally:
-            fh.close()
-
-
-def _csv_writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _write_csv(path: Optional[str], header: List[str], rows: List[List[str]]) -> int:
+    """Write one table, to path or to stdout; callers compute rows first."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    return 0
 
 
 def _require(cond: bool, message: str):
@@ -62,6 +55,7 @@ def _require(cond: bool, message: str):
 def _rho_rows(k_max: int, mode: str, precision_bits: int, tol: float,
               samples: int, seed: int) -> List[List[str]]:
     methods = ["exact", "series", "mc"] if mode == "all" else [mode]
+    sampled = mc_rho(k_max, samples, seed=seed) if "mc" in methods else []
     rows = []
     for k in range(2, k_max + 1):
         for method in methods:
@@ -74,7 +68,7 @@ def _rho_rows(k_max: int, mode: str, precision_bits: int, tol: float,
                 rows.append([str(k), est.method, _fmt(est.value.value),
                              _fmt(est.error_bound)])
             else:
-                r = mc_rho(k, samples, seed=seed)
+                r = sampled[k - 1]
                 # for sampled rows the bound column carries the standard
                 # error, a statistical scale rather than a certified bound
                 rows.append([str(k), "monte-carlo", _fmt(r.estimate),
@@ -85,15 +79,12 @@ def _rho_rows(k_max: int, mode: str, precision_bits: int, tol: float,
 def cmd_rho(args) -> int:
     _require(args.kmax >= 2, "--kmax must be >= 2")
     _require(args.precision_bits >= 8, "--precision-bits must be >= 8")
-    _require(args.tol > 0.0, "--tol must be positive")
+    # a tail bound of 1 or more says nothing about a probability
+    _require(0.0 < args.tol < 1.0, "--tol must lie in (0, 1)")
     _require(args.samples >= 100, "--samples must be >= 100")
     rows = _rho_rows(args.kmax, args.mode, args.precision_bits, args.tol,
                      args.samples, args.seed)
-    with _out_stream(args.out) as fh:
-        w = _csv_writer(fh)
-        w.writerow(["k", "method", "value", "error_bound"])
-        w.writerows(rows)
-    return 0
+    return _write_csv(args.out, ["k", "method", "value", "error_bound"], rows)
 
 
 def cmd_expand(args) -> int:
@@ -104,13 +95,9 @@ def cmd_expand(args) -> int:
     _require(0 < x <= 1, "value must lie in (0, 1]")
     _require(args.count >= 1, "--count must be >= 1")
     seq = expand(x, args.count)
-    with _out_stream(args.out) as fh:
-        w = _csv_writer(fh)
-        w.writerow(["index", "digit"])
-        for i, d in enumerate(seq.digits, start=1):
-            w.writerow([str(i), str(d)])
-        w.writerow(["remainder", str(seq.remainder)])
-    return 0
+    rows = [[str(i), str(d)] for i, d in enumerate(seq.digits, start=1)]
+    return _write_csv(args.out, ["index", "digit"],
+                      rows + [["remainder", str(seq.remainder)]])
 
 
 def cmd_reconstruct(args) -> int:
@@ -121,12 +108,8 @@ def cmd_reconstruct(args) -> int:
     _require(len(digits) >= 1, "at least one digit is required")
     _require(all(d >= 1 for d in digits), "digits must be >= 1")
     value = reconstruct(digits)
-    with _out_stream(args.out) as fh:
-        w = _csv_writer(fh)
-        w.writerow(["field", "value"])
-        w.writerow(["exact", str(value)])
-        w.writerow(["approx", _fmt(value)])
-    return 0
+    return _write_csv(args.out, ["field", "value"],
+                      [["exact", str(value)], ["approx", _fmt(value)]])
 
 
 def _j2_rows(n_max: int) -> List[List[str]]:
@@ -138,12 +121,7 @@ def _j2_rows(n_max: int) -> List[List[str]]:
 
 def cmd_j2(args) -> int:
     _require(args.nmax >= 3, "--nmax must be >= 3")
-    rows = _j2_rows(args.nmax)
-    with _out_stream(args.out) as fh:
-        w = _csv_writer(fh)
-        w.writerow(["N", "partial_sum"])
-        w.writerows(rows)
-    return 0
+    return _write_csv(args.out, ["N", "partial_sum"], _j2_rows(args.nmax))
 
 
 def _decade_checkpoints(k_max: int) -> List[int]:
@@ -161,74 +139,59 @@ def cmd_trim(args) -> int:
     _require(args.seeds >= 1, "--seeds must be >= 1")
     checkpoints = _decade_checkpoints(args.kmax)
     targets = {k: c_k(k) for k in checkpoints}
-    with _out_stream(args.out) as fh:
-        w = _csv_writer(fh)
-        w.writerow(["seed", "k", "statistic", "c_k"])
-        for seed in range(args.seed, args.seed + args.seeds):
-            for k, stat in mc_trimmed_trajectory(args.kmax, checkpoints, seed=seed):
-                w.writerow([str(seed), str(k), _fmt(stat), _fmt(targets[k])])
-    return 0
+    rows = [[str(seed), str(k), _fmt(stat), _fmt(targets[k])]
+            for seed in range(args.seed, args.seed + args.seeds)
+            for k, stat in mc_trimmed_trajectory(args.kmax, checkpoints, seed=seed)]
+    return _write_csv(args.out, ["seed", "k", "statistic", "c_k"], rows)
 
 
 def cmd_maxdist(args) -> int:
     _require(args.k >= 1, "--k must be >= 1")
     _require(args.samples >= 100, "--samples must be >= 100")
     c_list = args.c if args.c else [0.5, 1.0, 2.0]
-    _require(all(c > 0 for c in c_list), "--c values must be positive")
-    with _out_stream(args.out) as fh:
-        w = _csv_writer(fh)
-        w.writerow(["c", "empirical", "exact_finite_k", "limit_exp"])
-        for c in c_list:
-            r = mc_max_scaled_cdf(args.k, c, args.samples, seed=args.seed)
-            threshold = math.ceil(c * args.k) - 1
-            if threshold < 1:
-                exact = 0.0
-            else:
-                exact = float(max_cdf_exact(args.k, threshold).value)
-            w.writerow([_fmt(c), _fmt(r.estimate), _fmt(exact),
-                        _fmt(math.exp(-1.0 / c))])
-    return 0
+    _require(all(c > 0 and math.isfinite(c * args.k) for c in c_list),
+             "--c values must be positive, with c*k finite")
+    sampled = mc_max_scaled_cdf(args.k, c_list, args.samples, seed=args.seed)
+    rows = []
+    for c, r in zip(c_list, sampled):
+        threshold = math.ceil(c * args.k) - 1
+        exact = float(max_cdf_exact(args.k, threshold).value) if threshold >= 1 else 0.0
+        rows.append([_fmt(c), _fmt(r.estimate), _fmt(exact),
+                     _fmt(math.exp(-1.0 / c))])
+    return _write_csv(args.out, ["c", "empirical", "exact_finite_k", "limit_exp"], rows)
 
 
 def cmd_cf(args) -> int:
     k_list = args.k if args.k else [2, 8, 16, 32]
     _require(all(1 <= k <= 40 for k in k_list), "--k values must lie in [1, 40]")
     _require(args.samples >= 10**4, "--samples must be >= 10000")
-    with _out_stream(args.out) as fh:
-        w = _csv_writer(fh)
-        if args.statistic == "rho":
-            w.writerow(["k", "rho_hat", "se"])
-            for k in k_list:
-                r = mc_cf_rho(k, args.samples, seed=args.seed)
-                w.writerow([str(k), _fmt(r.estimate), _fmt(r.standard_error)])
-        else:
-            # trimmed medians are reported against both candidate constants
-            # (log 2 and its reciprocal); the table takes no side
-            w.writerow(["k", "median", "se", "dist_log2", "dist_inv_log2"])
-            for k in k_list:
-                _require(k >= 2, "--k values must be >= 2 for the trimmed statistic")
-                r = mc_cf_trimmed(k, args.samples, seed=args.seed)
-                d1 = abs(r.estimate - math.log(2.0))
-                d2 = abs(r.estimate - 1.0 / math.log(2.0))
-                w.writerow([str(k), _fmt(r.estimate), _fmt(r.standard_error),
-                            _fmt(d1), _fmt(d2)])
-    return 0
+    _require(args.statistic == "rho" or min(k_list) >= 2,
+             "--k values must be >= 2 for the trimmed statistic")
+    if args.statistic == "rho":
+        rows = []
+        for k in k_list:
+            r = mc_cf_rho(k, args.samples, seed=args.seed)
+            rows.append([str(k), _fmt(r.estimate), _fmt(r.standard_error)])
+        return _write_csv(args.out, ["k", "rho_hat", "se"], rows)
+    # trimmed medians are reported against both candidate constants (log 2
+    # and its reciprocal); the table takes no side
+    rows = []
+    for k in k_list:
+        r = mc_cf_trimmed(k, args.samples, seed=args.seed)
+        d1 = abs(r.estimate - math.log(2.0))
+        d2 = abs(r.estimate - 1.0 / math.log(2.0))
+        rows.append([str(k), _fmt(r.estimate), _fmt(r.standard_error),
+                     _fmt(d1), _fmt(d2)])
+    return _write_csv(args.out, ["k", "median", "se", "dist_log2", "dist_inv_log2"], rows)
 
 
 def cmd_figures(args) -> int:
     out_dir = args.out if args.out else "."
     os.makedirs(out_dir, exist_ok=True)
-    fig1 = os.path.join(out_dir, "fig1.csv")
-    fig2 = os.path.join(out_dir, "fig2.csv")
-    with open(fig1, "w", newline="") as fh:
-        w = _csv_writer(fh)
-        w.writerow(["k", "method", "value", "error_bound"])
-        w.writerows(_rho_rows(40, "exact", 128, 1e-6, 10**6, 0))
-    with open(fig2, "w", newline="") as fh:
-        w = _csv_writer(fh)
-        w.writerow(["N", "partial_sum"])
-        w.writerows(_j2_rows(1000))
-    return 0
+    _write_csv(os.path.join(out_dir, "fig1.csv"), ["k", "method", "value", "error_bound"],
+               _rho_rows(40, "exact", 128, 1e-6, 10**6, 0))
+    return _write_csv(os.path.join(out_dir, "fig2.csv"), ["N", "partial_sum"],
+                      _j2_rows(1000))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -312,6 +275,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # seeds seed..seed+seeds-1 each key a Philox stream
+        first = getattr(args, "seed", 0)
+        _require(0 <= first and first + getattr(args, "seeds", 1) <= 1 << 64,
+                 "every seed used must lie in [0, 2^64)")
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -5,10 +5,13 @@ on points sampled from the invariant measure (CDF log2(1+x), so the inverse
 transform is 2**u - 1).  CF digits are not independent, so every trial draws
 a fresh starting point rather than slicing one long orbit.
 
-Float iteration is trusted only to depth 40 (the map loses on the order of
-a bit per digit); an iterate that hits exactly zero before enough digits are
-extracted aborts its trial, and aborted trials must stay below 1e-6 of the
-total or the run fails loudly.
+Depth is capped at 40, but that cap is not a precision guarantee.  The map
+stretches by about pi^2/(6 ln 2) ~ 3.4 bits per step (its Lyapunov
+exponent), so the 53 bits of a double cover only about 15 digits: past depth
+~15 the float digits are often not true digits of the sampled point, though
+they still follow the Gauss-measure digit law closely.  An iterate that hits
+exactly zero before enough digits are extracted aborts its trial, and
+aborted trials must stay below 1e-6 of the total or the run fails loudly.
 """
 
 import math
@@ -18,7 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from .rng import RngStream
-from .simulation import McResult, _blocked, _run_blocks
+from .simulation import McResult, _binomial, _blocked, _run_blocks
 
 __all__ = [
     "CfSample",
@@ -95,10 +98,10 @@ def expand_cf(x: float, k: int) -> CfSample:
 def _cf_trial_blocks(k: int, samples: int, seed: int, workers: int, reducer):
     """Common block driver: iterate the map on a lane per trial, hand the
     per-step digit arrays to ``reducer`` via a small state machine."""
-    plan = _blocked(samples, max(1, _DRAW_BUDGET // k))
+    sizes = _blocked(samples, max(1, _DRAW_BUDGET // k))
 
     def one_block(b):
-        _, n = plan[b]
+        n = sizes[b]
         stream = RngStream(seed, b)
         x = np.expm1(stream.uniforms(n) * LN2)
         alive = np.ones(n, dtype=bool)
@@ -116,8 +119,7 @@ def _cf_trial_blocks(k: int, samples: int, seed: int, workers: int, reducer):
                 alive &= ~dying
         return reducer.finish(state, aborted)
 
-    partials = _run_blocks(len(plan), one_block, workers)
-    return partials
+    return _run_blocks(len(sizes), one_block, workers)
 
 
 class _UniqueMaxReducer:
@@ -172,10 +174,7 @@ def mc_cf_rho(k: int, samples: int, seed: int = 0, workers: int = 1) -> McResult
     successes = sum(p[0] for p in parts)
     aborted = sum(p[1] for p in parts)
     _check_aborts(aborted, samples)
-    kept = samples - aborted
-    p = successes / kept
-    se = math.sqrt(p * (1.0 - p) / kept)
-    return McResult(p, se, kept, seed)
+    return _binomial(successes, samples - aborted, seed)
 
 
 def mc_cf_trimmed(k: int, samples: int, seed: int = 0, workers: int = 1) -> McResult:

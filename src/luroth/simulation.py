@@ -2,9 +2,10 @@
 
 Trials are partitioned into fixed-size blocks; block b always draws from
 stream index b of the seed's Philox family and partial results are reduced
-in block order.  The partition depends only on (seed, samples, k), never on
-the worker count, so estimates are bit-identical whether run serially or on
-a thread pool.
+in block order.  The draws depend only on (seed, samples) for rho and on
+(seed, samples, k) for the digit-matrix trials, never on k_max, on the
+c-grid or on the worker count.  So one pass yields every row of a sweep, and
+each row is bit-identical whether run serially, on a thread pool, or alone.
 """
 
 import math
@@ -52,71 +53,86 @@ def _exact_sum_u64(a: np.ndarray) -> int:
     return (hi << 32) + lo
 
 
-def _blocked(samples: int, block: int) -> List[Tuple[int, int]]:
-    return [(b, min(block, samples - b * block)) for b in range((samples + block - 1) // block)]
+def _blocked(samples: int, block: int) -> List[int]:
+    """Trial counts of the blocks: all equal to block but a shorter last one."""
+    return [min(block, samples - start) for start in range(0, samples, block)]
 
 
-def mc_rho(k: int, samples: int, seed: int = 0, workers: int = 1) -> McResult:
+def _binomial(successes: int, n: int, seed: int) -> McResult:
+    p = successes / n
+    return McResult(p, math.sqrt(p * (1.0 - p) / n), n, seed)
+
+
+def _digit_rows(k: int, samples: int, seed: int, workers: int,
+                reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """reduce(d) over the samples-by-k digit matrix d, one value per trial.
+
+    Each block draws its rows of d row-major from its own stream and reduces
+    them; the per-row results are concatenated in trial order.
+    """
+    sizes = _blocked(samples, max(1, _MATRIX_DRAW_BUDGET // k))
+
+    def one_block(b: int) -> np.ndarray:
+        n = sizes[b]
+        return reduce(RngStream(seed, b).luroth_digits(n * k).reshape(n, k))
+
+    return np.concatenate(_run_blocks(len(sizes), one_block, workers))
+
+
+def mc_rho(k_max: int, samples: int, seed: int = 0, workers: int = 1) -> List[McResult]:
     """Fraction of trials whose maximum digit among k draws is unique.
 
+    Returns one result per k = 1..k_max; row i is k = i + 1.  Each block
+    draws one digit per trial and step, so the first k steps of the pass are
+    the draws of a k-step pass, and row k does not depend on k_max.
     Uniqueness is tracked by multiplicity of the running maximum, not index
     scanning: a strictly larger digit resets the count to one, a tie
     increments it.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    plan = _blocked(samples, _RHO_BLOCK)
+    sizes = _blocked(samples, _RHO_BLOCK)
 
-    def one_block(b: int) -> int:
-        _, n = plan[b]
+    def one_block(b: int) -> List[int]:
+        n = sizes[b]
         stream = RngStream(seed, b)
         maxd = np.zeros(n, dtype=np.uint64)
         count = np.zeros(n, dtype=np.int64)
-        for _ in range(k):
+        unique = []
+        for _ in range(k_max):
             d = stream.luroth_digits(n)
             greater = d > maxd
             equal = d == maxd
             count = np.where(greater, 1, count + equal)
             np.maximum(maxd, d, out=maxd)
-        return int((count == 1).sum())
+            unique.append(int((count == 1).sum()))
+        return unique
 
-    successes = sum(_run_blocks(len(plan), one_block, workers))
-    p = successes / samples
-    se = math.sqrt(p * (1.0 - p) / samples)
-    return McResult(p, se, samples, seed)
+    per_block = _run_blocks(len(sizes), one_block, workers)
+    return [_binomial(sum(row), samples, seed) for row in zip(*per_block)]
 
 
-def mc_max_scaled_cdf(k: int, c: float, samples: int, seed: int = 0, workers: int = 1) -> McResult:
-    """Estimate of P(max of k digits < c*k), i.e. the scaled-maximum CDF.
+def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
+                      workers: int = 1) -> List[McResult]:
+    """Estimates of P(max of k digits < c*k), the scaled-maximum CDF, per c.
 
-    The event max/k < c is max <= ceil(c*k) - 1 on integers, so the estimate
-    targets the exact finite-k value (1 - 1/ceil(c*k))^k.
+    The event max/k < c is max <= ceil(c*k) - 1 on integers, so each estimate
+    targets the exact finite-k value (1 - 1/ceil(c*k))^k.  One pass draws the
+    digits and takes each trial's maximum once for the whole c-grid.
     """
+    cs = list(cs)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not c > 0:
-        raise ValueError("c must be positive")
+    if not all(c > 0 and math.isfinite(c * k) for c in cs):
+        raise ValueError("c must be positive, with c*k finite")
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    threshold = math.ceil(c * k) - 1
-    block = max(1, _MATRIX_DRAW_BUDGET // k)
-    plan = _blocked(samples, block)
-    thr = np.uint64(max(threshold, 0))
-
-    def one_block(b: int) -> int:
-        _, n = plan[b]
-        stream = RngStream(seed, b)
-        d = stream.luroth_digits(n * k).reshape(n, k)
-        if threshold < 1:
-            return 0
-        return int((d.max(axis=1) <= thr).sum())
-
-    successes = sum(_run_blocks(len(plan), one_block, workers))
-    p = successes / samples
-    se = math.sqrt(p * (1.0 - p) / samples)
-    return McResult(p, se, samples, seed)
+    maxes = _digit_rows(k, samples, seed, workers, lambda d: d.max(axis=1))
+    # digits lie in [1, 2^63], so clamping the threshold there changes no count
+    thresholds = [np.uint64(min(max(math.ceil(c * k) - 1, 0), 1 << 63)) for c in cs]
+    return [_binomial(int((maxes <= t).sum()), samples, seed) for t in thresholds]
 
 
 def mc_trimmed_trajectory(
@@ -168,18 +184,10 @@ def mc_stable_centering(k: int, samples: int, seed: int = 0, workers: int = 1) -
         raise ValueError("k must be >= 100")
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    block = max(1, _MATRIX_DRAW_BUDGET // k)
-    plan = _blocked(samples, block)
     center = k * math.log(k)
-
-    def one_block(b: int) -> np.ndarray:
-        _, n = plan[b]
-        stream = RngStream(seed, b)
-        d = stream.luroth_digits(n * k).reshape(n, k)
-        sums = d.astype(np.float64).sum(axis=1)
-        return (sums - center) / k
-
-    stats = np.concatenate(_run_blocks(len(plan), one_block, workers))
+    sums = _digit_rows(k, samples, seed, workers,
+                       lambda d: d.astype(np.float64).sum(axis=1))
+    stats = (sums - center) / k
     est = float(np.median(stats))
     se = float(np.std(stats, ddof=1) / math.sqrt(samples))
     return McResult(est, se, samples, seed)

@@ -175,6 +175,68 @@ class TestCf:
         capsys.readouterr()
 
 
+class TestInvalidFlags:
+    # each is a usage error caught before any output: exit 2, empty stdout
+    CASES = [
+        ["cf", "--statistic", "trimmed", "--k", "8", "--k", "1",
+         "--samples", "10000"],
+        ["rho", "--mode", "mc", "--kmax", "3", "--samples", "1000",
+         "--seed", "-1"],
+        ["rho", "--mode", "mc", "--kmax", "3", "--samples", "1000",
+         "--seed", str(1 << 64)],
+        ["trim", "--kmax", "100", "--seeds", "2", "--seed", str((1 << 64) - 1)],
+        ["maxdist", "--k", "10", "--samples", "1000", "--seed", str(1 << 64)],
+        ["cf", "--k", "2", "--samples", "10000", "--seed", "-3"],
+        ["maxdist", "--k", "10", "--c", "1", "--c", "inf", "--samples", "1000"],
+        ["maxdist", "--k", "10", "--c", "nan", "--samples", "1000"],
+        ["maxdist", "--k", "1000", "--c", "1e306", "--samples", "1000"],
+        ["rho", "--mode", "series", "--kmax", "3", "--tol", "inf"],
+        ["rho", "--mode", "series", "--kmax", "3", "--tol", "2"],
+    ]
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a))
+    def test_exit_2_with_empty_stdout(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
+
+    def test_last_seed_at_the_top_of_the_range(self, capsys):
+        code, rows = run_cli(["trim", "--kmax", "10", "--seeds", "1",
+                              "--seed", str((1 << 64) - 1)], capsys)
+        assert code == 0
+        assert rows[1][0] == str((1 << 64) - 1)
+
+
+class TestPinnedSampledTables:
+    # the bytes these tables had when each row drew its own pass; the one-pass
+    # tables must keep them, so a change of block layout or draw order shows
+    RHO = (
+        "k,method,value,error_bound\n"
+        "2,monte-carlo,0.70699999999999996,0.010177204920802176\n"
+        "3,monte-carlo,0.79649999999999999,0.0090024371700112415\n"
+        "4,monte-carlo,0.84799999999999998,0.0080279511707533457\n"
+        "5,monte-carlo,0.87849999999999995,0.0073054003997043183\n"
+        "6,monte-carlo,0.90000000000000002,0.0067082039324993679\n"
+    )
+    MAXDIST = (
+        "c,empirical,exact_finite_k,limit_exp\n"
+        "0.5,0.125,0.12988579352203863,0.1353352832366127\n"
+        "1,0.35799999999999998,0.36416968008711709,0.36787944117144233\n"
+        "2,0.60050000000000003,0.60500606713753668,0.60653065971263342\n"
+    )
+
+    def test_rho_mc(self, capsys):
+        assert main(["rho", "--mode", "mc", "--kmax", "6", "--samples", "2000",
+                     "--seed", "3"]) == 0
+        assert capsys.readouterr().out == self.RHO
+
+    def test_maxdist(self, capsys):
+        assert main(["maxdist", "--k", "50", "--c", "0.5", "--c", "1",
+                     "--c", "2", "--samples", "2000", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == self.MAXDIST
+
+
 class TestOutputFile:
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "rho.csv"

@@ -101,14 +101,16 @@ def test_digit_sequence_wrapper():
 
 
 def test_mc_rho_k1_exact():
-    r = mc_rho(1, 1000, seed=0)
+    [r] = mc_rho(1, 1000, seed=0)
     assert r.estimate == 1.0
     assert r.standard_error == 0.0
 
 
 def test_mc_rho_matches_exact_formula():
+    table = mc_rho(40, 10**6, seed=0)
+    assert [r.samples for r in table] == [10**6] * 40
     for k in (2, 5, 10, 20, 40):
-        r = mc_rho(k, 10**6, seed=0)
+        r = table[k - 1]
         exact = float(rho_exact(k).value)
         assert abs(r.estimate - exact) <= 4 * r.standard_error
 
@@ -127,36 +129,65 @@ def test_mc_rho_validates():
         mc_rho(2, 50)
 
 
+def test_mc_rho_rows_do_not_depend_on_k_max():
+    # 70001 is not a multiple of the block size, so the short last block
+    # is checked too; each row must equal the last row of a run stopped there
+    table = mc_rho(40, 70001, seed=5, workers=3)
+    assert len(table) == 40
+    for k in (1, 3, 17, 40):
+        assert table[k - 1] == mc_rho(k, 70001, seed=5)[-1]
+
+
 # ------------------------------------------------------------- max scaled
 
 
 def test_mc_max_scaled_cdf_at_c1():
-    r = mc_max_scaled_cdf(1000, 1.0, 10**5, seed=0)
+    [r] = mc_max_scaled_cdf(1000, [1.0], 10**5, seed=0)
     finite_k = float(max_cdf_exact(1000, 999).value)
     assert abs(r.estimate - finite_k) <= 4 * r.standard_error
 
 
 def test_mc_max_scaled_cdf_at_c2():
-    r = mc_max_scaled_cdf(1000, 2.0, 10**5, seed=0)
+    [r] = mc_max_scaled_cdf(1000, [2.0], 10**5, seed=0)
     finite_k = float(max_cdf_exact(1000, 1999).value)
     assert abs(r.estimate - finite_k) <= 4 * r.standard_error
     assert abs(finite_k - math.exp(-0.5)) < 5e-4  # the limit the law approaches
 
 
 def test_mc_max_scaled_cdf_huge_c():
-    r = mc_max_scaled_cdf(1000, 1e6, 10**4, seed=0)
+    [r] = mc_max_scaled_cdf(1000, [1e6], 10**4, seed=0)
     assert r.estimate >= 1.0 - 3e-4
 
 
 def test_mc_max_scaled_cdf_tiny_c_zero():
-    r = mc_max_scaled_cdf(3, 1e-9, 1000, seed=0)
+    [r] = mc_max_scaled_cdf(3, [1e-9], 1000, seed=0)
     assert r.estimate == 0.0
 
 
 def test_mc_max_scaled_cdf_deterministic():
-    a = mc_max_scaled_cdf(50, 1.0, 30000, seed=2)
-    b = mc_max_scaled_cdf(50, 1.0, 30000, seed=2, workers=3)
+    a = mc_max_scaled_cdf(50, [1.0], 30000, seed=2)
+    b = mc_max_scaled_cdf(50, [1.0], 30000, seed=2, workers=3)
     assert a == b
+
+
+def test_mc_max_scaled_cdf_grid_rows_match_single_points():
+    # c = 0.1 puts the threshold ceil(0.3) - 1 = 0 below the smallest digit
+    cs = [0.1, 1.0, 2.5]
+    grid = mc_max_scaled_cdf(3, cs, 50001, seed=4, workers=2)
+    assert len(grid) == 3
+    assert grid[0].estimate == 0.0
+    for c, r in zip(cs, grid):
+        assert r == mc_max_scaled_cdf(3, [c], 50001, seed=4)[0]
+
+
+def test_mc_max_scaled_cdf_validates():
+    for bad_c in (0.0, -1.0, math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError):
+            mc_max_scaled_cdf(10, [1.0, bad_c], 1000)
+    with pytest.raises(ValueError):
+        mc_max_scaled_cdf(0, [1.0], 1000)
+    with pytest.raises(ValueError):
+        mc_max_scaled_cdf(10, [1.0], 50)
 
 
 # -------------------------------------------------------------- trajectory
