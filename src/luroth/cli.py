@@ -283,7 +283,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (PrecisionError, ValueError, RuntimeError) as exc:
+    except (PrecisionError, ValueError, RuntimeError, OSError) as exc:
+        # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

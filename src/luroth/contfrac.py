@@ -80,7 +80,7 @@ def expand_cf(x: float, k: int) -> CfSample:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > _DEPTH_LIMIT:
-        raise ValueError("float iteration is only trusted to depth %d" % _DEPTH_LIMIT)
+        raise ValueError("k above the depth cap %d" % _DEPTH_LIMIT)
     seed_point = x
     digits = []
     for _ in range(k):

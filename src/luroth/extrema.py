@@ -7,10 +7,11 @@ and a partial-fraction expansion of the level terms turns the sum into a
 finite combination of integer zeta values, which is the exact route.
 
 The exact route is numerically delicate: the bracket it evaluates is ~1/k
-while its individual terms are ~2^(k-1), so about k bits cancel.  All
-accumulation here is exact rational arithmetic on dyadic-quantized zeta
-values whose certified bounds are propagated through, so the only error in
-the result is the explicitly tracked one.
+while its individual terms are ~2^(k-1), so about k bits cancel.  The zeta
+values arrive as fixed-point integers at one binary scale with a certified
+ulp count each; the accumulation is exact integer arithmetic on those
+numerators and ulp counts, so the only error in the result is the explicitly
+tracked one.
 """
 
 import math
@@ -24,7 +25,8 @@ from .precision import (
     HighPrecisionReal,
     PrecisionError,
     _quantize,
-    _zeta_dyadic,
+    _row_sums,
+    _zeta_fixed,
     bernoulli_triangle,
 )
 
@@ -163,17 +165,20 @@ def rho_exact(k: int, target: int = 128) -> RhoEstimate:
     if k == 1:
         return RhoEstimate(1, HighPrecisionReal(Fraction(1), Fraction(0), target), "exact-formula")
     zbits = target + k + 64
-    acc = Fraction(0)
-    errsum = Fraction(0)
-    # smallest coefficients first (j descending), then the power of two
-    for j in range(k, 1, -1):
-        t = bernoulli_triangle(k - 1, k - j)
-        zval, zbound = _zeta_dyadic(j, zbits)
-        acc += (zval if j % 2 == 1 else -zval) * t
-        errsum += t * zbound
-    acc += 2 ** (k - 1)
-    value = k * acc
-    err = k * errsum
+    # Every zeta value of this k comes from one accuracy bucket, so all share
+    # one scale 2**-s and the sum is accumulated exactly on integer
+    # numerators: with |z_j - zeta(j)| <= u_j 2**-s, the integer sum of
+    # T(k-1, k-j) u_j bounds the bracket's error in ulps, with no rounding of
+    # its own.
+    acc = 0
+    errsum = 0
+    for j, t in zip(range(k, 1, -1), _row_sums(k - 1)):
+        zval, zulps, s = _zeta_fixed(j, zbits)
+        acc += zval * t if j % 2 == 1 else -zval * t
+        errsum += t * zulps
+    acc += 1 << (k - 1 + s)
+    value = Fraction(k * acc, 1 << s)
+    err = Fraction(k * errsum, 1 << s)
     value_q = _quantize(value, target + 16)
     err += Fraction(1, 2 ** (target + 17))
     if err > Fraction(1, 2**target):

@@ -2,24 +2,28 @@
 
 Arbitrary-size integer and rational arithmetic (binomial coefficients, partial
 binomial-row sums, Bernoulli numbers) plus two certified real-valued kernels:
-Riemann zeta at integer arguments via Euler-Maclaurin summation with an exact
-rational remainder bound, and the principal branch of Lambert W via a float
-seed refined by Newton steps in fixed-point integer arithmetic.  The seed,
-``_lambert_w_float``, is the package's one float64 Lambert W: a vectorised
-Halley iteration, also used uncertified where a W value only feeds a float
-result (B(x) and the J2 series in ``trimming``).
+Riemann zeta at integer arguments via Euler-Maclaurin summation in fixed-point
+integers, whose payload is an integer numerator over 2**s with a certified
+count of ulps (one per rounded term plus the remainder rounded up), and the
+principal branch of Lambert W via a float seed refined by Newton steps in
+fixed-point integer arithmetic.  The seed, ``_lambert_w_float``, is the
+package's one float64 Lambert W: a vectorised Halley iteration, also used
+uncertified where a W value only feeds a float result (B(x) and the J2 series
+in ``trimming``).
 
 Real results are carried as ``HighPrecisionReal``: an exact rational payload
-(usually dyadic) together with a conservative absolute error bound.  Because
-the payload is exact, downstream arithmetic on these values adds no rounding
-of its own; only the explicitly tracked bounds matter.
+(usually dyadic; for zeta, the fixed-point numerator over 2**s) together with
+a conservative absolute error bound.  Because the payload is exact,
+downstream arithmetic on these values adds no rounding of its own; only the
+explicitly tracked bounds matter.
 """
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -149,112 +153,155 @@ def bernoulli_triangle(l: int, j: int) -> int:
         raise ValueError("row index must be nonnegative")
     if j < 0 or j > l:
         raise ValueError("column index %d outside row of length %d" % (j, l))
+    return next(itertools.islice(_row_sums(l), j, None))
+
+
+def _row_sums(l: int):
+    """Partial sums T(l, i) = C(l, 0) + ... + C(l, i) for i = 0, 1, ..., l."""
     acc = 0
     c = 1
-    for i in range(j + 1):
+    for i in range(l + 1):
         acc += c
+        yield acc
         c = c * (l - i) // (i + 1)
-    return acc
 
 
-# Bernoulli numbers B_m (B_1 = -1/2 convention), grown on demand under a lock
-# so the zeta kernel stays thread-safe.
+# Bernoulli numbers B_m (B_1 = -1/2 convention), rebuilt at least twice as
+# long under a lock whenever a larger index is asked for, so the zeta kernel
+# stays thread-safe.
 _BERNOULLI = [Fraction(1), Fraction(-1, 2)]
 _BERNOULLI_LOCK = threading.Lock()
+
+
+def _bernoulli_upto(m: int) -> List[Fraction]:
+    """[B_0, B_1, ..., B_m] as a new list (possibly longer)."""
+    with _BERNOULLI_LOCK:
+        if len(_BERNOULLI) <= m:
+            n = max(m // 2, len(_BERNOULLI))
+            # tangent numbers T_1..T_n in integers (Brent and Harvey, "Fast
+            # computation of Bernoulli, tangent and secant numbers", 2011);
+            # then |B_2k| = 2k T_k / (4^k (4^k - 1)), of sign (-1)^(k+1)
+            t = [0, 1] + [0] * (n - 1)
+            for k in range(2, n + 1):
+                t[k] = (k - 1) * t[k - 1]
+            for k in range(2, n + 1):
+                for i in range(k, n + 1):
+                    t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
+            table = [Fraction(1), Fraction(-1, 2)]
+            for k in range(1, n + 1):
+                b = Fraction(2 * k * t[k], 4**k * (4**k - 1))
+                table += [b if k % 2 else -b, Fraction(0)]
+            _BERNOULLI[:] = table
+        return _BERNOULLI[:]
 
 
 def bernoulli_number(m: int) -> Fraction:
     """Bernoulli number B_m as an exact rational."""
     if m < 0:
         raise ValueError("index must be nonnegative")
-    with _BERNOULLI_LOCK:
-        while len(_BERNOULLI) <= m:
-            n = len(_BERNOULLI)
-            if n % 2 == 1:
-                _BERNOULLI.append(Fraction(0))
-                continue
-            acc = Fraction(0)
-            for j, bj in enumerate(_BERNOULLI):
-                if bj:
-                    acc += math.comb(n + 1, j) * bj
-            _BERNOULLI.append(-acc / (n + 1))
-        return _BERNOULLI[m]
+    return _bernoulli_upto(m)[m]
 
 
-def _zeta_em_remainder(j: int, n: int, q: int) -> Fraction:
-    # magnitude of the first omitted Euler-Maclaurin term, which bounds the
-    # truncation error for real exponents >= 2
-    b = abs(bernoulli_number(2 * q + 2))
-    rising = 1
-    for t in range(2 * q + 1):
-        rising *= j + t
-    return b * rising / (math.factorial(2 * q + 2) * Fraction(n) ** (j + 2 * q + 1))
+def _zeta_em_remainder(j: int, q: int) -> Tuple[int, int, int]:
+    """The first omitted Euler-Maclaurin term at cutoff n, as a / (b * n**p).
+
+    That term is |B_{2q+2}| (j)_{2q+1} / ((2q+2)! n^(j+2q+1)); for a real
+    exponent j >= 2 its magnitude bounds the truncation error of the sum in
+    ``_zeta_fixed``.  Kept as integers so that comparisons and roundings
+    against a dyadic grid need no rational normalisation.
+    """
+    b = bernoulli_number(2 * q + 2)
+    return (
+        abs(b.numerator) * math.perm(j + 2 * q, 2 * q + 1),
+        b.denominator * math.factorial(2 * q + 2),
+        j + 2 * q + 1,
+    )
 
 
 def _zeta_em_params(j: int, bits: int) -> Tuple[int, int]:
     """Choose cutoff N and correction order q so the remainder is below 2**-bits."""
     q = max(1, bits // 6 + 2)
-    target = Fraction(1, 1 << bits)
+    a, b, p = _zeta_em_remainder(j, q)
+    a <<= bits  # remainder <= 2**-bits  <=>  a * 2**bits <= b * n**p
     n = max(2, (2 * q) // 5)
-    while _zeta_em_remainder(j, n, q) > target:
+    while a > b * n**p:
         n *= 2
         if n > (1 << 26):
             raise PrecisionError("zeta parameter search diverged")
     while n > 2:
         cand = max(2, (3 * n) // 4)
-        if cand < n and _zeta_em_remainder(j, cand, q) <= target:
+        if cand < n and a <= b * cand**p:
             n = cand
         else:
             break
     return n, q
 
 
-def _zeta_fraction(j: int, bits: int) -> Tuple[Fraction, Fraction]:
-    """Exact-rational zeta(j) approximation with certified error <= 2**-bits."""
-    n, q = _zeta_em_params(j, bits)
-    s = Fraction(0)
-    for m in range(1, n + 1):
-        s += Fraction(1, m**j)
-    s += Fraction(1, (j - 1) * n ** (j - 1))
-    s -= Fraction(1, 2 * n**j)
-    rising = j  # (j)_{2i-1} maintained incrementally
-    for i in range(1, q + 1):
-        s += bernoulli_number(2 * i) * rising / (
-            math.factorial(2 * i) * Fraction(n) ** (j + 2 * i - 1)
-        )
-        rising *= (j + 2 * i - 1) * (j + 2 * i)
-    return s, _zeta_em_remainder(j, n, q)
-
-
+# zeta(j) for a given 64-bit accuracy bucket is carried at scale 2**-(bucket
+# + _ZETA_GUARD): enough guard bits that the per-term floor errors stay far
+# below the Euler-Maclaurin remainder, which is held at 2**-(bucket + 8).
+_ZETA_GUARD = 32
 _ZETA_CACHE = {}
 _ZETA_LOCK = threading.Lock()
 
 
-def _zeta_dyadic(j: int, bits: int) -> Tuple[Fraction, Fraction]:
-    """Dyadic zeta(j) approximation with certified error <= 2**-bits.
+def _zeta_fixed(j: int, bits: int) -> Tuple[int, int, int]:
+    """Fixed-point zeta(j): (num, err_ulps, s) with |num/2**s - zeta(j)| <= err_ulps/2**s.
 
-    Results are cached per 64-bit accuracy bucket, so sweeps over many k reuse
-    one evaluation per argument.
+    The certified bound err_ulps/2**s is at most 2**-bits.  Results are
+    cached per 64-bit accuracy bucket, so sweeps over many k reuse one
+    evaluation per argument, and every argument in a bucket shares the one
+    scale s.
     """
     bucket = ((bits + 63) // 64) * 64
+    s = bucket + _ZETA_GUARD
     key = (j, bucket)
     with _ZETA_LOCK:
         hit = _ZETA_CACHE.get(key)
     if hit is None:
-        frac, bound = _zeta_fraction(j, bucket + 8)
-        val = _quantize(frac, bucket + 9)
-        hit = (val, bound + Fraction(1, 1 << (bucket + 10)))
+        n, q = _zeta_em_params(j, bucket + 8)
+        one = 1 << s
+        # Euler-Maclaurin at cutoff n:
+        #   zeta(j) = sum_{m<=n} m^-j + n^(1-j)/(j-1) - n^-j/2
+        #             + sum_{i<=q} B_2i (j)_{2i-1} / ((2i)! n^(j+2i-1)) + R.
+        # Each of the n power terms, the integral term, the half term and the
+        # q Bernoulli terms is one exact rational times 2**s, reduced to an
+        # integer by one floor division of its magnitude, the sign applied
+        # afterwards; each such step is off by less than 1 ulp = 2**-s, so the
+        # integer sum is within n + q + 2 ulps of the exact truncated sum.
+        # |R| is at most the first omitted term (``_zeta_em_remainder``), here
+        # <= 2**-(bucket+8), and is counted rounded up to whole ulps.  The
+        # certified bound is the sum of the two, required to be <= 2**-bucket.
+        num = sum(one // m**j for m in range(1, n + 1))
+        num += one // ((j - 1) * n ** (j - 1))
+        num -= one // (2 * n**j)
+        npow = n ** (j + 1)
+        rising = j  # (j)_{2i-1}
+        fact = 2  # (2i)!
+        table = _bernoulli_upto(2 * q)
+        for i in range(1, q + 1):
+            bern = table[2 * i]
+            term = (abs(bern.numerator) * rising << s) // (bern.denominator * fact * npow)
+            num += term if bern.numerator > 0 else -term
+            rising *= (j + 2 * i - 1) * (j + 2 * i)
+            fact *= (2 * i + 1) * (2 * i + 2)
+            npow *= n * n
+        a, b, p = _zeta_em_remainder(j, q)
+        ulps = n + q + 2 - (-(a << s) // (b * n**p))
+        if ulps > 1 << _ZETA_GUARD:
+            raise PrecisionError("zeta(%d) could not certify 2^-%d" % (j, bucket))
+        hit = (num, ulps)
         with _ZETA_LOCK:
             _ZETA_CACHE[key] = hit
-    return hit
+    return hit[0], hit[1], s
 
 
 def zeta_int(j: int, precision_bits: int = 128) -> HighPrecisionReal:
     """Riemann zeta at an integer argument j >= 2 with |error| <= 2**-precision_bits.
 
-    Euler-Maclaurin summation carried out entirely in exact rationals; the
-    returned bound is the exact first-omitted-term remainder plus the final
-    quantization step, so it is certified rather than heuristic.
+    Euler-Maclaurin summation in fixed-point integers; the returned bound
+    counts one ulp per rounded term plus the first-omitted-term remainder
+    rounded up to whole ulps, so it is certified rather than heuristic.
     """
     if not isinstance(j, int) or isinstance(j, bool):
         raise TypeError("argument must be an integer")
@@ -262,8 +309,8 @@ def zeta_int(j: int, precision_bits: int = 128) -> HighPrecisionReal:
         raise ValueError("argument must be >= 2")
     if precision_bits < 16:
         raise ValueError("precision_bits must be >= 16")
-    val, bound = _zeta_dyadic(j, precision_bits)
-    return HighPrecisionReal(val, bound, precision_bits)
+    num, ulps, s = _zeta_fixed(j, precision_bits)
+    return HighPrecisionReal(Fraction(num, 1 << s), Fraction(ulps, 1 << s), precision_bits)
 
 
 def _exp_fixed(w: Fraction, scale_bits: int) -> Tuple[int, int]:

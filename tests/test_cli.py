@@ -255,6 +255,19 @@ class TestOutputFile:
                          "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["rho", "--kmax", "2", "--out", "{tmp}/nonexistent/x.csv"],
+        ["figures", "--out", "{tmp}/regular-file"],
+    ], ids=["missing-directory", "out-is-a-file"])
+    def test_unwritable_out_exits_1(self, argv, tmp_path, capsys):
+        (tmp_path / "regular-file").write_text("")
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
 
 class TestFigures:
     def test_emits_both_tables(self, tmp_path):

@@ -64,7 +64,7 @@ class TestExpand:
     def test_depth_cap_and_domain(self):
         with pytest.raises(ValueError):
             expand_cf(0.5, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^k above the depth cap 40$"):
             expand_cf(0.5, 41)
         with pytest.raises(ValueError):
             expand_cf(1.5, 3)

@@ -6,6 +6,7 @@ checked as exact rational equality, and rho_2 gets a from-scratch series
 oracle 1 - sum(p_m^2) built here.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from luroth import extrema
 from luroth.expansion import pmf, tail
 from luroth.extrema import (
     PartialFractionExpansion,
@@ -26,6 +28,7 @@ from luroth.extrema import (
     rho_series,
     rho_sum_over_k,
 )
+from luroth.precision import PrecisionError, _row_sums, bernoulli_triangle
 
 
 # ------------------------------------------------------------ coefficients
@@ -170,6 +173,54 @@ def test_rho_exact_certifies_bound():
     got = rho_exact(10, 96)
     assert got.error_bound <= Fraction(1, 2**96)
     assert got.value.precision_bits == 96
+
+
+def _rho_closed_form_mpmath(k, bits):
+    # k (2^(k-1) + sum_{j=2..k} (-1)^(j+1) T(k-1, k-j) zeta(j)) at `bits`
+    # working bits, T summed here from math.comb and zeta from mpmath
+    with mpmath.workprec(bits):
+        acc = mpmath.mpf(2) ** (k - 1)
+        for j in range(2, k + 1):
+            t = sum(math.comb(k - 1, i) for i in range(k - j + 1))
+            acc += (-1) ** (j + 1) * t * mpmath.zeta(j)
+        return k * acc
+
+
+@pytest.mark.parametrize("target", [64, 128, 256])
+@pytest.mark.parametrize("k", [2, 3, 17, 63, 64, 65, 120, 129, 200])
+def test_rho_exact_against_mpmath_closed_form(k, target):
+    # k covers both sides of the 64-bit zeta accuracy buckets: the working
+    # precision target + k + 64 crosses a multiple of 64 between these k
+    got = rho_exact(k, target)
+    bits = target + k + 100
+    oracle = _rho_closed_form_mpmath(k, bits)
+    with mpmath.workprec(bits):
+        value = mpmath.mpf(got.value.value.numerator) / got.value.value.denominator
+        bound = mpmath.mpf(got.error_bound.numerator) / got.error_bound.denominator
+        assert abs(value - oracle) <= bound
+    assert got.error_bound <= Fraction(1, 2**target)
+
+
+def test_row_sums_match_bernoulli_triangle():
+    # the running partial row sum rho_exact takes its coefficients from,
+    # against bernoulli_triangle and against accumulated math.comb
+    for k in range(2, 61):
+        row = list(_row_sums(k - 1))
+        assert row == [bernoulli_triangle(k - 1, i) for i in range(k)]
+        assert row == list(itertools.accumulate(math.comb(k - 1, i) for i in range(k)))
+
+
+def test_rho_exact_uncertifiable_raises(monkeypatch):
+    # zeta bounds 2^100 times too wide leave the result above 2^-target
+    real = extrema._zeta_fixed
+
+    def inflated(j, bits):
+        num, ulps, s = real(j, bits)
+        return num, ulps << 100, s
+
+    monkeypatch.setattr(extrema, "_zeta_fixed", inflated)
+    with pytest.raises(PrecisionError):
+        rho_exact(10, 96)
 
 
 def test_rho_exact_rejects_bad_k():

@@ -15,6 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from luroth import precision
 from luroth.precision import (
     HighPrecisionReal,
     PrecisionError,
@@ -136,8 +137,9 @@ def test_bernoulli_small_values():
 
 def test_bernoulli_sum_identity():
     # sum_{j<m} C(m+1, j) B_j = 0 for m >= 1 is the defining recurrence;
-    # check it holds including the computed top term
-    for m in range(2, 40):
+    # check it holds including the computed top term, past B_136, the
+    # largest index zeta_int uses at 384 bits
+    for m in range(2, 160):
         total = sum(binomial(m + 1, j) * bernoulli_number(j) for j in range(m + 1))
         assert total == 0
 
@@ -162,7 +164,10 @@ def test_zeta4_against_pi_fourth():
         assert diff <= mpmath.mpf(2) ** -155
 
 
-@pytest.mark.parametrize("j,bits", [(3, 64), (5, 128), (7, 192), (11, 96), (40, 128)])
+# the last three are the ends of the exact rho sweep: rho_exact(k, target)
+# asks for zeta(j), j <= k <= 200, at target + k + 64 bits
+@pytest.mark.parametrize("j,bits", [(3, 64), (5, 128), (7, 192), (11, 96), (40, 128),
+                                    (2, 384), (120, 320), (200, 384)])
 def test_zeta_against_mpmath(j, bits):
     got = zeta_int(j, bits)
     with mpmath.workprec(bits + 80):
@@ -186,6 +191,14 @@ def test_zeta_precision_consistency():
     for a in vals:
         for b in vals:
             assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+
+def test_zeta_uncertifiable_raises(monkeypatch):
+    # a cutoff far too small for the bucket leaves a remainder above 2^-bucket
+    monkeypatch.setattr(precision, "_ZETA_CACHE", {})
+    monkeypatch.setattr(precision, "_zeta_em_params", lambda j, bits: (2, 1))
+    with pytest.raises(PrecisionError):
+        zeta_int(3, 128)
 
 
 def test_zeta_rejects_bad_arguments():
