@@ -64,8 +64,8 @@ from .contfrac import (
     cf_digit,
     expand_cf,
     gauss_step,
-    mc_cf_rho,
-    mc_cf_trimmed,
+    mc_cf_rho_table,
+    mc_cf_trimmed_table,
     sample_gauss_measure,
 )
 

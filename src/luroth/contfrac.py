@@ -1,44 +1,68 @@
 """Continued-fraction digit statistics under the Gauss measure.
 
-Digits come from iterating the Gauss map x -> frac(1/x) in double precision
-on points sampled from the invariant measure (CDF log2(1+x), so the inverse
-transform is 2**u - 1).  CF digits are not independent, so every trial draws
-a fresh starting point rather than slicing one long orbit.
+Digits are sampled from the natural extension of the Gauss map (Nakada, Ito
+and Tanaka 1977), not by iterating the map forward.  Write
+s_n = q_{n-1}/q_n = [0; a_n, ..., a_2, a_1 + s_0] with s_0 drawn from the
+Gauss measure (CDF log2(1 + s), so s_0 = 2**u - 1).  Given s_n, the rest of
+the point has density (1 + s_n)/(1 + x s_n)^2 and the next digit has the law
 
-Depth is capped at 40, but that cap is not a precision guarantee.  The map
-stretches by about pi^2/(6 ln 2) ~ 3.4 bits per step (its Lyapunov
-exponent), so the 53 bits of a double cover only about 15 digits: past depth
-~15 the float digits are often not true digits of the sampled point, though
-they still follow the Gauss-measure digit law closely.  An iterate that hits
-exactly zero before enough digits are extracted aborts its trial, and
-aborted trials must stay below 1e-6 of the total or the run fails loudly.
+    P(a_{n+1} >= i | a_1..a_n, s_0) = (1 + s_n)/(i + s_n)
+
+(Iosifescu and Kraaikamp, *Metrical Theory of Continued Fractions*, 2002,
+ch. 1).  So one uniform u makes one digit: a = 1 + floor((1 + s)(1 - u)/u),
+which is floor((1 + s)/u - s) written without the cancellation that could
+round it to 0, and then s <- 1/(a + s).  The digits a_1..a_k are the true CF
+prefix of the point [0; a_1, a_2, ...] they define, at any depth.
+
+Why float error does not grow.  The forward map x -> 1/x - a stretches an
+error by 1/x^2, about 3.4 bits per step, so 53 bits last some 15 digits.  The
+backward map s -> s' = 1/(a + s) multiplies an error in s by s'^2 <= 1, and
+two steps by (s' s'')^2 <= 1/4, because 1/(s' s'') = (a + s) a'' + 1 >= 2.
+
+Per-digit bias, with eps = 2^-53 and the exact conditional law above as the
+reference.  (1) ``RngStream.uniforms`` rounds (j + 1/2) eps to a double;
+each value lies in the closure of the eps-cells it stands for (above 1/2
+two cells share one value, and u = 1, which gives a = 1, has probability
+eps), so |P(u <= t) - t| <= eps for every t.  (2) Each step rounds a + s
+and the reciprocal, a relative error of at most 2.01 eps in s'.  So the
+error e_n of the float s_n against the exact [0; a_n, ..., a_1 + s_0],
+taken at the reported digits and the float s_0, obeys e_{n+2} <= e_n/4 +
+3.02 eps from e_0 = 0, hence e_n < 4.1 eps; since d/ds (1 + s)/(i + s) =
+(i - 1)/(i + s)^2 <= 1/4, that moves a tail probability by at most
+1.03 eps.  (3) The computed (1 + s)(1 - u)/u takes four roundings, is
+monotone in u and lies within a relative 4.01 eps of the exact value, which
+moves the cut point of {a >= i} in u by at most 4.01 eps (1 + s)/(i + s)
+<= 4.01 eps.  Together every conditional tail P(a >= i | past) is within
+6.04 eps < 2^-50 of (1 + s_n)/(i + s_n); for s_0 the same argument, with
+expm1 good to an ulp, bounds the CDF error by 4 eps.  Since u >= 2^-54,
+digits stop at about 2^55, and above 2^53 they are even integers; both
+touch tails of mass below 2^-50.  This is noise far below every tolerance in
+the suite.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .precision import _to_fraction
 from .rng import RngStream
-from .simulation import McResult, _binomial, _blocked, _run_blocks
+from .simulation import McResult, _step_blocks, _unique_max_table
 
 __all__ = [
     "CfSample",
     "cf_digit",
     "expand_cf",
     "gauss_step",
-    "mc_cf_rho",
-    "mc_cf_trimmed",
+    "mc_cf_rho_table",
+    "mc_cf_trimmed_table",
     "sample_gauss_measure",
 ]
 
 LN2 = math.log(2.0)
 
-_DEPTH_LIMIT = 40
 _MIN_SAMPLES = 10**4
-_ABORT_BUDGET = 1e-6
-_DRAW_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -72,126 +96,92 @@ def sample_gauss_measure(u: float) -> float:
 
 
 def expand_cf(x: float, k: int) -> CfSample:
-    """Up to k CF digits of x by float Gauss-map iteration.
+    """Up to k CF digits of the exact binary value of x, by Euclid's algorithm.
 
-    Stops early (shorter digit tuple) if an iterate hits exactly zero, which
-    happens for rationals whose expansion terminates.
+    The digits are true digits of that dyadic rational; the tuple is shorter
+    than k when its expansion terminates first.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > _DEPTH_LIMIT:
-        raise ValueError("k above the depth cap %d" % _DEPTH_LIMIT)
-    seed_point = x
-    digits = []
-    for _ in range(k):
-        if not 0.0 < x < 1.0:
-            break
-        inv = 1.0 / x
-        a = math.floor(inv)
-        digits.append(int(a))
-        x = inv - a
-    if not digits:
+    xq = _to_fraction(x)
+    if not 0 < xq < 1:
         raise ValueError("x must lie in (0, 1)")
-    return CfSample(seed_point, tuple(digits))
+    num, den = xq.numerator, xq.denominator
+    digits = []
+    while num and len(digits) < k:
+        a, rem = divmod(den, num)
+        digits.append(a)
+        num, den = rem, num
+    return CfSample(x, tuple(digits))
 
 
-def _cf_trial_blocks(k: int, samples: int, seed: int, workers: int, reducer):
-    """Common block driver: iterate the map on a lane per trial, hand the
-    per-step digit arrays to ``reducer`` via a small state machine."""
-    sizes = _blocked(samples, max(1, _DRAW_BUDGET // k))
-
-    def one_block(b):
-        n = sizes[b]
-        stream = RngStream(seed, b)
-        x = np.expm1(stream.uniforms(n) * LN2)
-        alive = np.ones(n, dtype=bool)
-        aborted = np.zeros(n, dtype=bool)
-        state = reducer.init(n)
-        for step in range(k):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv = np.where(alive, 1.0 / x, 1.0)
-            a = np.floor(inv)
-            reducer.step(state, a, alive)
-            x = inv - a
-            if step < k - 1:
-                dying = alive & ((x <= 0.0) | ~np.isfinite(x))
-                aborted |= dying
-                alive &= ~dying
-        return reducer.finish(state, aborted)
-
-    return _run_blocks(len(sizes), one_block, workers)
-
-
-class _UniqueMaxReducer:
-    def init(self, n):
-        return {
-            "maxa": np.zeros(n), "count": np.zeros(n, dtype=np.int64),
-        }
-
-    def step(self, state, a, alive):
-        greater = (a > state["maxa"]) & alive
-        equal = (a == state["maxa"]) & alive
-        state["count"] = np.where(greater, 1, state["count"] + equal)
-        np.copyto(state["maxa"], a, where=greater)
-
-    def finish(self, state, aborted):
-        ok = ~aborted
-        return int(((state["count"] == 1) & ok).sum()), int(aborted.sum())
-
-
-class _TrimmedReducer:
-    def __init__(self, k):
-        self.k = k
-
-    def init(self, n):
-        return {"total": np.zeros(n), "maxa": np.zeros(n)}
-
-    def step(self, state, a, alive):
-        state["total"] += np.where(alive, a, 0.0)
-        np.maximum(state["maxa"], np.where(alive, a, 0.0), out=state["maxa"])
-
-    def finish(self, state, aborted):
-        norm = self.k * math.log(self.k)
-        stats = (state["total"] - state["maxa"]) / norm
-        return stats[~aborted], int(aborted.sum())
-
-
-def _check_aborts(aborted: int, samples: int):
-    if aborted > _ABORT_BUDGET * samples:
-        raise RuntimeError(
-            "%d of %d trials hit a terminating iterate; the float pipeline "
-            "is not trustworthy at this depth" % (aborted, samples)
-        )
-
-
-def mc_cf_rho(k: int, samples: int, seed: int = 0, workers: int = 1) -> McResult:
-    """Probability (under the Gauss measure) that max(a_1..a_k) is unique."""
-    if not 1 <= k <= _DEPTH_LIMIT:
-        raise ValueError("k must lie in [1, %d]" % _DEPTH_LIMIT)
+def _check_samples(samples: int):
     if samples < _MIN_SAMPLES:
         raise ValueError("samples must be >= %d" % _MIN_SAMPLES)
-    parts = _cf_trial_blocks(k, samples, seed, workers, _UniqueMaxReducer())
-    successes = sum(p[0] for p in parts)
-    aborted = sum(p[1] for p in parts)
-    _check_aborts(aborted, samples)
-    return _binomial(successes, samples - aborted, seed)
 
 
-def mc_cf_trimmed(k: int, samples: int, seed: int = 0, workers: int = 1) -> McResult:
-    """Median of (sum - max)/(k log k) of CF digits over fresh-start trials.
+def _cf_digits(stream: RngStream, n: int, depth: int) -> Iterator[np.ndarray]:
+    """Digits a_1..a_depth of n Gauss-measure trials, one float64 array per step."""
+    s = np.expm1(stream.uniforms(n) * LN2)
+    for _ in range(depth):
+        u = stream.uniforms(n)
+        # a = 1 + floor((1 + s)(1 - u)/u), then s <- 1/(a + s), in place
+        a = 1.0 + s
+        a *= 1.0 - u
+        a /= u
+        np.floor(a, out=a)
+        a += 1.0
+        s += a
+        np.divide(1.0, s, out=s)
+        yield a
 
-    The reported standard error is the per-trial sample std over sqrt(n)
-    (the result contract's definition); for these heavy-tailed statistics it
-    is a dispersion diagnostic, not a median confidence radius.
+
+def mc_cf_rho_table(k_max: int, samples: int, seed: int = 0,
+                    workers: int = 1) -> List[McResult]:
+    """P(max(a_1..a_k) is attained once) under the Gauss measure, k = 1..k_max.
+
+    Row i is k = i + 1, as in ``mc_rho``; row k depends on (seed, samples, k)
+    only, not on k_max or the worker count.
     """
-    if not 2 <= k <= _DEPTH_LIMIT:
-        raise ValueError("k must lie in [2, %d]" % _DEPTH_LIMIT)
-    if samples < _MIN_SAMPLES:
-        raise ValueError("samples must be >= %d" % _MIN_SAMPLES)
-    parts = _cf_trial_blocks(k, samples, seed, workers, _TrimmedReducer(k))
-    stats = np.concatenate([p[0] for p in parts])
-    aborted = sum(p[1] for p in parts)
-    _check_aborts(aborted, samples)
-    est = float(np.median(stats))
-    se = float(np.std(stats, ddof=1) / math.sqrt(len(stats)))
-    return McResult(est, se, len(stats), seed)
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    _check_samples(samples)
+    return _unique_max_table(samples, seed, workers,
+                             lambda stream, n: _cf_digits(stream, n, k_max))
+
+
+def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0,
+                        workers: int = 1) -> List[McResult]:
+    """Medians of (a_1 + ... + a_k - max)/(k log k), one result per entry of ks.
+
+    One pass to max(ks) serves every k, and the result for k depends on
+    (seed, samples, k) only.  The reported standard error is the per-trial
+    sample std over sqrt(n) (the result contract's definition); for these
+    heavy-tailed statistics it is a dispersion diagnostic, not a median
+    confidence radius.
+    """
+    ks = list(ks)
+    if not ks or min(ks) < 2:
+        raise ValueError("need at least one k, and every k must be >= 2")
+    _check_samples(samples)
+    wanted = set(ks)
+
+    def one_block(stream: RngStream, n: int) -> dict:
+        total = np.zeros(n)
+        maxa = np.zeros(n)
+        stats = {}
+        for k, a in enumerate(_cf_digits(stream, n, max(ks)), start=1):
+            total += a
+            np.maximum(maxa, a, out=maxa)
+            if k in wanted:
+                stats[k] = (total - maxa) / (k * math.log(k))
+        return stats
+
+    per_block = _step_blocks(samples, seed, workers, one_block)
+    out = []
+    for k in ks:
+        stats = np.concatenate([p[k] for p in per_block])
+        est = float(np.median(stats))
+        se = float(np.std(stats, ddof=1) / math.sqrt(samples))
+        out.append(McResult(est, se, samples, seed))
+    return out

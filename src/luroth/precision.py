@@ -13,9 +13,9 @@ in ``trimming``).
 
 Real results are carried as ``HighPrecisionReal``: an exact rational payload
 (usually dyadic; for zeta, the fixed-point numerator over 2**s) together with
-a conservative absolute error bound.  Because the payload is exact,
-downstream arithmetic on these values adds no rounding of its own; only the
-explicitly tracked bounds matter.
+a conservative absolute error bound.  It is a record, not a number type:
+callers read ``value`` and ``error_bound`` and combine them in their own
+integer or rational arithmetic, stating their own bounds.
 """
 
 import itertools
@@ -69,7 +69,6 @@ class HighPrecisionReal:
     ``value`` is the exact rational payload, ``error_bound`` a certified bound
     on ``|value - true|`` (zero means the value is exact), ``precision_bits``
     the resolution the value was requested at (0 for exact quantities).
-    Arithmetic combines payloads exactly and propagates bounds conservatively.
     """
 
     value: Fraction
@@ -82,57 +81,6 @@ class HighPrecisionReal:
 
     def __float__(self) -> float:
         return float(self.value)
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, HighPrecisionReal):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return HighPrecisionReal(Fraction(other), Fraction(0), 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return HighPrecisionReal(
-            self.value + o.value,
-            self.error_bound + o.error_bound,
-            min(self.precision_bits, o.precision_bits),
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return HighPrecisionReal(
-            self.value - o.value,
-            self.error_bound + o.error_bound,
-            min(self.precision_bits, o.precision_bits),
-        )
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        bound = (
-            abs(self.value) * o.error_bound
-            + abs(o.value) * self.error_bound
-            + self.error_bound * o.error_bound
-        )
-        return HighPrecisionReal(
-            self.value * o.value, bound, min(self.precision_bits, o.precision_bits)
-        )
-
-    __rmul__ = __mul__
 
 
 def binomial(n: int, k: int) -> int:

@@ -2,16 +2,18 @@
 
 Trials are partitioned into fixed-size blocks; block b always draws from
 stream index b of the seed's Philox family and partial results are reduced
-in block order.  The draws depend only on (seed, samples) for rho and on
-(seed, samples, k) for the digit-matrix trials, never on k_max, on the
-c-grid or on the worker count.  So one pass yields every row of a sweep, and
-each row is bit-identical whether run serially, on a thread pool, or alone.
+in block order.  The draws depend only on (seed, samples) for rho (and for
+the continued-fraction sweeps in ``contfrac``, which share its block loop
+and uniqueness counter) and on (seed, samples, k) for the digit-matrix
+trials, never on k_max, on the c-grid or on the worker count.  So one pass
+yields every row of a sweep, and each row is bit-identical whether run
+serially, on a thread pool, or alone.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -79,30 +81,35 @@ def _digit_rows(k: int, samples: int, seed: int, workers: int,
     return np.concatenate(_run_blocks(len(sizes), one_block, workers))
 
 
-def mc_rho(k_max: int, samples: int, seed: int = 0, workers: int = 1) -> List[McResult]:
-    """Fraction of trials whose maximum digit among k draws is unique.
+def _step_blocks(samples: int, seed: int, workers: int,
+                 per_block: Callable[[RngStream, int], object]) -> List[object]:
+    """per_block(stream, n) on blocks of _RHO_BLOCK trials, in block order.
 
-    Returns one result per k = 1..k_max; row i is k = i + 1.  Each block
-    draws one digit per trial and step, so the first k steps of the pass are
-    the draws of a k-step pass, and row k does not depend on k_max.
-    Uniqueness is tracked by multiplicity of the running maximum, not index
-    scanning: a strictly larger digit resets the count to one, a tie
-    increments it.
+    Block b draws from stream b.  A per_block that draws one variate per
+    trial and step makes the first k steps of a pass the draws of a k-step
+    pass, so row k of a sweep depends on (seed, samples, k) only.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
     sizes = _blocked(samples, _RHO_BLOCK)
+    return _run_blocks(len(sizes), lambda b: per_block(RngStream(seed, b), sizes[b]),
+                       workers)
 
-    def one_block(b: int) -> List[int]:
-        n = sizes[b]
-        stream = RngStream(seed, b)
-        maxd = np.zeros(n, dtype=np.uint64)
-        count = np.zeros(n, dtype=np.int64)
-        unique = []
-        for _ in range(k_max):
-            d = stream.luroth_digits(n)
+
+def _unique_max_table(samples: int, seed: int, workers: int,
+                      digit_steps: Callable[[RngStream, int], Iterable[np.ndarray]]
+                      ) -> List[McResult]:
+    """Row i: the fraction of trials whose maximum over digits 1..i+1 is unique.
+
+    ``digit_steps(stream, n)`` yields one array of n digits per step, of any
+    ordered dtype; it runs once per block of ``_step_blocks``.  Uniqueness is
+    tracked by multiplicity of the running maximum, not index scanning: a
+    strictly larger digit resets the count to one, a tie increments it.
+    """
+    def one_block(stream: RngStream, n: int) -> List[int]:
+        steps = iter(digit_steps(stream, n))
+        maxd = next(steps).copy()
+        count = np.ones(n, dtype=np.int64)
+        unique = [n]
+        for d in steps:
             greater = d > maxd
             equal = d == maxd
             count = np.where(greater, 1, count + equal)
@@ -110,8 +117,22 @@ def mc_rho(k_max: int, samples: int, seed: int = 0, workers: int = 1) -> List[Mc
             unique.append(int((count == 1).sum()))
         return unique
 
-    per_block = _run_blocks(len(sizes), one_block, workers)
+    per_block = _step_blocks(samples, seed, workers, one_block)
     return [_binomial(sum(row), samples, seed) for row in zip(*per_block)]
+
+
+def mc_rho(k_max: int, samples: int, seed: int = 0, workers: int = 1) -> List[McResult]:
+    """Fraction of trials whose maximum digit among k draws is unique.
+
+    Returns one result per k = 1..k_max; row i is k = i + 1.  Each block
+    draws one digit per trial and step, so row k does not depend on k_max.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if samples < 100:
+        raise ValueError("samples must be >= 100")
+    return _unique_max_table(samples, seed, workers, lambda stream, n: (
+        stream.luroth_digits(n) for _ in range(k_max)))
 
 
 def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,

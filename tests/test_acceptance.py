@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 from scipy.special import sici
 
 from luroth.cli import main as cli_main
-from luroth.contfrac import mc_cf_rho
+from luroth.contfrac import mc_cf_rho_table
 from luroth.expansion import max_cdf_exact
 from luroth.extrema import (
     q_k,
@@ -292,8 +292,8 @@ def test_criterion_09_figure_tables(tmp_path: Path):
 
 def test_criterion_10_cf_uniqueness_trend():
     t0 = time.perf_counter()
-    shallow = mc_cf_rho(2, 10**5, seed=0)
-    deep = mc_cf_rho(32, 10**5, seed=0)
+    table = mc_cf_rho_table(32, 10**5, seed=0)
+    shallow, deep = table[1], table[31]
     gap = deep.estimate - shallow.estimate
     need = 3.0 * (deep.standard_error + shallow.standard_error)
     dt = time.perf_counter() - t0

@@ -165,8 +165,22 @@ class TestCf:
         assert abs(d1 - abs(med - math.log(2.0))) < 1e-12
         assert abs(d2 - abs(med - 1.0 / math.log(2.0))) < 1e-12
 
+    def test_no_depth_cap(self, capsys):
+        code, rows = run_cli(["cf", "--k", "41", "--samples", "10000"], capsys)
+        assert code == 0
+        assert [r[0] for r in rows] == ["k", "41"]
+
+    def test_rows_keep_k_order(self, capsys):
+        for statistic in ("rho", "trimmed"):
+            _, rows = run_cli(["cf", "--k", "16", "--k", "2", "--statistic", statistic,
+                               "--samples", "10000"], capsys)
+            _, alone = run_cli(["cf", "--k", "2", "--statistic", statistic,
+                                "--samples", "10000"], capsys)
+            assert [r[0] for r in rows[1:]] == ["16", "2"]
+            assert rows[2] == alone[1]
+
     def test_rejections(self, capsys):
-        assert main(["cf", "--k", "41"]) == 2
+        assert main(["cf", "--k", "0"]) == 2
         capsys.readouterr()
         assert main(["cf", "--samples", "100"]) == 2
         capsys.readouterr()

@@ -305,29 +305,6 @@ def test_lambert_random_rationals_vs_bisection():
 # --------------------------------------------------- HighPrecisionReal ops
 
 
-def test_hpr_bound_propagation():
-    a = HighPrecisionReal(Fraction(3, 2), Fraction(1, 100), 8)
-    b = HighPrecisionReal(Fraction(-1, 3), Fraction(1, 200), 8)
-    s = a + b
-    assert s.value == Fraction(7, 6)
-    assert s.error_bound == Fraction(3, 200)
-    d = a - b
-    assert d.value == Fraction(11, 6)
-    assert d.error_bound == Fraction(3, 200)
-    p = a * b
-    assert p.value == Fraction(-1, 2)
-    assert p.error_bound == (
-        Fraction(3, 2) * Fraction(1, 200) + Fraction(1, 3) * Fraction(1, 100)
-        + Fraction(1, 100) * Fraction(1, 200)
-    )
-
-
-def test_hpr_mixing_with_ints():
-    a = HighPrecisionReal(Fraction(1, 4), Fraction(1, 1000), 10)
-    assert (1 - a).value == Fraction(3, 4)
-    assert (2 * a).error_bound == Fraction(2, 1000)
-
-
 def test_hpr_rejects_negative_bound():
     with pytest.raises(ValueError):
         HighPrecisionReal(Fraction(1), Fraction(-1), 0)
