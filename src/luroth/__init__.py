@@ -50,6 +50,7 @@ from .simulation import (
     mc_trimmed_trajectory,
 )
 from .trimming import (
+    EULER_GAMMA,
     J2PartialSum,
     a_of,
     b_of,

@@ -79,8 +79,8 @@ def _rho_rows(k_max: int, mode: str, precision_bits: int, tol: float,
 def cmd_rho(args) -> int:
     _require(args.kmax >= 2, "--kmax must be >= 2")
     _require(args.precision_bits >= 8, "--precision-bits must be >= 8")
-    # a tail bound of 1 or more says nothing about a probability
-    _require(0.0 < args.tol < 1.0, "--tol must lie in (0, 1)")
+    # a bound of 1 says nothing about a probability; below 2^-52 rounding rules
+    _require(2.0**-52 <= args.tol < 1.0, "--tol must lie in [2^-52, 1)")
     _require(args.samples >= 100, "--samples must be >= 100")
     rows = _rho_rows(args.kmax, args.mode, args.precision_bits, args.tol,
                      args.samples, args.seed)

@@ -20,10 +20,9 @@ backward map s -> s' = 1/(a + s) multiplies an error in s by s'^2 <= 1, and
 two steps by (s' s'')^2 <= 1/4, because 1/(s' s'') = (a + s) a'' + 1 >= 2.
 
 Per-digit bias, with eps = 2^-53 and the exact conditional law above as the
-reference.  (1) ``RngStream.uniforms`` rounds (j + 1/2) eps to a double;
-each value lies in the closure of the eps-cells it stands for (above 1/2
-two cells share one value, and u = 1, which gives a = 1, has probability
-eps), so |P(u <= t) - t| <= eps for every t.  (2) Each step rounds a + s
+reference.  (1) ``RngStream.uniforms`` returns the exact centres of 2^52
+equal cells, (j + 1/2) 2^-52, so |P(u <= t) - t| <= eps for every t.
+(2) Each step rounds a + s
 and the reciprocal, a relative error of at most 2.01 eps in s'.  So the
 error e_n of the float s_n against the exact [0; a_n, ..., a_1 + s_0],
 taken at the reported digits and the float s_0, obeys e_{n+2} <= e_n/4 +
@@ -34,8 +33,8 @@ monotone in u and lies within a relative 4.01 eps of the exact value, which
 moves the cut point of {a >= i} in u by at most 4.01 eps (1 + s)/(i + s)
 <= 4.01 eps.  Together every conditional tail P(a >= i | past) is within
 6.04 eps < 2^-50 of (1 + s_n)/(i + s_n); for s_0 the same argument, with
-expm1 good to an ulp, bounds the CDF error by 4 eps.  Since u >= 2^-54,
-digits stop at about 2^55, and above 2^53 they are even integers; both
+expm1 good to an ulp, bounds the CDF error by 4 eps.  Since u >= 2^-53,
+digits stop at about 2^54, and above 2^53 they are even integers; both
 touch tails of mass below 2^-50.  This is noise far below every tolerance in
 the suite.
 """

@@ -26,6 +26,7 @@ __all__ = [
     "reconstruct",
     "sample_digit",
     "tail",
+    "weight",
 ]
 
 

@@ -2,8 +2,9 @@
 
 rho_k is the probability that the maximum of k IID Luroth digits is attained
 by exactly one index.  The per-level contribution at maximum value m has the
-closed form k*(m-1)^(k-1)/(m^k*(m+1)); summing over m gives a series route,
-and a partial-fraction expansion of the level terms turns the sum into a
+closed form k*(m-1)^(k-1)/(m^k*(m+1)); summing over m, with the tail
+bracketed by two integrals of closed form, gives a series route, and a
+partial-fraction expansion of the level terms turns the sum into a
 finite combination of integer zeta values, which is the exact route.
 
 The exact route is numerically delicate: the bracket it evaluates is ~1/k
@@ -45,7 +46,6 @@ __all__ = [
 ]
 
 _K_CEILING = 200  # precision demands grow ~linearly in k beyond desk scale
-_SERIES_TERM_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -187,45 +187,48 @@ def rho_exact(k: int, target: int = 128) -> RhoEstimate:
 
 
 def rho_series(k: int, tol: float = 1e-6) -> RhoEstimate:
-    """rho_k by direct summation of the level terms up to M = ceil(k/tol).
-
-    The truncation error is the analytic tail bound k/(M+1) <= tol, recorded
-    in the error bound together with a float-rounding allowance; never an
-    extrapolation.  Summation is chunked with a fixed shape so the result is
-    deterministic.
+    """rho_k = k * sum_m f(m), f(x) = (1 - 1/x)^(k-1)/(x(x+1)), with f(1..M)
+    summed directly and the rest taken as the midpoint of a bracket whose
+    half-width is at most tol.  No zeta values enter, so the route stays
+    independent of ``rho_exact``.  tol < 2^-52 is rejected: there float
+    resolution, not truncation, sets the bound.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    m_top = math.ceil(k / tol)
-    if m_top > _SERIES_TERM_BUDGET:
-        raise ValueError(
-            "tol=%g needs %d terms, above the 1e9 budget" % (tol, m_top)
-        )
-    chunk = 1 << 20
-    partials = []
-    for start in range(1, m_top + 1, chunk):
-        stop = min(start + chunk, m_top + 1)
-        m = np.arange(start, stop, dtype=np.float64)
-        term = (1.0 - 1.0 / m) ** (k - 1) / (m * (m + 1.0))
-        partials.append(float(term.sum()))
-    value = k * math.fsum(partials)
-    tail_bound = k / (m_top + 1.0)
-    # Rounding allowance.  Each float term carries relative error about
-    # (k-1)*2**-53 from the power, plus a few dozen roundings (base, pow,
-    # divide, pairwise sum), all positive terms, so the sum is off by about
-    # (k+26)*2**-53*|value|.  Up to k ~ 230 the |value|*2**-45 = 256 ulp
-    # allowance covers that alone.  Beyond it the tail bound's own slack does:
-    # the true tail is k*sum_{m>M} (1-1/m)^(k-1)/(m(m+1)) and
-    # 1 - (1-1/m)^(k-1) >= (k-1)/(2m) for m > M >= k, so k/(M+1) exceeds it
-    # by at least k(k-1)/(4(M+2)^2); with M <= 1e9 (the term budget) and
-    # value <= 1 that is >= 2.2e-3*k(k-1)*2**-53 >= (k-230)*2**-53.  (M < k
-    # needs tol > 1, and then k/(M+1) >= 1/2 dwarfs the rounding.)
-    bound = Fraction(tail_bound) + Fraction(abs(value)) * Fraction(1, 2**45)
-    return RhoEstimate(
-        k, HighPrecisionReal(Fraction(value), bound, 53), "series"
-    )
+    if not tol >= 2.0**-52:
+        raise ValueError("tol must be >= 2^-52")
+    # Convexity.  With g = log f, f'' = f (g'' + g'^2).  For x >= 2k,
+    # (k-1)/(x-1) < 1/2, so -g' = 1/x + 1/(x+1) - (k-1)/(x(x-1)) > 1/(2x) +
+    # 1/(x+1) > 0, g'' > 1/(x+1)^2 - 1/(2x^2 (x-1)) and g'^2 > 1/(x(x+1)) >=
+    # 1/(2x^2 (x-1)): f falls and f'' > 0 on [2k, inf).
+    # Bracket.  With I(a) the integral of f over [a, inf) and M >= 2k, the
+    # midpoint and trapezoid inequalities of convex f give
+    #     I(M+1) + f(M+1)/2 <= sum_{m>M} f(m) <= I(M+1/2).
+    # Width.  It is the integral of f over [M+1/2, M+1] less f(M+1)/2, which
+    # the chord bounds by (f(M+1/2) - f(M+1))/4 <= -f'(M+1/2)/8; as -f'(x) <=
+    # f(x) (2x+1)/(x(x+1)) < 2/x^3, the half-width for rho is below
+    # k/(8 (M+1/2)^3) <= tol once M >= (k/(8 tol))^(1/3).
+    # I(a).  v = 1/x, t = 1 - v turn it into the integral of t^(k-1)/(2 - t)
+    # over [1 - 1/a, 1]; 1/(2 - t) = sum_i t^i/2^(i+1) makes the summands
+    # 2^-(i+1) (1 - (1 - 1/a)^(k+i))/(k+i), falling in i, and those from
+    # i = 60 on add less than 2^-59 I(a).
+    m_top = max(2 * k, math.ceil((k / (8.0 * tol)) ** (1.0 / 3.0)))
+    n = k + np.arange(60.0)
+
+    def tail(a):
+        return math.fsum(-np.expm1(n * math.log1p(-1.0 / a)) / (n * 2.0 ** (n - k + 1)))
+
+    m = np.arange(1.0, m_top + 2)
+    f = ((m - 1.0) / m) ** (k - 1) / m / (m + 1.0)
+    upper, lower = tail(m_top + 0.5), tail(m_top + 1.0) + f[-1] / 2.0
+    value = k * (math.fsum(f[:-1]) + (upper + lower) / 2.0)
+    # Rounding, u = 2^-53, libm good to 4 ulps.  f(m) is within (k+9)u, the
+    # power taking (m-1)/m's rounding k-1 times; a tail summand within 20u,
+    # log1p's condition being <= 1.31 here and expm1's <= 1.  With the fsums,
+    # midpoint, sum and product, value is within (k+25)u, all terms being
+    # positive, and the half-width within (k/2+28)u value: (3k/2+53)u in all.
+    bound = Fraction(k * (upper - lower) / 2.0) + Fraction(value) * (k + 64) / 2**52
+    return RhoEstimate(k, HighPrecisionReal(Fraction(value), bound, 53), "series")
 
 
 def corollary_sequence(k_max: int, target: int = 128) -> List[Tuple[int, RhoEstimate]]:

@@ -36,9 +36,9 @@ class RngStream:
         return self._bg.random_raw(n)
 
     def uniforms(self, n: int) -> np.ndarray:
-        """Uniform doubles in the open interval (0, 1) at 53-bit resolution."""
+        """Uniform doubles in (0, 1): the exact centres (j + 1/2) 2^-52 of 2^52 cells."""
         raw = self._bg.random_raw(n)
-        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
+        return ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * (2.0**-52)
 
     def luroth_digits(self, n: int) -> np.ndarray:
         """n digits from the law P(d = m) = 1/(m(m+1)), as uint64.

@@ -39,8 +39,6 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606
 
-_HARMONIC_DIRECT_LIMIT = 10**8
-
 
 @dataclass(frozen=True)
 class J2PartialSum:
@@ -76,18 +74,15 @@ def w_asymptotic_gap(x: float) -> float:
 
 
 def harmonic(n: int) -> float:
-    """Harmonic number H_n; direct chunked summation up to 1e8, the
-    Euler-Mascheroni expansion beyond (error < 1e-33 relative there)."""
+    """H_n to about an ulp: below n = 1000 the exactly rounded sum of the
+    rounded 1/i, from there the Euler-Maclaurin expansion, whose remainder
+    has the sign and at most the size of -1/(252 n^6), < 2^-60 H_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > _HARMONIC_DIRECT_LIMIT:
-        return math.log(n) + EULER_GAMMA + 1.0 / (2 * n) - 1.0 / (12 * n * n)
-    parts = []
-    chunk = 1 << 22
-    for start in range(1, n + 1, chunk):
-        a = np.arange(start, min(start + chunk, n + 1), dtype=np.float64)
-        parts.append(float(np.sum(1.0 / a)))
-    return math.fsum(parts)
+    if n < 1000:
+        return math.fsum(1.0 / i for i in range(1, n + 1))
+    return math.fsum([math.log(n), EULER_GAMMA, 1.0 / (2 * n),
+                      -1.0 / (12 * n * n), 1.0 / (120 * n**4)])
 
 
 def c_k(k: int) -> float:

@@ -48,6 +48,13 @@ class TestRho:
             main(["rho", "--mode", "bogus"])
         assert exc.value.code == 2
 
+    def test_series_at_tight_tol(self, capsys):
+        code, rows = run_cli(["rho", "--mode", "series", "--kmax", "40",
+                              "--tol", "1e-12"], capsys)
+        assert code == 0
+        assert len(rows) == 40
+        assert all(float(r[3]) <= 1e-12 + 2.0**-44 for r in rows[1:])
+
     def test_float_format_roundtrips(self, capsys):
         _, rows = run_cli(["rho", "--kmax", "2", "--mode", "exact"], capsys)
         for text in rows[1][2:]:
@@ -206,6 +213,7 @@ class TestInvalidFlags:
         ["maxdist", "--k", "1000", "--c", "1e306", "--samples", "1000"],
         ["rho", "--mode", "series", "--kmax", "3", "--tol", "inf"],
         ["rho", "--mode", "series", "--kmax", "3", "--tol", "2"],
+        ["rho", "--mode", "series", "--kmax", "3", "--tol", "1e-16"],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a))

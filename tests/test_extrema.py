@@ -251,18 +251,29 @@ def test_rho_series_k2():
     assert abs(float(got.value) - float(exact.value)) <= 1e-6
 
 
-def test_rho_series_rejects_runaway_budget():
-    with pytest.raises(ValueError):
-        rho_series(40, 1e-12)
-    with pytest.raises(ValueError):
-        rho_series(1, 0.0)
+def test_rho_series_rejects_bad_tol():
+    # below 2^-52 float resolution, not truncation, would set the bound
+    for tol in (0.0, math.nan, -1.0, 2.0**-53):
+        with pytest.raises(ValueError):
+            rho_series(1, tol)
 
 
-def test_rho_series_error_bound_is_tail():
-    got = rho_series(3, 1e-4)
-    m_top = math.ceil(3 / 1e-4)
-    assert got.error_bound >= Fraction(3, m_top + 1)
-    assert float(got.error_bound) <= 1e-4 * 1.01
+def test_rho_series_within_bound_on_grid():
+    # the tail bracket must hold the exact value, and its half-width plus the
+    # rounding allowance must stay within tol, at every k and tol of the grid
+    for tol in (1e-4, 4e-5, 1e-6, 1e-9, 1e-12):
+        for k in range(1, 201):
+            got = rho_series(k, tol)
+            exact = rho_exact(k, 128).value
+            err = abs(got.value.value - exact.value) + exact.error_bound
+            assert err <= got.error_bound, (k, tol)
+            assert got.error_bound <= tol + got.value.value * Fraction(1, 2**44), (k, tol)
+
+
+def test_rho_series_accepts_smallest_tol():
+    got = rho_series(40, 2.0**-52)
+    exact = rho_exact(40, 128).value.value
+    assert abs(got.value.value - exact) <= got.error_bound <= 2.0**-44
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20])

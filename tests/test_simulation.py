@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ def test_uniforms_in_open_interval():
     u = RngStream(0, 0).uniforms(200000)
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+def test_uniforms_extreme_raw_words_stay_inside(monkeypatch):
+    # the smallest and largest raw words map to the end cells' centres
+    stream = RngStream(0, 0)
+    raw = np.array([0, (1 << 64) - 1], dtype=np.uint64)
+    monkeypatch.setattr(stream, "_bg", SimpleNamespace(random_raw=lambda n: raw[:n].copy()))
+    u = stream.uniforms(2)
+    assert u.tolist() == [2.0**-53, 1.0 - 2.0**-53]
+
+
+def test_uniforms_are_exact_cell_centres():
+    u = RngStream(4, 2).uniforms(4096)
+    frac, _ = np.modf(u * 2.0**52)
+    assert np.all(frac == 0.5)
 
 
 def test_digits_match_inverse_cdf_mapping():

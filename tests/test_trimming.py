@@ -3,12 +3,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from luroth.precision import lambert_w0
 from luroth.trimming import (
-    EULER_GAMMA,
     J2PartialSum,
     a_of,
     b_of,
@@ -70,12 +70,13 @@ def test_harmonic_small_exact():
     assert abs(harmonic(4) - (1 + 0.5 + 1 / 3 + 0.25)) < 1e-15
 
 
-def test_harmonic_matches_expansion_at_crossover():
-    # direct summation and the asymptotic branch must agree where they meet
-    n = 10**8
-    direct = harmonic(n)
-    expansion = math.log(n) + EULER_GAMMA + 1 / (2 * n) - 1 / (12 * n * n)
-    assert abs(direct - expansion) < 1e-9
+def test_harmonic_against_mpmath():
+    # both sides of the n = 1000 switch, the c_k argument ceil(A(10^6)) =
+    # 13815511, and far out in the expansion's range
+    for n in (1, 2, 999, 1000, 1001, 10**4, 138156, 13815511, 10**8, 10**12):
+        with mpmath.workprec(200):
+            exact = mpmath.harmonic(n)
+            assert abs(mpmath.mpf(harmonic(n)) - exact) <= 2 * math.ulp(float(exact)), n
 
 
 # --------------------------------------------------------------- j2 series
