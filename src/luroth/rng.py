@@ -40,23 +40,43 @@ class RngStream:
         raw = self._bg.random_raw(n)
         return ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * (2.0**-52)
 
+    def _grid(self, n: int) -> np.ndarray:
+        """n grid points j = raw >> 1 in [1, 2^63 - 1], as a fresh uint64 array.
+
+        j = 0 (raw word 0 or 1, probability 2^-63 per draw) is redrawn from
+        the next words of the stream, in index order, until no zero is left.
+        """
+        j = self._bg.random_raw(n)
+        j >>= np.uint64(1)
+        while not j.all():
+            zeros = j == 0
+            j[zeros] = self._bg.random_raw(int(zeros.sum())) >> np.uint64(1)
+        return j
+
     def luroth_digits(self, n: int) -> np.ndarray:
         """n digits from the law P(d = m) = 1/(m(m+1)), as uint64.
 
-        Inverse-CDF on the grid u = j * 2^-63 with j in [1, 2^63 - 1]: the
-        digit floor(1/u) = floor(2^63 / j) is computed in integer arithmetic,
-        so the mapping is exact.  j = 0 (probability 2^-63 per draw) is
-        redrawn, which caps digits at 2^63 and biases each draw by less than
-        2^-63, documented noise far below every tolerance in the suite.
+        Inverse-CDF on the grid u = j * 2^-63 of ``_grid``, j in
+        [1, 2^63 - 1]: the digit floor(1/u) = floor(2^63 / j) is computed in
+        integer arithmetic, so the mapping is exact.  Redrawing j = 0
+        (probability 2^-63 per draw) caps digits at 2^63 and biases each draw
+        by less than 2^-63, documented noise far below every tolerance in the
+        suite.  ``luroth_row_maxima`` reads the same grid, so its rows equal
+        the row maxima of these digits.
         """
-        j = self._bg.random_raw(n) >> np.uint64(1)
-        while True:
-            zeros = j == 0
-            nz = int(zeros.sum())
-            if nz == 0:
-                break
-            j[zeros] = self._bg.random_raw(nz) >> np.uint64(1)
-        return _TWO63 // j
+        j = self._grid(n)
+        return np.floor_divide(_TWO63, j, out=j)
+
+    def luroth_row_maxima(self, n: int, k: int) -> np.ndarray:
+        """luroth_digits(n * k).reshape(n, k).max(axis=1), without the digits.
+
+        floor(2^63 / j) does not increase as j grows, so the largest digit of
+        a row is the digit of its smallest grid point: max_i floor(2^63 / j_i)
+        = floor(2^63 / min_i j_i).  The grid, redraws included, is the one
+        ``luroth_digits`` maps, so the rows agree draw for draw; only n
+        divisions are made instead of n * k.
+        """
+        return _TWO63 // self._grid(n * k).reshape(n, k).min(axis=1)
 
     def digit_sequence(self, count: int) -> DigitSequence:
         """A sampled DigitSequence (no remainder; provenance marks it)."""

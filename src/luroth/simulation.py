@@ -40,19 +40,42 @@ class McResult:
     seed: int
 
 
-def _run_blocks(n_blocks: int, fn: Callable[[int], object], workers: int) -> List[object]:
-    """Evaluate fn(0..n_blocks-1), returning results in block order."""
-    if workers <= 1 or n_blocks <= 1:
-        return [fn(b) for b in range(n_blocks)]
+def _run_blocks(sizes: Sequence[int], seed: int, workers: int,
+                per_block: Callable[[RngStream, int], object]) -> List[object]:
+    """per_block(stream b, sizes[b]) for every block b, in block order."""
+    def one_block(b: int) -> object:
+        return per_block(RngStream(seed, b), sizes[b])
+
+    if workers <= 1 or len(sizes) <= 1:
+        return [one_block(b) for b in range(len(sizes))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_blocks)))
+        return list(pool.map(one_block, range(len(sizes))))
 
 
 def _exact_sum_u64(a: np.ndarray) -> int:
-    # split 32/32 so each half-sum stays inside int64 for any chunk <= 2^20
-    hi = int(np.sum((a >> np.uint64(32)).astype(np.int64)))
-    lo = int(np.sum((a & np.uint64(0xFFFFFFFF)).astype(np.int64)))
+    """Exact sum of a uint64 array of at most 2^32 entries, any values.
+
+    Split 32/32: each half is below 2^32, so each half-sum of at most 2^32
+    of them stays below 2^64 and cannot wrap in uint64.
+    """
+    hi = int(np.sum(a >> np.uint64(32)))
+    lo = int(np.sum(a & np.uint64(0xFFFFFFFF)))
     return (hi << 32) + lo
+
+
+def _sum_and_max(d: np.ndarray) -> Tuple[int, int]:
+    """Exact sum and maximum of a uint64 array of at most 2^32 entries.
+
+    The entries are nonnegative, so every partial sum of the plain uint64
+    sum lies between 0 and the total, which is at most m * n for maximum m
+    over n entries: when m * n < 2^64 no partial sum can wrap and the one
+    pass is exact.  Otherwise the split sum is.  For a chunk of 2^19 digits
+    the split runs only when some digit reaches 2^45, about 2^-26 per chunk.
+    """
+    m = int(d.max())
+    if m * d.size < 1 << 64:
+        return int(d.sum()), m
+    return _exact_sum_u64(d), m
 
 
 def _blocked(samples: int, block: int) -> List[int]:
@@ -66,19 +89,15 @@ def _binomial(successes: int, n: int, seed: int) -> McResult:
 
 
 def _digit_rows(k: int, samples: int, seed: int, workers: int,
-                reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """reduce(d) over the samples-by-k digit matrix d, one value per trial.
+                per_block: Callable[[RngStream, int], np.ndarray]) -> np.ndarray:
+    """One value per trial of k digits each, concatenated in trial order.
 
-    Each block draws its rows of d row-major from its own stream and reduces
-    them; the per-row results are concatenated in trial order.
+    Trials come in blocks of about _MATRIX_DRAW_BUDGET draws; block b of n
+    trials calls per_block(stream b, n), which draws its n-by-k digit matrix
+    row-major as n * k draws and returns the n row values.
     """
-    sizes = _blocked(samples, max(1, _MATRIX_DRAW_BUDGET // k))
-
-    def one_block(b: int) -> np.ndarray:
-        n = sizes[b]
-        return reduce(RngStream(seed, b).luroth_digits(n * k).reshape(n, k))
-
-    return np.concatenate(_run_blocks(len(sizes), one_block, workers))
+    return np.concatenate(_run_blocks(_blocked(samples, max(1, _MATRIX_DRAW_BUDGET // k)),
+                                      seed, workers, per_block))
 
 
 def _step_blocks(samples: int, seed: int, workers: int,
@@ -89,9 +108,7 @@ def _step_blocks(samples: int, seed: int, workers: int,
     trial and step makes the first k steps of a pass the draws of a k-step
     pass, so row k of a sweep depends on (seed, samples, k) only.
     """
-    sizes = _blocked(samples, _RHO_BLOCK)
-    return _run_blocks(len(sizes), lambda b: per_block(RngStream(seed, b), sizes[b]),
-                       workers)
+    return _run_blocks(_blocked(samples, _RHO_BLOCK), seed, workers, per_block)
 
 
 def _unique_max_table(samples: int, seed: int, workers: int,
@@ -141,7 +158,8 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
 
     The event max/k < c is max <= ceil(c*k) - 1 on integers, so each estimate
     targets the exact finite-k value (1 - 1/ceil(c*k))^k.  One pass draws the
-    digits and takes each trial's maximum once for the whole c-grid.
+    trials and takes each trial's maximum once for the whole c-grid, from
+    the row minimum of the grid points (``RngStream.luroth_row_maxima``).
     """
     cs = list(cs)
     if k < 1:
@@ -150,7 +168,8 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
         raise ValueError("c must be positive, with c*k finite")
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    maxes = _digit_rows(k, samples, seed, workers, lambda d: d.max(axis=1))
+    maxes = _digit_rows(k, samples, seed, workers,
+                        lambda stream, n: stream.luroth_row_maxima(n, k))
     # digits lie in [1, 2^63], so clamping the threshold there changes no count
     thresholds = [np.uint64(min(max(math.ceil(c * k) - 1, 0), 1 << 63)) for c in cs]
     return [_binomial(int((maxes <= t).sum()), samples, seed) for t in thresholds]
@@ -183,9 +202,9 @@ def mc_trimmed_trajectory(
         need = cp - pos
         while need > 0:
             n = min(need, _TRAJ_CHUNK)
-            d = stream.luroth_digits(n)
-            total += _exact_sum_u64(d)
-            biggest = max(biggest, int(d.max()))
+            s, m = _sum_and_max(stream.luroth_digits(n))
+            total += s
+            biggest = max(biggest, m)
             need -= n
         pos = cp
         out.append((cp, float(total - biggest) / (cp * math.log(cp))))
@@ -206,8 +225,8 @@ def mc_stable_centering(k: int, samples: int, seed: int = 0, workers: int = 1) -
     if samples < 100:
         raise ValueError("samples must be >= 100")
     center = k * math.log(k)
-    sums = _digit_rows(k, samples, seed, workers,
-                       lambda d: d.astype(np.float64).sum(axis=1))
+    sums = _digit_rows(k, samples, seed, workers, lambda stream, n: (
+        stream.luroth_digits(n * k).reshape(n, k).astype(np.float64).sum(axis=1)))
     stats = (sums - center) / k
     est = float(np.median(stats))
     se = float(np.std(stats, ddof=1) / math.sqrt(samples))

@@ -10,9 +10,14 @@ import scipy.stats
 
 from luroth.expansion import max_cdf_exact, pmf, sample_digit
 from luroth.extrema import rho_exact
+import luroth.rng
+import luroth.simulation
 from luroth.rng import RngStream
 from luroth.simulation import (
+    _MATRIX_DRAW_BUDGET,
+    _digit_rows,
     _exact_sum_u64,
+    _sum_and_max,
     mc_max_scaled_cdf,
     mc_rho,
     mc_stable_centering,
@@ -79,6 +84,64 @@ def test_digits_match_inverse_cdf_mapping():
     assert np.all(j != 0)  # probability ~2^-63 per draw; would need a redraw
     for jv, dv in zip(j[:200].tolist(), digits[:200].tolist()):
         assert dv == sample_digit(Fraction(jv, 1 << 63))
+
+
+class _RawFeed:
+    """Stands in for the Philox generator: serves fixed raw words in order."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.used = 0
+
+    def random_raw(self, n):
+        assert self.used + n <= len(self.words), "stub ran out of words"
+        out = np.array(self.words[self.used:self.used + n], dtype=np.uint64)
+        self.used += n
+        return out
+
+
+def _fed_stream(words):
+    stream = RngStream(0, 0)
+    stream._bg = _RawFeed(words)
+    return stream
+
+
+# three rows of four draws; raw words 0 and 1 give j = 0 and are redrawn in
+# index order from the words after the block: index 5 draws 1 (j = 0 again)
+# and then 4, index 9 draws 6.  Rows 1 and 2 take their minimum j from a
+# redrawn word.
+_ZERO_BLOCK = [40, 9, 1000, 77, 12, 0, 50, 60, (1 << 64) - 1, 1, 300, 8]
+_ZERO_REDRAWS = [1, 6, 4]
+_ZERO_GRID = [20, 4, 500, 38, 6, 2, 25, 30, (1 << 63) - 1, 3, 150, 4]
+
+
+def test_digits_of_redrawn_words():
+    stream = _fed_stream(_ZERO_BLOCK + _ZERO_REDRAWS)
+    digits = stream.luroth_digits(12)
+    assert digits.tolist() == [(1 << 63) // j for j in _ZERO_GRID]
+    assert stream._bg.used == len(_ZERO_BLOCK + _ZERO_REDRAWS)
+
+
+def test_row_maxima_with_redrawn_minimum():
+    words = _ZERO_BLOCK + _ZERO_REDRAWS
+    maxima = _fed_stream(words).luroth_row_maxima(3, 4)
+    matrix = _fed_stream(words).luroth_digits(12).reshape(3, 4)
+    assert maxima.dtype == matrix.dtype == np.uint64
+    assert maxima.tolist() == matrix.max(axis=1).tolist()
+    assert maxima.tolist() == [(1 << 63) // 4, (1 << 63) // 2, (1 << 63) // 3]
+
+
+def test_row_maxima_match_digit_matrix():
+    # one full block and a short last one of 3 trials, for each k
+    def matrix_max(stream, n, k):
+        return stream.luroth_digits(n * k).reshape(n, k).max(axis=1)
+
+    for k in (1, 7, 1000):
+        samples = _MATRIX_DRAW_BUDGET // k + 3
+        fast = _digit_rows(k, samples, 6, 1, lambda s, n: s.luroth_row_maxima(n, k))
+        slow = _digit_rows(k, samples, 6, 1, lambda s, n: matrix_max(s, n, k))
+        assert fast.shape == (samples,)
+        assert np.array_equal(fast, slow)
 
 
 def test_digits_are_positive():
@@ -181,9 +244,11 @@ def test_mc_max_scaled_cdf_tiny_c_zero():
 
 
 def test_mc_max_scaled_cdf_deterministic():
-    a = mc_max_scaled_cdf(50, [1.0], 30000, seed=2)
-    b = mc_max_scaled_cdf(50, [1.0], 30000, seed=2, workers=3)
-    assert a == b
+    # at k = 1000 a block holds 4194 trials: three full blocks and a short one
+    for k, samples in ((50, 30000), (1000, 12599)):
+        a = mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], samples, seed=2)
+        b = mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], samples, seed=2, workers=3)
+        assert a == b
 
 
 def test_mc_max_scaled_cdf_grid_rows_match_single_points():
@@ -247,6 +312,45 @@ def test_exact_sum_helper_against_python_sum():
     a[0] = np.uint64(1 << 63)  # the largest digit the sampler can emit
     a[1] = np.uint64(0xFFFFFFFFFFFFFFFF)
     assert _exact_sum_u64(a) == sum(int(v) for v in a.tolist())
+
+
+def test_sum_and_max_guard_branches(monkeypatch):
+    split_calls = []
+
+    def counted(a):
+        split_calls.append(len(a))
+        return _exact_sum_u64(a)
+
+    monkeypatch.setattr(luroth.simulation, "_exact_sum_u64", counted)
+    third = ((1 << 64) - 1) // 3  # 3 * third = 2^64 - 1, the uint64 maximum
+    cases = [
+        ([(1 << 62) - 1] * 4, False),  # max * n = 2^64 - 4
+        ([third] * 3, False),          # max * n = 2^64 - 1
+        ([1 << 62] * 4, True),         # max * n = 2^64: the plain sum wraps to 0
+        ([third + 1] * 3, True),       # max * n = 2^64 + 2
+        ([1 << 63, 1], True),          # the largest digit, from raw word 2 or 3
+        ([1 << 63, 1 << 63, 7], True),
+        ([1 << 63], False),
+    ]
+    for values, split in cases:
+        split_calls.clear()
+        total, top = _sum_and_max(np.array(values, dtype=np.uint64))
+        assert (total, top) == (sum(values), max(values))
+        assert bool(split_calls) == split
+
+
+def test_trajectory_against_python_reference(monkeypatch):
+    # raw words 2 and 3 give the digit 2^63; they fall in the last chunk of
+    # seven digits, whose sum exceeds 2^64, while the chunks before are small
+    words = [10, 7, 1000, 5, 6, 77, 2, 19, 3, 2**40, 2**64 - 5, 12]
+    feed = _RawFeed(words)
+    monkeypatch.setattr(luroth.rng, "Philox", lambda key: feed)
+    got = mc_trimmed_trajectory(12, [2, 5, 12], seed=0)
+    digits = [(1 << 63) // (w >> 1) for w in words]
+    want = [(k, float(sum(digits[:k]) - max(digits[:k])) / (k * math.log(k)))
+            for k in (2, 5, 12)]
+    assert got == want
+    assert feed.used == len(words)
 
 
 # -------------------------------------------------------- stable centering
