@@ -45,8 +45,6 @@ __all__ = [
     "rho_sum_over_k",
 ]
 
-_K_CEILING = 200  # precision demands grow ~linearly in k beyond desk scale
-
 
 @dataclass(frozen=True)
 class RhoEstimate:
@@ -158,8 +156,6 @@ def rho_exact(k: int, target: int = 128) -> RhoEstimate:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > _K_CEILING:
-        raise ValueError("k above the practical ceiling %d" % _K_CEILING)
     if target < 8:
         raise ValueError("target must be >= 8 bits")
     if k == 1:

@@ -6,7 +6,8 @@ Riemann zeta at integer arguments via Euler-Maclaurin summation in fixed-point
 integers, whose payload is an integer numerator over 2**s with a certified
 count of ulps (one per rounded term plus the remainder rounded up), and the
 principal branch of Lambert W via a float seed refined by Newton steps in
-fixed-point integer arithmetic.  The seed, ``_lambert_w_float``, is the
+fixed-point integers, certified by a bracket from an integer exp rounded down
+and up.  The seed, ``_lambert_w_float``, is the
 package's one float64 Lambert W: a vectorised Halley iteration, also used
 uncertified where a W value only feeds a float result (B(x) and the J2 series
 in ``trimming``).
@@ -261,40 +262,34 @@ def zeta_int(j: int, precision_bits: int = 128) -> HighPrecisionReal:
     return HighPrecisionReal(Fraction(num, 1 << s), Fraction(ulps, 1 << s), precision_bits)
 
 
-def _exp_fixed(w: Fraction, scale_bits: int) -> Tuple[int, int]:
-    """Fixed-point exp: returns (e, err_ulps) with |e*2**-s - exp(w)| <= err_ulps*2**-s.
+def _exp_bracket(w: int, s: int) -> Tuple[int, int]:
+    """Integers lo <= 2**s * exp(w / 2**s) <= hi, for an integer w >= 0.
 
-    Argument halving until the Taylor argument is below 1/64, then squaring
-    back up.  The ulp bound is conservative interval accounting (validated
-    against a high-precision oracle in the test suite), not exact rounding
-    analysis.  Requires w >= 0.
+    Halving t times makes h = w / 2**(s+t) <= 1/2, exact at g = s + t + 16
+    bits.  The Taylor terms h**i/i! are formed one from the last, floored for
+    lo and ceiled for hi, so each lo term is below and each hi term above the
+    true one.  The sum stops at the first hi term n <= 1 ulp (each is at most
+    half the last, rounded up); the true terms after it fall by h/(i+1) <= 1/4
+    each, so the omitted tail is at most a third of term n, and hi adds term n
+    once more.  Squaring t times (floor for lo, ceiling for hi) and the shift
+    to scale s keep both sides.
     """
-    if w < 0:
-        raise ValueError("argument must be nonnegative")
-    if w == 0:
-        return 1 << scale_bits, 0
-    wf = float(w)
-    t = 0
-    while wf / (1 << t) > 0.015625:
-        t += 1
-    s2 = scale_bits + t + 18
-    one = 1 << s2
-    h = (w.numerator << s2) // (w.denominator << t)
-    acc = one
-    term = one
-    i = 1
-    while term:
-        term = (term * h) // (one * i)
-        acc += term
+    t = max(0, w.bit_length() - s + 1)
+    g = s + t + 16
+    h = w << 16
+    lo = hi = tlo = thi = 1 << g
+    i = 0
+    while thi > 1:
         i += 1
-    e = acc
+        tlo = tlo * h // (i << g)
+        thi = -(-thi * h // (i << g))
+        lo += tlo
+        hi += thi
+    hi += thi
     for _ in range(t):
-        e = (e * e) >> s2
-    e_final = e >> (s2 - scale_bits)
-    # relative error <= 2**t * (3i+8) ulps at scale s2; 4x safety margin
-    rel_num = (3 * i + 8) << t
-    err_ulps = 4 * ((e_final * rel_num) // (1 << s2) + 3)
-    return e_final, err_ulps
+        lo = lo * lo >> g
+        hi = -(-hi * hi >> g)
+    return lo >> (g - s), -(-hi >> (g - s))
 
 
 def _lambert_w_float(x) -> np.ndarray:
@@ -303,7 +298,7 @@ def _lambert_w_float(x) -> np.ndarray:
     Halley iteration from log(x) - log(log(x)) above e, 1/2 on (1/4, e] and
     x(1 - x) below; an element stops once its step is under 1e-13 relative,
     after which the cubic convergence has left it at full float precision.
-    Uncertified: ``lambert_w0`` seeds from it and then checks the residual.
+    Uncertified: ``lambert_w0`` seeds from it and then certifies a bracket.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -326,12 +321,19 @@ def _lambert_w_float(x) -> np.ndarray:
 
 
 def lambert_w0(x: Real, precision_bits: int = 64) -> HighPrecisionReal:
-    """Principal-branch Lambert W on [0, inf) with a certified residual.
+    """Principal-branch Lambert W on [0, inf), certified by a bracket.
 
-    The returned value w satisfies |w*exp(w) - x| <= 2**-precision_bits * max(1, x),
-    checked explicitly in exact arithmetic before returning; ``error_bound``
-    additionally bounds |w - W(x)| through a lower bound on the derivative of
-    w*exp(w) (which is >= 1 on the nonnegative axis).
+    Integer Newton steps at scale s = precision_bits + 3 refine the float
+    seed (within 2**-40 of W up to x = 1e307, 2**-6 above); as each step
+    doubles the correct bits, s.bit_length() steps suffice.  w*e^w increases
+    on w >= 0, so the check (w-u) e^(w-u) <= x <= (w+u) e^(w+u) at u = 2**-s,
+    made in integers with ``_exp_bracket`` rounding exp against it, puts W(x)
+    within u of w: that is ``error_bound``, and a failed check raises
+    ``PrecisionError``.  Then |w*exp(w) - x| is at most u times the largest
+    (1 + v)e^v between w and W, which at v = W is x + e^W < 2.77 max(1, x)
+    (e^W = x/W with W >= 0.567 when x >= 1; e^W < e^0.568 when x < 1) and
+    grows under 2 % over one ulp, so the residual is below
+    2**-precision_bits * max(1, x).
     """
     if precision_bits < 4:
         raise ValueError("precision_bits must be >= 4")
@@ -340,23 +342,24 @@ def lambert_w0(x: Real, precision_bits: int = 64) -> HighPrecisionReal:
         raise ValueError("argument must be nonnegative")
     if xq == 0:
         return HighPrecisionReal(Fraction(0), Fraction(0), precision_bits)
-    target = max(Fraction(1), xq) / (1 << precision_bits)
-    scale = precision_bits + 48
-    w = Fraction(round(float(_lambert_w_float(float(xq))) * (1 << scale)), 1 << scale)
-    for attempt in range(40):
-        e_int, err_ulps = _exp_fixed(w, scale)
-        e_val = Fraction(e_int, 1 << scale)
-        e_err = Fraction(err_ulps, 1 << scale)
-        resid_hi = abs(w * e_val - xq) + w * e_err
-        if resid_hi <= target:
-            deriv_lo = (e_val - e_err) * (1 + w)
-            if deriv_lo < 1:
-                deriv_lo = Fraction(1)  # true derivative >= 1 for w >= 0
-            return HighPrecisionReal(w, resid_hi / deriv_lo, precision_bits)
-        w = w - (w * e_val - xq) / (e_val * (1 + w))
-        if w < 0:
-            w = Fraction(0)
-        w = Fraction(round(w * (1 << scale)), 1 << scale)
-        if attempt % 5 == 4:
-            scale += precision_bits // 2 + 32
-    raise PrecisionError("Lambert W refinement did not certify at x=%r" % (x,))
+    s = precision_bits + 3
+    one = 1 << s
+    num = xq.numerator << 2 * s  # x * 2**2s = num / den
+    den = xq.denominator
+    w = round(Fraction(float(_lambert_w_float(float(xq)))) * one)
+    for _ in range(s.bit_length()):
+        e = _exp_bracket(w, s)[0]
+        # Newton step in ulps: (w e^w - x) / ((1 + w) e^w), rounded to nearest
+        f = (w * e * den - num) << s
+        d = (one + w) * e * den
+        step = (2 * f + d) // (2 * d)
+        w = max(w - step, 0)
+        # a step of r ulps leaves an error of about 1.08 r**2 / 2**s ulps, so
+        # once 4 r**2 <= 2**s, w is within 1/2 + 0.3 ulp of W
+        if 4 * step * step <= one:
+            break
+    w_lo = max(w - 1, 0)
+    if not (w_lo * _exp_bracket(w_lo, s)[1] * den <= num
+            <= (w + 1) * _exp_bracket(w + 1, s)[0] * den):
+        raise PrecisionError("Lambert W refinement did not certify at x=%r" % (x,))
+    return HighPrecisionReal(Fraction(w, one), Fraction(1, one), precision_bits)

@@ -176,7 +176,7 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
 
 
 def mc_trimmed_trajectory(
-    k_max: int, checkpoints: Sequence[int], seed: int = 0, stream_index: int = 0
+    k_max: int, checkpoints: Sequence[int], seed: int = 0
 ) -> List[Tuple[int, float]]:
     """One digit path X_1..X_kmax; reports (S_k - M_k)/(k log k) at checkpoints.
 
@@ -193,7 +193,7 @@ def mc_trimmed_trajectory(
         raise ValueError("checkpoints must be strictly increasing")
     if cps[0] < 2 or cps[-1] > k_max:
         raise ValueError("checkpoints must lie in [2, k_max]")
-    stream = RngStream(seed, stream_index)
+    stream = RngStream(seed)
     total = 0
     biggest = 0
     pos = 0

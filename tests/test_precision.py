@@ -19,7 +19,7 @@ from luroth import precision
 from luroth.precision import (
     HighPrecisionReal,
     PrecisionError,
-    _exp_fixed,
+    _exp_bracket,
     _lambert_w_float,
     bernoulli_number,
     bernoulli_triangle,
@@ -210,25 +210,34 @@ def test_zeta_rejects_bad_arguments():
         zeta_int(2.0, 64)
 
 
-# ------------------------------------------------------------- fixed exp
+# ------------------------------------------------------------- exp bracket
 
 
-@pytest.mark.parametrize("scale", [96, 128, 160])
-def test_exp_fixed_error_claim(scale):
-    grid = [Fraction(1, 1024), Fraction(1, 8), Fraction(1, 2), Fraction(1),
-            Fraction(7, 3), Fraction(5), Fraction(23, 2), Fraction(30)]
-    for w in grid:
-        e, err_ulps = _exp_fixed(w, scale)
-        with mpmath.workprec(scale + 120):
-            true = mpmath.exp(mpmath.mpf(w.numerator) / w.denominator)
-            actual = abs(mpmath.mpf(e) / mpmath.mpf(2) ** scale - true)
-            claimed = mpmath.mpf(err_ulps) / mpmath.mpf(2) ** scale
-        assert actual <= claimed
+def _assert_bracket(w, s, prec):
+    lo, hi = _exp_bracket(w, s)
+    with mpmath.workprec(prec):
+        true = mpmath.exp(mpmath.mpf(w) / mpmath.mpf(2) ** s) * mpmath.mpf(2) ** s
+        assert lo <= true <= hi, (w, s)
 
 
-def test_exp_fixed_zero():
-    e, err = _exp_fixed(Fraction(0), 64)
-    assert e == 1 << 64 and err == 0
+@pytest.mark.parametrize("scale", [20, 40, 64, 96, 128, 160])
+def test_exp_bracket_contains_exp(scale):
+    # lo <= 2^s e^(w/2^s) <= hi against mpmath on a dense grid: every small
+    # w, then w spread over [0, 40) both at random and just around each
+    # halving threshold w = 2^(s+t-1), where the Taylor argument is 1/2
+    rng = random.Random(scale)
+    ws = list(range(64))
+    ws += [rng.randrange(40 << scale) for _ in range(300)]
+    ws += [(1 << (scale + t - 1)) + d for t in range(7) for d in (-1, 0, 1)]
+    for w in ws:
+        _assert_bracket(w, scale, scale + 200)
+
+
+def test_exp_bracket_at_zero_and_large_arguments():
+    assert _exp_bracket(0, 64) == (1 << 64, 1 << 64)
+    s = 1100
+    for w in [1 << s, 7 << (s - 1), 100 << s, (690 << s) - 12345, 690 << s]:
+        _assert_bracket(w, s, 2 * s + 1100)
 
 
 # ------------------------------------------------------------- lambert w
@@ -267,6 +276,21 @@ def test_lambert_error_bound_holds():
             diff = abs(mpmath.mpf(got.value.numerator) / got.value.denominator - true)
             bound = mpmath.mpf(got.error_bound.numerator) / got.error_bound.denominator
         assert diff <= bound
+
+
+@pytest.mark.parametrize("bits", [976, 2000])
+def test_lambert_bound_and_residual_at_high_precision(bits):
+    # the float seed is scaled past float range at these precisions; at
+    # 1.7e308 it is off by 1e-5 relative, so Newton needs its most steps
+    for x in [Fraction(2), Fraction(1, 937), Fraction(10**6), Fraction(1.7e308)]:
+        got = lambert_w0(x, bits)
+        with mpmath.workprec(2 * bits + 1100):
+            xv = mpmath.mpf(x.numerator) / x.denominator
+            wv = mpmath.mpf(got.value.numerator) / got.value.denominator
+            bound = mpmath.mpf(got.error_bound.numerator) / got.error_bound.denominator
+            assert abs(wv - mpmath.lambertw(xv)) <= bound
+            resid = abs(wv * mpmath.exp(wv) - xv)
+            assert resid <= mpmath.mpf(2) ** -bits * max(1, xv)
 
 
 def test_lambert_monotone_on_grid():
