@@ -24,7 +24,7 @@ from .contfrac import mc_cf_rho_table, mc_cf_trimmed_table
 from .expansion import expand, max_cdf_exact, reconstruct
 from .extrema import rho_exact, rho_series
 from .precision import PrecisionError
-from .simulation import mc_max_scaled_cdf, mc_rho, mc_trimmed_trajectory
+from .simulation import _ordered_map, mc_max_scaled_cdf, mc_rho, mc_trimmed_trajectory
 from .trimming import c_k, j2_partial_sums
 
 __all__ = ["main"]
@@ -139,9 +139,12 @@ def cmd_trim(args) -> int:
     _require(args.seeds >= 1, "--seeds must be >= 1")
     checkpoints = _decade_checkpoints(args.kmax)
     targets = {k: c_k(k) for k in checkpoints}
+    seeds = range(args.seed, args.seed + args.seeds)
+    # one path per seed, one worker per usable core, rows in seed order
+    paths = _ordered_map(lambda seed: mc_trimmed_trajectory(args.kmax, checkpoints, seed=seed),
+                         seeds)
     rows = [[str(seed), str(k), _fmt(stat), _fmt(targets[k])]
-            for seed in range(args.seed, args.seed + args.seeds)
-            for k, stat in mc_trimmed_trajectory(args.kmax, checkpoints, seed=seed)]
+            for seed, path in zip(seeds, paths) for k, stat in path]
     return _write_csv(args.out, ["seed", "k", "statistic", "c_k"], rows)
 
 

@@ -41,13 +41,13 @@ the suite.
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .precision import _to_fraction
 from .rng import RngStream
-from .simulation import McResult, _step_blocks, _unique_max_table
+from .simulation import _RHO_BLOCK, McResult, _step_blocks, _unique_max_table
 
 __all__ = [
     "CfSample",
@@ -136,11 +136,11 @@ def _cf_digits(stream: RngStream, n: int, depth: int) -> Iterator[np.ndarray]:
 
 
 def mc_cf_rho_table(k_max: int, samples: int, seed: int = 0,
-                    workers: int = 1) -> List[McResult]:
+                    workers: Optional[int] = None) -> List[McResult]:
     """P(max(a_1..a_k) is attained once) under the Gauss measure, k = 1..k_max.
 
     Row i is k = i + 1, as in ``mc_rho``; row k depends on (seed, samples, k)
-    only, not on k_max or the worker count.
+    only, not on k_max or the worker count (None: one per usable core).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -150,37 +150,37 @@ def mc_cf_rho_table(k_max: int, samples: int, seed: int = 0,
 
 
 def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0,
-                        workers: int = 1) -> List[McResult]:
+                        workers: Optional[int] = None) -> List[McResult]:
     """Medians of (a_1 + ... + a_k - max)/(k log k), one result per entry of ks.
 
     One pass to max(ks) serves every k, and the result for k depends on
-    (seed, samples, k) only.  The reported standard error is the per-trial
-    sample std over sqrt(n) (the result contract's definition); for these
-    heavy-tailed statistics it is a dispersion diagnostic, not a median
-    confidence radius.
+    (seed, samples, k) only, not on the worker count (None: one per usable
+    core).  The reported standard error is the per-trial sample std over
+    sqrt(n) (the result contract's definition); for these heavy-tailed
+    statistics it is a dispersion diagnostic, not a median confidence radius.
     """
     ks = list(ks)
     if not ks or min(ks) < 2:
         raise ValueError("need at least one k, and every k must be >= 2")
     _check_samples(samples)
-    wanted = set(ks)
+    stats = {k: np.empty(samples) for k in ks}
 
-    def one_block(stream: RngStream, n: int) -> dict:
+    def one_block(stream: RngStream, n: int) -> None:
+        start = stream.stream_index * _RHO_BLOCK  # block b holds trials b * _RHO_BLOCK on
         total = np.zeros(n)
         maxa = np.zeros(n)
-        stats = {}
         for k, a in enumerate(_cf_digits(stream, n, max(ks)), start=1):
             total += a
             np.maximum(maxa, a, out=maxa)
-            if k in wanted:
-                stats[k] = (total - maxa) / (k * math.log(k))
-        return stats
+            if k in stats:
+                out = stats[k][start:start + n]
+                np.subtract(total, maxa, out=out)
+                out /= k * math.log(k)
 
-    per_block = _step_blocks(samples, seed, workers, one_block)
-    out = []
-    for k in ks:
-        stats = np.concatenate([p[k] for p in per_block])
-        est = float(np.median(stats))
-        se = float(np.std(stats, ddof=1) / math.sqrt(samples))
-        out.append(McResult(est, se, samples, seed))
-    return out
+    _step_blocks(samples, seed, workers, one_block)
+    results = {}
+    for k, x in stats.items():
+        # the std first: the median below reorders x in place
+        se = float(np.std(x, ddof=1) / math.sqrt(samples))
+        results[k] = McResult(float(np.median(x, overwrite_input=True)), se, samples, seed)
+    return [results[k] for k in ks]

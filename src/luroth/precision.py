@@ -309,10 +309,11 @@ def _lambert_w_float(x) -> np.ndarray:
     w = np.where(big, lx - np.log(lx), np.where(x > 0.25, 0.5, small * (1.0 - small)))
     active = np.ones(w.shape, dtype=bool)
     for _ in range(64):
-        ew = np.exp(w)
-        f = w * ew - x
+        # Halley on f = w e^w - x with f, f', f'' divided by e^w, so that no
+        # term grows like x: g = w - x e^-w (e^-w stays normal for w <= W(max))
+        g = w - x * np.exp(-w)
         wp1 = w + 1.0
-        dw = np.where(active, f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1)), 0.0)
+        dw = np.where(active, g / (wp1 - (w + 2.0) * g / (2.0 * wp1)), 0.0)
         w = w - dw
         active &= np.abs(dw) > 1e-13 * (np.abs(w) + 1e-3)
         if not active.any():
@@ -320,15 +321,32 @@ def _lambert_w_float(x) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
+def _lambert_w_seed(x: Fraction) -> float:
+    """W(x) in floats, for any x > 0.
+
+    Past the float range, Newton steps on w + log w = L = log x from
+    w = L - log L; ``math.log`` takes the big integers of x.
+    """
+    try:
+        return float(_lambert_w_float(float(x)))
+    except OverflowError:  # float(x) is past the float range
+        log_x = math.log(x.numerator) - math.log(x.denominator)
+    w = log_x - math.log(log_x)
+    for _ in range(8):
+        w -= (w + math.log(w) - log_x) / (1.0 + 1.0 / w)
+    return w
+
+
 def lambert_w0(x: Real, precision_bits: int = 64) -> HighPrecisionReal:
     """Principal-branch Lambert W on [0, inf), certified by a bracket.
 
-    Integer Newton steps at scale s = precision_bits + 3 refine the float
-    seed (within 2**-40 of W up to x = 1e307, 2**-6 above); as each step
-    doubles the correct bits, s.bit_length() steps suffice.  w*e^w increases
-    on w >= 0, so the check (w-u) e^(w-u) <= x <= (w+u) e^(w+u) at u = 2**-s,
-    made in integers with ``_exp_bracket`` rounding exp against it, puts W(x)
-    within u of w: that is ``error_bound``, and a failed check raises
+    Integer Newton steps at scale s = precision_bits + 3 refine a float seed
+    good to a few ulps (``_lambert_w_seed``: within 2**-40 of W for every x
+    below 1e1000, 2**-39 at 1e5000); as each step doubles the correct bits,
+    s.bit_length() steps suffice.  w*e^w increases on w >= 0, so the check
+    (w-u) e^(w-u) <= x <= (w+u) e^(w+u) at u = 2**-s, made in integers with
+    ``_exp_bracket`` rounding exp against it, puts W(x) within u of w: that
+    is ``error_bound``, and a failed check raises
     ``PrecisionError``.  Then |w*exp(w) - x| is at most u times the largest
     (1 + v)e^v between w and W, which at v = W is x + e^W < 2.77 max(1, x)
     (e^W = x/W with W >= 0.567 when x >= 1; e^W < e^0.568 when x < 1) and
@@ -346,7 +364,7 @@ def lambert_w0(x: Real, precision_bits: int = 64) -> HighPrecisionReal:
     one = 1 << s
     num = xq.numerator << 2 * s  # x * 2**2s = num / den
     den = xq.denominator
-    w = round(Fraction(float(_lambert_w_float(float(xq)))) * one)
+    w = round(Fraction(_lambert_w_seed(xq)) * one)
     for _ in range(s.bit_length()):
         e = _exp_bracket(w, s)[0]
         # Newton step in ulps: (w e^w - x) / ((1 + w) e^w), rounded to nearest

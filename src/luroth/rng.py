@@ -15,6 +15,7 @@ from .expansion import DigitSequence
 __all__ = ["RngStream"]
 
 _TWO63 = np.uint64(1 << 63)
+_ONE_BITS = np.uint64(0x3FF0000000000000)  # the bit pattern of 1.0
 _U64_MAX = (1 << 64) - 1
 
 
@@ -36,9 +37,18 @@ class RngStream:
         return self._bg.random_raw(n)
 
     def uniforms(self, n: int) -> np.ndarray:
-        """Uniform doubles in (0, 1): the exact centres (j + 1/2) 2^-52 of 2^52 cells."""
+        """Uniform doubles in (0, 1): the exact centres (j + 1/2) 2^-52 of 2^52 cells.
+
+        j = raw >> 12 becomes the mantissa of 1 + j 2^-52 in [1, 2), in place;
+        subtracting 1 - 2^-53 is exact by Sterbenz's lemma, since both lie
+        within a factor of 2 of each other.
+        """
         raw = self._bg.random_raw(n)
-        return ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * (2.0**-52)
+        raw >>= np.uint64(12)
+        raw |= _ONE_BITS
+        u = raw.view(np.float64)
+        u -= 1.0 - 2.0**-53
+        return u
 
     def _grid(self, n: int) -> np.ndarray:
         """n grid points j = raw >> 1 in [1, 2^63 - 1], as a fresh uint64 array.

@@ -7,13 +7,17 @@ the continued-fraction sweeps in ``contfrac``, which share its block loop
 and uniqueness counter) and on (seed, samples, k) for the digit-matrix
 trials, never on k_max, on the c-grid or on the worker count.  So one pass
 yields every row of a sweep, and each row is bit-identical whether run
-serially, on a thread pool, or alone.
+serially, on a thread pool, or alone.  The sweeps with small blocks run one
+worker per usable core by default; numpy releases the interpreter lock in
+Philox and in its array loops, so the blocks overlap.
 """
 
 import math
+import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +33,7 @@ __all__ = [
 
 _RHO_BLOCK = 1 << 15
 _MATRIX_DRAW_BUDGET = 1 << 22  # per-block draw count for matrix-shaped trials
-_TRAJ_CHUNK = 1 << 19
+_TRAJ_CHUNK = 1 << 16  # 512 KB of digits: a chunk stays in cache while it is summed
 
 
 @dataclass(frozen=True)
@@ -40,16 +44,48 @@ class McResult:
     seed: int
 
 
-def _run_blocks(sizes: Sequence[int], seed: int, workers: int,
-                per_block: Callable[[RngStream, int], object]) -> List[object]:
-    """per_block(stream b, sizes[b]) for every block b, in block order."""
-    def one_block(b: int) -> object:
-        return per_block(RngStream(seed, b), sizes[b])
+def _usable_cpus() -> List[int]:
+    """The CPUs this thread may run on, or [] where the OS keeps no mask."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
 
-    if workers <= 1 or len(sizes) <= 1:
-        return [one_block(b) for b in range(len(sizes))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_block, range(len(sizes))))
+
+def _usable_cores() -> int:
+    """The default worker count: one per usable CPU."""
+    return len(_usable_cpus()) or os.cpu_count() or 1
+
+
+def _bind_to_next(cpus: "queue.SimpleQueue[Optional[int]]"):
+    """Pool initializer: bind the new worker thread to the next CPU in cpus."""
+    cpu = cpus.get()
+    if cpu is None:  # no affinity calls on this OS
+        return
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:  # the CPU left the mask meanwhile: run unbound
+        pass
+
+
+def _ordered_map(fn: Callable[[object], object], items: Sequence[object],
+                 workers: Optional[int] = None) -> List[object]:
+    """[fn(x) for x in items], on a thread pool when more than one worker runs.
+
+    workers=None means one per usable core; never more than one per item.
+    Results come back in item order, so the output does not depend on the
+    worker count as long as fn(x) depends on x alone.  Each worker thread is
+    bound to its own usable CPU, in turn: left to the scheduler, two workers
+    were seen sharing one vCPU of a 2-vCPU VM for minutes while the other
+    stayed idle.
+    """
+    workers = min(_usable_cores() if workers is None else workers, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    mask = _usable_cpus()
+    cpus = queue.SimpleQueue()  # one per worker, taken as its thread starts
+    for i in range(workers):
+        cpus.put(mask[i % len(mask)] if mask else None)
+    with ThreadPoolExecutor(max_workers=workers, initializer=_bind_to_next,
+                            initargs=(cpus,)) as pool:
+        return list(pool.map(fn, items))
 
 
 def _exact_sum_u64(a: np.ndarray) -> int:
@@ -69,8 +105,8 @@ def _sum_and_max(d: np.ndarray) -> Tuple[int, int]:
     The entries are nonnegative, so every partial sum of the plain uint64
     sum lies between 0 and the total, which is at most m * n for maximum m
     over n entries: when m * n < 2^64 no partial sum can wrap and the one
-    pass is exact.  Otherwise the split sum is.  For a chunk of 2^19 digits
-    the split runs only when some digit reaches 2^45, about 2^-26 per chunk.
+    pass is exact.  Otherwise the split sum is.  For a chunk of 2^16 digits
+    the split runs only when some digit reaches 2^48, about 2^-32 per chunk.
     """
     m = int(d.max())
     if m * d.size < 1 << 64:
@@ -96,53 +132,59 @@ def _digit_rows(k: int, samples: int, seed: int, workers: int,
     trials calls per_block(stream b, n), which draws its n-by-k digit matrix
     row-major as n * k draws and returns the n row values.
     """
-    return np.concatenate(_run_blocks(_blocked(samples, max(1, _MATRIX_DRAW_BUDGET // k)),
-                                      seed, workers, per_block))
+    sizes = _blocked(samples, max(1, _MATRIX_DRAW_BUDGET // k))
+    return np.concatenate(_ordered_map(lambda b: per_block(RngStream(seed, b), sizes[b]),
+                                       range(len(sizes)), workers))
 
 
-def _step_blocks(samples: int, seed: int, workers: int,
+def _step_blocks(samples: int, seed: int, workers: Optional[int],
                  per_block: Callable[[RngStream, int], object]) -> List[object]:
     """per_block(stream, n) on blocks of _RHO_BLOCK trials, in block order.
 
-    Block b draws from stream b.  A per_block that draws one variate per
-    trial and step makes the first k steps of a pass the draws of a k-step
-    pass, so row k of a sweep depends on (seed, samples, k) only.
+    Block b draws from stream b and holds trials b * _RHO_BLOCK onward.  A
+    per_block that draws one variate per trial and step makes the first k
+    steps of a pass the draws of a k-step pass, so row k of a sweep depends
+    on (seed, samples, k) only.
     """
-    return _run_blocks(_blocked(samples, _RHO_BLOCK), seed, workers, per_block)
+    sizes = _blocked(samples, _RHO_BLOCK)
+    return _ordered_map(lambda b: per_block(RngStream(seed, b), sizes[b]),
+                        range(len(sizes)), workers)
 
 
-def _unique_max_table(samples: int, seed: int, workers: int,
+def _unique_max_table(samples: int, seed: int, workers: Optional[int],
                       digit_steps: Callable[[RngStream, int], Iterable[np.ndarray]]
                       ) -> List[McResult]:
     """Row i: the fraction of trials whose maximum over digits 1..i+1 is unique.
 
-    ``digit_steps(stream, n)`` yields one array of n digits per step, of any
-    ordered dtype; it runs once per block of ``_step_blocks``.  Uniqueness is
-    tracked by multiplicity of the running maximum, not index scanning: a
-    strictly larger digit resets the count to one, a tie increments it.
+    ``digit_steps(stream, n)`` yields one array of n digits >= 1 per step, of
+    any ordered dtype; it runs once per block of ``_step_blocks``.  The
+    running maximum and runner-up are kept per trial (a tie puts the
+    runner-up at the maximum), and the maximum is unique iff runner-up < max.
     """
     def one_block(stream: RngStream, n: int) -> List[int]:
         steps = iter(digit_steps(stream, n))
         maxd = next(steps).copy()
-        count = np.ones(n, dtype=np.int64)
+        second = np.zeros_like(maxd)  # below every digit
+        low = np.empty_like(maxd)
         unique = [n]
         for d in steps:
-            greater = d > maxd
-            equal = d == maxd
-            count = np.where(greater, 1, count + equal)
+            np.minimum(maxd, d, out=low)
+            np.maximum(second, low, out=second)
             np.maximum(maxd, d, out=maxd)
-            unique.append(int((count == 1).sum()))
+            unique.append(int(np.count_nonzero(second < maxd)))
         return unique
 
     per_block = _step_blocks(samples, seed, workers, one_block)
     return [_binomial(sum(row), samples, seed) for row in zip(*per_block)]
 
 
-def mc_rho(k_max: int, samples: int, seed: int = 0, workers: int = 1) -> List[McResult]:
+def mc_rho(k_max: int, samples: int, seed: int = 0,
+           workers: Optional[int] = None) -> List[McResult]:
     """Fraction of trials whose maximum digit among k draws is unique.
 
     Returns one result per k = 1..k_max; row i is k = i + 1.  Each block
     draws one digit per trial and step, so row k does not depend on k_max.
+    workers=None runs one worker per usable core.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -161,6 +203,9 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
     trials and takes each trial's maximum once for the whole c-grid, from
     the row minimum of the grid points (``RngStream.luroth_row_maxima``).
     """
+    # one worker by default, here and in mc_stable_centering: each block holds
+    # a 2^22-word (32 MB) grid, so a second block in flight would add 32 MB to
+    # the peak resident set; two threads gave no steady speed-up of this pass
     cs = list(cs)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -224,6 +269,7 @@ def mc_stable_centering(k: int, samples: int, seed: int = 0, workers: int = 1) -
         raise ValueError("k must be >= 100")
     if samples < 100:
         raise ValueError("samples must be >= 100")
+    # one worker by default: see mc_max_scaled_cdf
     center = k * math.log(k)
     sums = _digit_rows(k, samples, seed, workers, lambda stream, n: (
         stream.luroth_digits(n * k).reshape(n, k).astype(np.float64).sum(axis=1)))

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import luroth.simulation
 from luroth.cli import main
 from luroth.trimming import c_k
 
@@ -253,10 +254,55 @@ class TestPinnedSampledTables:
                      "--seed", "3"]) == 0
         assert capsys.readouterr().out == self.RHO
 
+    # the CF tables as the per-block dicts and concatenation left them
+    CF_RHO = (
+        "k,rho_hat,se\n"
+        "2,0.8003885658776303,0.0015107445049237971\n"
+        "8,0.93332952386394485,0.0009428273196273022\n"
+        "16,0.96251482121683973,0.00071792881394997139\n"
+    )
+    CF_TRIMMED = (
+        "k,median,se,dist_log2,dist_inv_log2\n"
+        "2,0.72134752044448169,0.0093325488786084789,0.028200339884536407,"
+        "0.72134752044448169\n"
+        "8,1.0820212806667227,0.006755040468458001,0.38887410010677737,"
+        "0.36067376022224074\n"
+        "16,1.1496476107083928,0.0047576030235770821,0.45650043014844754,"
+        "0.29304743018057056\n"
+    )
+
     def test_maxdist(self, capsys):
         assert main(["maxdist", "--k", "50", "--c", "0.5", "--c", "1",
                      "--c", "2", "--samples", "2000", "--seed", "3"]) == 0
         assert capsys.readouterr().out == self.MAXDIST
+
+    @pytest.mark.parametrize("statistic", ["rho", "trimmed"])
+    def test_cf(self, statistic, capsys):
+        assert main(["cf", "--statistic", statistic, "--k", "2", "--k", "8", "--k", "16",
+                     "--samples", "70001", "--seed", "3"]) == 0
+        want = self.CF_RHO if statistic == "rho" else self.CF_TRIMMED
+        assert capsys.readouterr().out == want
+
+
+class TestCoreCount:
+    # the sampled tables at 1, 2 and 3 usable cores; 70001 trials make three
+    # blocks and a short fourth, and trim has five seeds
+    @pytest.mark.parametrize("argv", [
+        ["trim", "--kmax", "100000", "--seeds", "5", "--seed", "3"],
+        ["cf", "--statistic", "rho", "--samples", "70001", "--seed", "2"],
+        ["cf", "--statistic", "trimmed", "--samples", "70001", "--seed", "2"],
+        ["rho", "--mode", "mc", "--kmax", "8", "--samples", "70001", "--seed", "2"],
+    ])
+    def test_stdout_does_not_depend_on_cores(self, argv, monkeypatch, capsys):
+        outs = []
+        for cores in (1, 2, 3):
+            asked = []
+            monkeypatch.setattr(luroth.simulation, "_usable_cores",
+                                lambda: asked.append(cores) or cores)
+            assert main(argv) == 0
+            assert asked
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
 
 
 class TestOutputFile:

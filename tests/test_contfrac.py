@@ -1,6 +1,7 @@
 """Continued-fraction sampling: map identities and digit-law checks."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -254,6 +255,16 @@ class TestMcCfTrimmed:
         a = mc_cf_trimmed_table([16], 10**4, seed=5)
         b = mc_cf_trimmed_table([16], 10**4, seed=5, workers=4)
         assert a == b
+
+    def test_blocks_fill_their_own_rows_under_fast_thread_switches(self):
+        # four blocks on more workers than cores, switching every microsecond
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = mc_cf_trimmed_table([2, 8, 16], 10**5, seed=4, workers=4)
+        finally:
+            sys.setswitchinterval(old)
+        assert threaded == mc_cf_trimmed_table([2, 8, 16], 10**5, seed=4, workers=1)
 
     def test_rows_do_not_depend_on_ks(self):
         both = mc_cf_trimmed_table([16, 2], 10**5, seed=5, workers=2)

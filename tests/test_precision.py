@@ -9,6 +9,7 @@ implementation under test.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -278,11 +279,13 @@ def test_lambert_error_bound_holds():
         assert diff <= bound
 
 
-@pytest.mark.parametrize("bits", [976, 2000])
+@pytest.mark.parametrize("bits", [64, 256, 976, 2000])
 def test_lambert_bound_and_residual_at_high_precision(bits):
-    # the float seed is scaled past float range at these precisions; at
-    # 1.7e308 it is off by 1e-5 relative, so Newton needs its most steps
-    for x in [Fraction(2), Fraction(1, 937), Fraction(10**6), Fraction(1.7e308)]:
+    # 976 and 2000 bits scale the seed past the float range; 1.7e308 is where
+    # a Halley step on w e^w - x overflowed, and the last three have no float
+    # seed: theirs comes from log x
+    for x in [Fraction(2), Fraction(1, 937), Fraction(10**6), Fraction(1.7e308),
+              Fraction(10**400), Fraction(10**400, 3), Fraction(10**5000)]:
         got = lambert_w0(x, bits)
         with mpmath.workprec(2 * bits + 1100):
             xv = mpmath.mpf(x.numerator) / x.denominator
@@ -312,7 +315,8 @@ def test_lambert_float_within_two_ulps_of_certified():
             ref = float(lambert_w0(float(x), 96))
             assert abs(w - ref) <= 2 * math.ulp(ref), x
 
-    xs = [float(x) for x in np.logspace(-3, 9, 50)] + [1.0, math.e, 1e300]
+    xs = [float(x) for x in np.logspace(-3, 9, 50)] + [1.0, math.e, 1e300, 1.7e308,
+                                                        sys.float_info.max]
     check(xs, [float(_lambert_w_float(x)) for x in xs])
     n = np.arange(99_990, 100_011, dtype=np.float64)
     check(n, _lambert_w_float(n))

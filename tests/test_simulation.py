@@ -1,6 +1,8 @@
 """Tests for the RNG streams and the Monte Carlo engine."""
 
 import math
+import os
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,7 +19,9 @@ from luroth.simulation import (
     _MATRIX_DRAW_BUDGET,
     _digit_rows,
     _exact_sum_u64,
+    _ordered_map,
     _sum_and_max,
+    _unique_max_table,
     mc_max_scaled_cdf,
     mc_rho,
     mc_stable_centering,
@@ -67,6 +71,18 @@ def test_uniforms_extreme_raw_words_stay_inside(monkeypatch):
     monkeypatch.setattr(stream, "_bg", SimpleNamespace(random_raw=lambda n: raw[:n].copy()))
     u = stream.uniforms(2)
     assert u.tolist() == [2.0**-53, 1.0 - 2.0**-53]
+
+
+def test_uniforms_match_the_float_formula(monkeypatch):
+    # the in-place mantissa route against ((raw >> 12) + 1/2) 2^-52 in floats
+    edges = [0, 1, (1 << 12) - 1, 1 << 12, 1 << 63, (1 << 64) - 1]
+    raw = np.concatenate([np.array(edges, dtype=np.uint64), RngStream(8, 1).raw64(10**5)])
+    stream = RngStream(0, 0)
+    monkeypatch.setattr(stream, "_bg", SimpleNamespace(random_raw=lambda n: raw[:n].copy()))
+    want = ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * (2.0**-52)
+    got = stream.uniforms(len(raw))
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
 
 
 def test_uniforms_are_exact_cell_centres():
@@ -176,6 +192,29 @@ def test_digit_sequence_wrapper():
         RngStream(0, 0).digit_sequence(0)
 
 
+# ------------------------------------------------------------- worker pool
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity calls")
+def test_ordered_map_keeps_order_and_binds_only_its_workers():
+    mask = os.sched_getaffinity(0)
+    got = _ordered_map(lambda x: (x, os.sched_getaffinity(0)), range(40), workers=3)
+    assert [x for x, _ in got] == list(range(40))
+    assert all(len(cpus) == 1 and cpus <= mask for _, cpus in got)
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_ordered_map_under_fast_thread_switches():
+    # more workers than cores, and a thread switch every microsecond
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = _ordered_map(lambda s: mc_trimmed_trajectory(3000, [3000], seed=s), range(12), 5)
+    finally:
+        sys.setswitchinterval(old)
+    assert many == [mc_trimmed_trajectory(3000, [3000], seed=s) for s in range(12)]
+
+
 # ------------------------------------------------------------------ mc_rho
 
 
@@ -199,6 +238,21 @@ def test_mc_rho_deterministic_and_worker_independent():
     b = mc_rho(3, 70000, seed=5)
     c = mc_rho(3, 70000, seed=5, workers=4)
     assert a == b == c
+
+
+def test_unique_max_table_against_python_count():
+    # digits 1..3 tie often; row k counts the trials whose maximum over the
+    # first k digits is attained once
+    n, depth = 5000, 6
+
+    def steps(stream, size):
+        return (stream.luroth_digits(size) % np.uint64(3) + np.uint64(1) for _ in range(depth))
+
+    table = _unique_max_table(n, 4, 1, steps)
+    rows = np.array([d.tolist() for d in steps(RngStream(4, 0), n)]).T.tolist()
+    for k in range(1, depth + 1):
+        unique = sum(row[:k].count(max(row[:k])) == 1 for row in rows)
+        assert table[k - 1].estimate == unique / n
 
 
 def test_mc_rho_validates():
@@ -293,6 +347,26 @@ def test_trajectory_checkpoints_are_prefix_consistent():
     full = mc_trimmed_trajectory(10**4, [500, 10**4], seed=1)
     short = mc_trimmed_trajectory(500, [500], seed=1)
     assert full[0] == short[0]
+
+
+def test_trajectory_does_not_depend_on_chunk_size(monkeypatch):
+    cps = [10, 1000, 2**19 - 1, 2**19 + 3, 6 * 10**5]
+    runs = []
+    for chunk in (2**10, 2**16, 2**19):
+        monkeypatch.setattr(luroth.simulation, "_TRAJ_CHUNK", chunk)
+        runs.append(mc_trimmed_trajectory(6 * 10**5, cps, seed=9))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_trajectory_against_exact_python_sums(monkeypatch):
+    # several 2^10-digit chunks against one draw of the whole path, summed
+    # as Python integers
+    monkeypatch.setattr(luroth.simulation, "_TRAJ_CHUNK", 2**10)
+    cps = [2, 1023, 1024, 1025, 5000]
+    got = mc_trimmed_trajectory(5000, cps, seed=12)
+    digits = [int(d) for d in RngStream(12).luroth_digits(5000)]
+    assert got == [(k, float(sum(digits[:k]) - max(digits[:k])) / (k * math.log(k)))
+                   for k in cps]
 
 
 def test_trajectory_validates_checkpoints():
