@@ -46,7 +46,6 @@ from .simulation import (
     McResult,
     mc_max_scaled_cdf,
     mc_rho,
-    mc_stable_centering,
     mc_trimmed_trajectory,
 )
 from .trimming import (

@@ -17,6 +17,14 @@ __all__ = ["RngStream"]
 _TWO63 = np.uint64(1 << 63)
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # the bit pattern of 1.0
 _U64_MAX = (1 << 64) - 1
+_ROW_CHUNK = 1 << 18  # words per chunk of luroth_row_maxima: 2 MB
+
+
+def _to_digits(words: np.ndarray) -> np.ndarray:
+    """The digit floor(2^63 / ((w >> 1) + 1)) of each raw word w, in place."""
+    words >>= np.uint64(1)
+    words += np.uint64(1)
+    return np.floor_divide(_TWO63, words, out=words)
 
 
 class RngStream:
@@ -50,43 +58,35 @@ class RngStream:
         u -= 1.0 - 2.0**-53
         return u
 
-    def _grid(self, n: int) -> np.ndarray:
-        """n grid points j = raw >> 1 in [1, 2^63 - 1], as a fresh uint64 array.
-
-        j = 0 (raw word 0 or 1, probability 2^-63 per draw) is redrawn from
-        the next words of the stream, in index order, until no zero is left.
-        """
-        j = self._bg.random_raw(n)
-        j >>= np.uint64(1)
-        while not j.all():
-            zeros = j == 0
-            j[zeros] = self._bg.random_raw(int(zeros.sum())) >> np.uint64(1)
-        return j
-
     def luroth_digits(self, n: int) -> np.ndarray:
         """n digits from the law P(d = m) = 1/(m(m+1)), as uint64.
 
-        Inverse-CDF on the grid u = j * 2^-63 of ``_grid``, j in
-        [1, 2^63 - 1]: the digit floor(1/u) = floor(2^63 / j) is computed in
-        integer arithmetic, so the mapping is exact.  Redrawing j = 0
-        (probability 2^-63 per draw) caps digits at 2^63 and biases each draw
-        by less than 2^-63, documented noise far below every tolerance in the
-        suite.  ``luroth_row_maxima`` reads the same grid, so its rows equal
-        the row maxima of these digits.
+        Inverse-CDF on the grid u = (j + 1) * 2^-63, j = raw >> 1, so u is
+        uniform on the 2^63 points of (0, 1] and no word is ever redrawn: the
+        digit floor(1/u) = floor(2^63 / (j + 1)) is computed in integer
+        arithmetic, so the mapping is exact.  P(d >= m) is then
+        floor(2^63 / m) / 2^63 instead of 1/m, a bias below 2^-63 per draw,
+        documented noise far below every tolerance in the suite; digits are
+        capped at 2^63.  Each word gives one digit, so the i-th digit depends
+        on the i-th word alone, whatever the sizes of the draws.
         """
-        j = self._grid(n)
-        return np.floor_divide(_TWO63, j, out=j)
+        return _to_digits(self._bg.random_raw(n))
 
     def luroth_row_maxima(self, n: int, k: int) -> np.ndarray:
         """luroth_digits(n * k).reshape(n, k).max(axis=1), without the digits.
 
-        floor(2^63 / j) does not increase as j grows, so the largest digit of
-        a row is the digit of its smallest grid point: max_i floor(2^63 / j_i)
-        = floor(2^63 / min_i j_i).  The grid, redraws included, is the one
-        ``luroth_digits`` maps, so the rows agree draw for draw; only n
-        divisions are made instead of n * k.
+        Neither the shift nor the increment decreases a word, and 2^63 // x
+        does not increase as x grows, so the largest digit of a row is the
+        digit of its smallest raw word.  The rows are drawn in order, in
+        chunks of about _ROW_CHUNK words, and each chunk is reduced to its
+        row minima at once; only the n minima are mapped to digits.
         """
-        return _TWO63 // self._grid(n * k).reshape(n, k).min(axis=1)
+        rows = max(1, _ROW_CHUNK // k)
+        low = np.empty(n, dtype=np.uint64)
+        for start in range(0, n, rows):
+            m = min(rows, n - start)
+            self._bg.random_raw(m * k).reshape(m, k).min(axis=1, out=low[start:start + m])
+        return _to_digits(low)
 
     def digit_sequence(self, count: int) -> DigitSequence:
         """A sampled DigitSequence (no remainder; provenance marks it)."""

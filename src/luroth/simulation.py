@@ -5,11 +5,11 @@ stream index b of the seed's Philox family and partial results are reduced
 in block order.  The draws depend only on (seed, samples) for rho (and for
 the continued-fraction sweeps in ``contfrac``, which share its block loop
 and uniqueness counter) and on (seed, samples, k) for the digit-matrix
-trials, never on k_max, on the c-grid or on the worker count.  So one pass
-yields every row of a sweep, and each row is bit-identical whether run
-serially, on a thread pool, or alone.  The sweeps with small blocks run one
-worker per usable core by default; numpy releases the interpreter lock in
-Philox and in its array loops, so the blocks overlap.
+trials, never on k_max, on the c-grid, on the worker count or on the
+chunks a block is drawn in.  So one pass yields every row of a sweep, and
+each row is bit-identical whether run serially, on a thread pool, or alone.
+Every sweep runs one worker per usable core by default; numpy releases the
+interpreter lock in Philox and in its array loops, so the blocks overlap.
 """
 
 import math
@@ -27,7 +27,6 @@ __all__ = [
     "McResult",
     "mc_max_scaled_cdf",
     "mc_rho",
-    "mc_stable_centering",
     "mc_trimmed_trajectory",
 ]
 
@@ -124,19 +123,6 @@ def _binomial(successes: int, n: int, seed: int) -> McResult:
     return McResult(p, math.sqrt(p * (1.0 - p) / n), n, seed)
 
 
-def _digit_rows(k: int, samples: int, seed: int, workers: int,
-                per_block: Callable[[RngStream, int], np.ndarray]) -> np.ndarray:
-    """One value per trial of k digits each, concatenated in trial order.
-
-    Trials come in blocks of about _MATRIX_DRAW_BUDGET draws; block b of n
-    trials calls per_block(stream b, n), which draws its n-by-k digit matrix
-    row-major as n * k draws and returns the n row values.
-    """
-    sizes = _blocked(samples, max(1, _MATRIX_DRAW_BUDGET // k))
-    return np.concatenate(_ordered_map(lambda b: per_block(RngStream(seed, b), sizes[b]),
-                                       range(len(sizes)), workers))
-
-
 def _step_blocks(samples: int, seed: int, workers: Optional[int],
                  per_block: Callable[[RngStream, int], object]) -> List[object]:
     """per_block(stream, n) on blocks of _RHO_BLOCK trials, in block order.
@@ -195,17 +181,17 @@ def mc_rho(k_max: int, samples: int, seed: int = 0,
 
 
 def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
-                      workers: int = 1) -> List[McResult]:
+                      workers: Optional[int] = None) -> List[McResult]:
     """Estimates of P(max of k digits < c*k), the scaled-maximum CDF, per c.
 
     The event max/k < c is max <= ceil(c*k) - 1 on integers, so each estimate
     targets the exact finite-k value (1 - 1/ceil(c*k))^k.  One pass draws the
     trials and takes each trial's maximum once for the whole c-grid, from
-    the row minimum of the grid points (``RngStream.luroth_row_maxima``).
+    the row minimum of its raw words (``RngStream.luroth_row_maxima``).
+    Trials come in blocks of about _MATRIX_DRAW_BUDGET draws; block b draws
+    its trials from stream b, row-major, k draws per trial.  workers=None
+    runs one worker per usable core.
     """
-    # one worker by default, here and in mc_stable_centering: each block holds
-    # a 2^22-word (32 MB) grid, so a second block in flight would add 32 MB to
-    # the peak resident set; two threads gave no steady speed-up of this pass
     cs = list(cs)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -213,8 +199,9 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
         raise ValueError("c must be positive, with c*k finite")
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    maxes = _digit_rows(k, samples, seed, workers,
-                        lambda stream, n: stream.luroth_row_maxima(n, k))
+    sizes = _blocked(samples, max(1, _MATRIX_DRAW_BUDGET // k))
+    maxes = np.concatenate(_ordered_map(
+        lambda b: RngStream(seed, b).luroth_row_maxima(sizes[b], k), range(len(sizes)), workers))
     # digits lie in [1, 2^63], so clamping the threshold there changes no count
     thresholds = [np.uint64(min(max(math.ceil(c * k) - 1, 0), 1 << 63)) for c in cs]
     return [_binomial(int((maxes <= t).sum()), samples, seed) for t in thresholds]
@@ -254,26 +241,3 @@ def mc_trimmed_trajectory(
         pos = cp
         out.append((cp, float(total - biggest) / (cp * math.log(cp))))
     return out
-
-
-def mc_stable_centering(k: int, samples: int, seed: int = 0, workers: int = 1) -> McResult:
-    """Empirical median of (S_k - k log k)/k over independent trials.
-
-    A sanity statistic for the order-1 stable (Cauchy-type) limit of the
-    untrimmed sums: only boundedness of the median is meaningful, the limit
-    has no mean, and the reported standard error (sample std / sqrt(n), per
-    the result contract) is a dispersion diagnostic rather than a consistent
-    error estimate for a heavy-tailed sample.
-    """
-    if k < 100:
-        raise ValueError("k must be >= 100")
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
-    # one worker by default: see mc_max_scaled_cdf
-    center = k * math.log(k)
-    sums = _digit_rows(k, samples, seed, workers, lambda stream, n: (
-        stream.luroth_digits(n * k).reshape(n, k).astype(np.float64).sum(axis=1)))
-    stats = (sums - center) / k
-    est = float(np.median(stats))
-    se = float(np.std(stats, ddof=1) / math.sqrt(samples))
-    return McResult(est, se, samples, seed)

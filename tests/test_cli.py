@@ -286,12 +286,14 @@ class TestPinnedSampledTables:
 
 class TestCoreCount:
     # the sampled tables at 1, 2 and 3 usable cores; 70001 trials make three
-    # blocks and a short fourth, and trim has five seeds
+    # blocks and a short fourth, trim has five seeds, and maxdist at k = 1000
+    # makes two blocks of 4194 trials and a short third
     @pytest.mark.parametrize("argv", [
         ["trim", "--kmax", "100000", "--seeds", "5", "--seed", "3"],
         ["cf", "--statistic", "rho", "--samples", "70001", "--seed", "2"],
         ["cf", "--statistic", "trimmed", "--samples", "70001", "--seed", "2"],
         ["rho", "--mode", "mc", "--kmax", "8", "--samples", "70001", "--seed", "2"],
+        ["maxdist", "--k", "1000", "--samples", "12500", "--seed", "2"],
     ])
     def test_stdout_does_not_depend_on_cores(self, argv, monkeypatch, capsys):
         outs = []

@@ -10,21 +10,19 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from luroth.expansion import max_cdf_exact, pmf, sample_digit
+from luroth.expansion import digit, max_cdf_exact, pmf
 from luroth.extrema import rho_exact
 import luroth.rng
 import luroth.simulation
 from luroth.rng import RngStream
 from luroth.simulation import (
     _MATRIX_DRAW_BUDGET,
-    _digit_rows,
     _exact_sum_u64,
     _ordered_map,
     _sum_and_max,
     _unique_max_table,
     mc_max_scaled_cdf,
     mc_rho,
-    mc_stable_centering,
     mc_trimmed_trajectory,
 )
 
@@ -92,26 +90,25 @@ def test_uniforms_are_exact_cell_centres():
 
 
 def test_digits_match_inverse_cdf_mapping():
-    # the integer digit path must agree with sample_digit on the exact grid
+    # the integer digit path must agree with the exact digit of u = (j + 1) 2^-63
     s = RngStream(3, 1)
     raw = s.raw64(2000)
     digits = RngStream(3, 1).luroth_digits(2000)
     j = raw >> np.uint64(1)
-    assert np.all(j != 0)  # probability ~2^-63 per draw; would need a redraw
     for jv, dv in zip(j[:200].tolist(), digits[:200].tolist()):
-        assert dv == sample_digit(Fraction(jv, 1 << 63))
+        assert dv == digit(Fraction(jv + 1, 1 << 63))
 
 
 class _RawFeed:
     """Stands in for the Philox generator: serves fixed raw words in order."""
 
     def __init__(self, words):
-        self.words = list(words)
+        self.words = np.array(words, dtype=np.uint64)
         self.used = 0
 
     def random_raw(self, n):
         assert self.used + n <= len(self.words), "stub ran out of words"
-        out = np.array(self.words[self.used:self.used + n], dtype=np.uint64)
+        out = self.words[self.used:self.used + n].copy()
         self.used += n
         return out
 
@@ -122,42 +119,58 @@ def _fed_stream(words):
     return stream
 
 
-# three rows of four draws; raw words 0 and 1 give j = 0 and are redrawn in
-# index order from the words after the block: index 5 draws 1 (j = 0 again)
-# and then 4, index 9 draws 6.  Rows 1 and 2 take their minimum j from a
-# redrawn word.
-_ZERO_BLOCK = [40, 9, 1000, 77, 12, 0, 50, 60, (1 << 64) - 1, 1, 300, 8]
-_ZERO_REDRAWS = [1, 6, 4]
-_ZERO_GRID = [20, 4, 500, 38, 6, 2, 25, 30, (1 << 63) - 1, 3, 150, 4]
+def _digit_of_word(w):
+    return (1 << 63) // ((w >> 1) + 1)
 
 
-def test_digits_of_redrawn_words():
-    stream = _fed_stream(_ZERO_BLOCK + _ZERO_REDRAWS)
-    digits = stream.luroth_digits(12)
-    assert digits.tolist() == [(1 << 63) // j for j in _ZERO_GRID]
-    assert stream._bg.used == len(_ZERO_BLOCK + _ZERO_REDRAWS)
+# the extreme raw words: 0 and 1 give u = 2^-63, 2^64 - 2 and 2^64 - 1 give u = 1
+_EDGE_WORDS = [0, 1, 2, 3, (1 << 64) - 2, (1 << 64) - 1, 1 << 63, 40, 9, 1000, 77, 12]
 
 
-def test_row_maxima_with_redrawn_minimum():
-    words = _ZERO_BLOCK + _ZERO_REDRAWS
-    maxima = _fed_stream(words).luroth_row_maxima(3, 4)
-    matrix = _fed_stream(words).luroth_digits(12).reshape(3, 4)
+def test_digits_of_extreme_raw_words():
+    stream = _fed_stream(_EDGE_WORDS)
+    digits = stream.luroth_digits(len(_EDGE_WORDS))
+    assert digits.dtype == np.uint64
+    assert digits.tolist()[:6] == [1 << 63, 1 << 63, 1 << 62, 1 << 62, 1, 1]
+    assert digits.tolist() == [_digit_of_word(w) for w in _EDGE_WORDS]
+    assert stream._bg.used == len(_EDGE_WORDS)  # one word per digit, no redraw
+
+
+def test_row_maxima_of_extreme_raw_words():
+    # rows of three; the row minima 0, 1, 14 (j = 7), 2 and 2^64 - 1 give
+    # 2^63 // (j + 1) for j = 0, 0, 7, 1 and 2^63 - 1
+    words = [5, 0, 9, 1, 7, 3, 40, 14, 77, 6, 3, 2] + [(1 << 64) - 1] * 3
+    stream = _fed_stream(words)
+    maxima = stream.luroth_row_maxima(5, 3)
+    matrix = _fed_stream(words).luroth_digits(15).reshape(5, 3)
     assert maxima.dtype == matrix.dtype == np.uint64
     assert maxima.tolist() == matrix.max(axis=1).tolist()
-    assert maxima.tolist() == [(1 << 63) // 4, (1 << 63) // 2, (1 << 63) // 3]
+    assert maxima.tolist() == [1 << 63, 1 << 63, 1 << 60, 1 << 62, 1]
+    assert stream._bg.used == len(words)
 
 
-def test_row_maxima_match_digit_matrix():
-    # one full block and a short last one of 3 trials, for each k
-    def matrix_max(stream, n, k):
-        return stream.luroth_digits(n * k).reshape(n, k).max(axis=1)
+def test_row_maxima_match_digit_matrix(monkeypatch):
+    # about 2^20 draws per k, in chunks from one row to several rows, with a
+    # short last chunk
+    for k, n in ((1, 2**20 + 3), (7, 150001), (1000, 1049), (2**18 + 1, 4)):
+        slow = RngStream(6, k).luroth_digits(n * k).reshape(n, k).max(axis=1)
+        for chunk in (999, 2**16 + 5, 2**18, 2**21):
+            monkeypatch.setattr(luroth.rng, "_ROW_CHUNK", chunk)
+            fast = RngStream(6, k).luroth_row_maxima(n, k)
+            assert fast.shape == (n,)
+            assert np.array_equal(fast, slow)
 
-    for k in (1, 7, 1000):
-        samples = _MATRIX_DRAW_BUDGET // k + 3
-        fast = _digit_rows(k, samples, 6, 1, lambda s, n: s.luroth_row_maxima(n, k))
-        slow = _digit_rows(k, samples, 6, 1, lambda s, n: matrix_max(s, n, k))
-        assert fast.shape == (samples,)
-        assert np.array_equal(fast, slow)
+
+def test_max_scaled_cdf_counts_block_digit_matrices():
+    # one full block and a short last one of 3 trials, each drawn from its
+    # own stream as a digit matrix, row-major
+    k = 1000
+    full = _MATRIX_DRAW_BUDGET // k
+    maxima = np.concatenate([RngStream(6, b).luroth_digits(n * k).reshape(n, k).max(axis=1)
+                             for b, n in enumerate((full, 3))])
+    got = mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], full + 3, seed=6)
+    assert [r.estimate for r in got] == [
+        int((maxima < math.ceil(c * k)).sum()) / (full + 3) for c in (0.5, 1.0, 2.0)]
 
 
 def test_digits_are_positive():
@@ -358,6 +371,28 @@ def test_trajectory_does_not_depend_on_chunk_size(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_trajectory_with_extreme_words_does_not_depend_on_chunk_size(monkeypatch):
+    # raw words 0 and 1 (the digit 2^63) inside chunks and at chunk edges
+    # shift no later digit, so every chunk size reads the same path
+    n = 6 * 10**5
+    words = RngStream(9).raw64(n)
+    for i, w in ((1500, 0), (2**16, 1), (2**16 + 7, 0), (2**19 - 1, 1), (5 * 10**5, 0)):
+        words[i] = w
+    cps = [10, 1000, 2**19 - 1, 2**19 + 3, n]
+    runs = []
+    for chunk in (2**10, 2**16, 2**19):
+        feed = _RawFeed(words)
+        monkeypatch.setattr(luroth.rng, "Philox", lambda key: feed)
+        monkeypatch.setattr(luroth.simulation, "_TRAJ_CHUNK", chunk)
+        runs.append(mc_trimmed_trajectory(n, cps, seed=9))
+        assert feed.used == n
+    assert runs[0] == runs[1] == runs[2]
+    digits = [_digit_of_word(w) for w in words.tolist()]
+    total, top = sum(digits), max(digits)
+    assert top == 1 << 63
+    assert runs[0][-1] == (n, float(total - top) / (n * math.log(n)))
+
+
 def test_trajectory_against_exact_python_sums(monkeypatch):
     # several 2^10-digit chunks against one draw of the whole path, summed
     # as Python integers
@@ -402,7 +437,7 @@ def test_sum_and_max_guard_branches(monkeypatch):
         ([third] * 3, False),          # max * n = 2^64 - 1
         ([1 << 62] * 4, True),         # max * n = 2^64: the plain sum wraps to 0
         ([third + 1] * 3, True),       # max * n = 2^64 + 2
-        ([1 << 63, 1], True),          # the largest digit, from raw word 2 or 3
+        ([1 << 63, 1], True),          # the largest digit, from raw word 0 or 1
         ([1 << 63, 1 << 63, 7], True),
         ([1 << 63], False),
     ]
@@ -414,49 +449,14 @@ def test_sum_and_max_guard_branches(monkeypatch):
 
 
 def test_trajectory_against_python_reference(monkeypatch):
-    # raw words 2 and 3 give the digit 2^63; they fall in the last chunk of
+    # raw words 0 and 1 give the digit 2^63; they fall in the last chunk of
     # seven digits, whose sum exceeds 2^64, while the chunks before are small
-    words = [10, 7, 1000, 5, 6, 77, 2, 19, 3, 2**40, 2**64 - 5, 12]
+    words = [10, 7, 1000, 5, 6, 77, 0, 19, 1, 2**40, 2**64 - 5, 12]
     feed = _RawFeed(words)
     monkeypatch.setattr(luroth.rng, "Philox", lambda key: feed)
     got = mc_trimmed_trajectory(12, [2, 5, 12], seed=0)
-    digits = [(1 << 63) // (w >> 1) for w in words]
+    digits = [_digit_of_word(w) for w in words]
     want = [(k, float(sum(digits[:k]) - max(digits[:k])) / (k * math.log(k)))
             for k in (2, 5, 12)]
     assert got == want
     assert feed.used == len(words)
-
-
-# -------------------------------------------------------- stable centering
-
-
-def test_stable_centering_bounded_medians():
-    for k in (1000, 10000):
-        r = mc_stable_centering(k, 2000, seed=0)
-        assert -5.0 <= r.estimate <= 5.0
-
-
-def test_stable_centering_iqr_stays_bounded():
-    def iqr(k):
-        stats = []
-        for seed in range(3):
-            r = mc_stable_centering(k, 1000, seed=seed)
-            stats.append(r.estimate)
-        return max(stats) - min(stats)
-
-    # medians across seeds should not spread as k grows
-    assert iqr(10000) < 4.0
-    assert iqr(1000) < 4.0
-
-
-def test_stable_centering_deterministic():
-    a = mc_stable_centering(500, 1000, seed=1)
-    b = mc_stable_centering(500, 1000, seed=1, workers=2)
-    assert a == b
-
-
-def test_stable_centering_validates():
-    with pytest.raises(ValueError):
-        mc_stable_centering(99, 1000)
-    with pytest.raises(ValueError):
-        mc_stable_centering(1000, 10)
