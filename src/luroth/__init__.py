@@ -29,11 +29,8 @@ from .precision import (
     zeta_int,
 )
 from .extrema import (
-    PartialFractionExpansion,
     RhoEstimate,
     coeff_c,
-    corollary_sequence,
-    partial_fraction_expansion,
     q_k,
     q_k_via_partial_fraction,
     rho_exact,
@@ -50,23 +47,18 @@ from .simulation import (
 )
 from .trimming import (
     EULER_GAMMA,
-    J2PartialSum,
     a_of,
     b_of,
     c_k,
     harmonic,
-    j2_partial,
     j2_partial_sums,
     w_asymptotic_gap,
 )
 from .contfrac import (
     CfSample,
-    cf_digit,
     expand_cf,
-    gauss_step,
     mc_cf_rho_table,
     mc_cf_trimmed_table,
-    sample_gauss_measure,
 )
 
 __version__ = "0.1.0"

@@ -59,20 +59,16 @@ def _rho_rows(k_max: int, mode: str, precision_bits: int, tol: float,
     rows = []
     for k in range(2, k_max + 1):
         for method in methods:
-            if method == "exact":
-                est = rho_exact(k, precision_bits)
-                rows.append([str(k), est.method, _fmt(est.value.value),
-                             _fmt(est.error_bound)])
-            elif method == "series":
-                est = rho_series(k, tol)
-                rows.append([str(k), est.method, _fmt(est.value.value),
-                             _fmt(est.error_bound)])
-            else:
+            if method == "mc":
                 r = sampled[k - 1]
                 # for sampled rows the bound column carries the standard
                 # error, a statistical scale rather than a certified bound
                 rows.append([str(k), "monte-carlo", _fmt(r.estimate),
                              _fmt(r.standard_error)])
+            else:
+                est = rho_exact(k, precision_bits) if method == "exact" else rho_series(k, tol)
+                rows.append([str(k), est.method, _fmt(est.value.value),
+                             _fmt(est.error_bound)])
     return rows
 
 

@@ -51,12 +51,9 @@ from .simulation import _RHO_BLOCK, McResult, _step_blocks, _unique_max_table
 
 __all__ = [
     "CfSample",
-    "cf_digit",
     "expand_cf",
-    "gauss_step",
     "mc_cf_rho_table",
     "mc_cf_trimmed_table",
-    "sample_gauss_measure",
 ]
 
 LN2 = math.log(2.0)
@@ -70,28 +67,6 @@ class CfSample:
 
     seed_point: float
     digits: Tuple[int, ...]
-
-
-def cf_digit(x: float) -> int:
-    """First continued-fraction digit floor(1/x) for x in (0, 1)."""
-    if not 0.0 < x < 1.0:
-        raise ValueError("x must lie in (0, 1)")
-    return int(1.0 / x)
-
-
-def gauss_step(x: float) -> float:
-    """One Gauss-map step: the fractional part of 1/x."""
-    if not 0.0 < x < 1.0:
-        raise ValueError("x must lie in (0, 1)")
-    inv = 1.0 / x
-    return inv - math.floor(inv)
-
-
-def sample_gauss_measure(u: float) -> float:
-    """Inverse-CDF transform 2**u - 1 of the Gauss measure."""
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie in (0, 1)")
-    return math.expm1(u * LN2)
 
 
 def expand_cf(x: float, k: int) -> CfSample:

@@ -6,7 +6,6 @@ digits of that dyadic rational (iterating the map in floating point instead
 would shed roughly log2(digit) bits per step).
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -32,19 +31,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DigitSequence:
-    """A finite run of Luroth digits with provenance.
+    """A finite run of Luroth digits.
 
-    ``remainder`` is the exact state of the orbit after the recorded digits
-    and is only present for exact expansions; sampled sequences carry None.
+    ``remainder`` is the exact state of the orbit after the recorded digits,
+    as ``expand`` returns it; a sequence built from bare digits carries None.
     """
 
     digits: Tuple[int, ...]
-    provenance: str = "exact-expansion"
     remainder: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.provenance not in ("exact-expansion", "sampled"):
-            raise ValueError("unknown provenance %r" % self.provenance)
         if not all(isinstance(d, int) and d >= 1 for d in self.digits):
             raise ValueError("digits must be integers >= 1")
 
@@ -89,7 +85,7 @@ def expand(x: Real, count: int) -> DigitSequence:
         n = xq.denominator // xq.numerator
         digits.append(n)
         xq = n * ((n + 1) * xq - 1)
-    return DigitSequence(tuple(digits), "exact-expansion", xq)
+    return DigitSequence(tuple(digits), xq)
 
 
 def reconstruct(d: Union[DigitSequence, Sequence[int], Iterable[int]]) -> Fraction:

@@ -18,7 +18,6 @@ tracked one.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -32,11 +31,8 @@ from .precision import (
 )
 
 __all__ = [
-    "PartialFractionExpansion",
     "RhoEstimate",
     "coeff_c",
-    "corollary_sequence",
-    "partial_fraction_expansion",
     "q_k",
     "q_k_via_partial_fraction",
     "rho_exact",
@@ -52,34 +48,17 @@ class RhoEstimate:
 
     k: int
     value: HighPrecisionReal
-    method: str  # exact-formula | series | monte-carlo
+    method: str  # exact-formula | series
 
     @property
     def error_bound(self) -> Fraction:
         return self.value.error_bound
 
     def __post_init__(self):
-        if self.method not in ("exact-formula", "series", "monte-carlo"):
+        if self.method not in ("exact-formula", "series"):
             raise ValueError("unknown method %r" % self.method)
         if not 0 < self.value.value <= 1 + self.value.error_bound:
             raise ValueError("rho estimate outside (0, 1] by more than its bound")
-
-
-@dataclass(frozen=True)
-class PartialFractionExpansion:
-    """Coefficients of the level-term expansion for a given k.
-
-    telescope_coefficient multiplies (1/m - 1/(m+1)); power_coefficients[j]
-    multiplies 1/m^j for j = 2..k.
-    """
-
-    k: int
-    telescope_coefficient: int
-    power_coefficients: Dict[int, int]
-
-    def __post_init__(self):
-        if self.telescope_coefficient != 2 ** (self.k - 1):
-            raise ValueError("telescope coefficient must be 2^(k-1)")
 
 
 def coeff_c(j: int, k: int) -> int:
@@ -92,14 +71,6 @@ def coeff_c(j: int, k: int) -> int:
         return 0
     t = bernoulli_triangle(k - 1, k - j)
     return t if j % 2 == 1 else -t
-
-
-def partial_fraction_expansion(k: int) -> PartialFractionExpansion:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return PartialFractionExpansion(
-        k, 2 ** (k - 1), {j: coeff_c(j, k) for j in range(2, k + 1)}
-    )
 
 
 def q_k(m: int, k: int) -> Fraction:
@@ -225,10 +196,3 @@ def rho_series(k: int, tol: float = 1e-6) -> RhoEstimate:
     # positive, and the half-width within (k/2+28)u value: (3k/2+53)u in all.
     bound = Fraction(k * (upper - lower) / 2.0) + Fraction(value) * (k + 64) / 2**52
     return RhoEstimate(k, HighPrecisionReal(Fraction(value), bound, 53), "series")
-
-
-def corollary_sequence(k_max: int, target: int = 128) -> List[Tuple[int, RhoEstimate]]:
-    """Table of rho_exact(k) for k = 2..k_max (the sequence behind fig1)."""
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
-    return [(k, rho_exact(k, target)) for k in range(2, k_max + 1)]

@@ -10,8 +10,6 @@ of how many workers ran it.
 import numpy as np
 from numpy.random import Philox
 
-from .expansion import DigitSequence
-
 __all__ = ["RngStream"]
 
 _TWO63 = np.uint64(1 << 63)
@@ -87,10 +85,3 @@ class RngStream:
             m = min(rows, n - start)
             self._bg.random_raw(m * k).reshape(m, k).min(axis=1, out=low[start:start + m])
         return _to_digits(low)
-
-    def digit_sequence(self, count: int) -> DigitSequence:
-        """A sampled DigitSequence (no remainder; provenance marks it)."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        digits = tuple(int(d) for d in self.luroth_digits(count))
-        return DigitSequence(digits, "sampled", None)

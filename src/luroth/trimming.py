@@ -18,7 +18,6 @@ is float64 and uncertified; the certified kernel is ``lambert_w0``.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -27,28 +26,15 @@ from .precision import _lambert_w_float
 
 __all__ = [
     "EULER_GAMMA",
-    "J2PartialSum",
     "a_of",
     "b_of",
     "c_k",
     "harmonic",
-    "j2_partial",
     "j2_partial_sums",
     "w_asymptotic_gap",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
-
-
-@dataclass(frozen=True)
-class J2PartialSum:
-    n: int
-    value: float
-    last_term: float
-
-    def __post_init__(self):
-        if self.last_term < 0:
-            raise ValueError("series terms are nonnegative")
 
 
 def a_of(x: float) -> float:
@@ -120,9 +106,3 @@ def j2_partial_sums(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
         d -= (d + np.log1p(d / w) - r) / (1.0 + 1.0 / (w + d))
     terms = np.exp(2.0 * w) * np.expm1(2.0 * d) / (n * n)
     return np.cumsum(terms), terms
-
-
-def j2_partial(n: int) -> J2PartialSum:
-    """The series partial sum through N = n, with its last term."""
-    values, terms = j2_partial_sums(n)
-    return J2PartialSum(n, float(values[-1]), float(terms[-1]))

@@ -269,8 +269,8 @@ def test_criterion_09_figure_tables(tmp_path: Path):
         (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
         for name in ("fig1.csv", "fig2.csv")
     )
-    fig1 = list(csv.reader((dir_a / "fig1.csv").open()))[1:]
-    fig2 = list(csv.reader((dir_a / "fig2.csv").open()))[1:]
+    fig1 = list(csv.reader((dir_a / "fig1.csv").read_text().splitlines()))[1:]
+    fig2 = list(csv.reader((dir_a / "fig2.csv").read_text().splitlines()))[1:]
     v1 = [float(r[2]) for r in fig1]
     v2 = [float(r[1]) for r in fig2]
     fig1_ok = (len(fig1) == 39 and all(0.70 < v < 1.0 for v in v1)

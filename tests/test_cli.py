@@ -314,7 +314,7 @@ class TestOutputFile:
                      "--out", str(target)])
         assert code == 0
         assert capsys.readouterr().out == ""
-        rows = list(csv.reader(target.open()))
+        rows = list(csv.reader(target.read_text().splitlines()))
         assert rows[0] == ["k", "method", "value", "error_bound"]
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -343,8 +343,8 @@ class TestFigures:
     def test_emits_both_tables(self, tmp_path):
         out = tmp_path / "figs"
         assert main(["figures", "--out", str(out)]) == 0
-        fig1 = list(csv.reader((out / "fig1.csv").open()))
-        fig2 = list(csv.reader((out / "fig2.csv").open()))
+        fig1 = list(csv.reader((out / "fig1.csv").read_text().splitlines()))
+        fig2 = list(csv.reader((out / "fig2.csv").read_text().splitlines()))
         assert len(fig1) == 1 + 39  # k = 2..40
         assert len(fig2) == 1 + 998  # N = 3..1000
         assert fig1[0] == ["k", "method", "value", "error_bound"]

@@ -1,4 +1,4 @@
-"""Continued-fraction sampling: map identities and digit-law checks."""
+"""Continued-fraction expansion and sampling: digit-law checks."""
 
 import math
 import sys
@@ -9,13 +9,10 @@ import pytest
 
 from luroth.contfrac import (
     CfSample,
-    cf_digit,
     expand_cf,
-    gauss_step,
     _cf_digits,
     mc_cf_rho_table,
     mc_cf_trimmed_table,
-    sample_gauss_measure,
 )
 from luroth.rng import RngStream
 
@@ -38,29 +35,6 @@ def convergent(digits):
 def assert_frequency(hits, n, p, what):
     se = math.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) < 4 * se, (what, hits / n, p, se)
-
-
-class TestMapBasics:
-    def test_digit_examples(self):
-        assert cf_digit(0.25) == 4
-        assert cf_digit(2.0 / 7.0) == 3
-        assert cf_digit(0.99) == 1
-
-    def test_golden_ratio_fixed_point(self):
-        # 1/phi has the all-ones expansion; the map sends it (nearly) to itself
-        assert cf_digit(GOLDEN_FRAC) == 1
-        assert abs(gauss_step(GOLDEN_FRAC) - GOLDEN_FRAC) < 1e-15
-
-    def test_step_examples(self):
-        assert gauss_step(0.25) == 0.0
-        assert abs(gauss_step(2.0 / 7.0) - 0.5) < 1e-15
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                cf_digit(bad)
-            with pytest.raises(ValueError):
-                gauss_step(bad)
 
 
 class TestExpand:
@@ -106,13 +80,6 @@ class TestExpand:
 
 
 class TestGaussMeasure:
-    def test_inverse_cdf_examples(self):
-        assert abs(sample_gauss_measure(0.5) - (math.sqrt(2.0) - 1.0)) < 1e-15
-        with pytest.raises(ValueError):
-            sample_gauss_measure(0.0)
-        with pytest.raises(ValueError):
-            sample_gauss_measure(1.0)
-
     def test_cdf_at_half(self):
         # P(X <= 1/2) = log2(3/2)
         u = RngStream(7).uniforms(10**6)

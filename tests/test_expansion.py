@@ -116,8 +116,6 @@ def test_float_input_expands_its_exact_dyadic_value():
 def test_digit_sequence_validation():
     with pytest.raises(ValueError):
         DigitSequence((1, 0))
-    with pytest.raises(ValueError):
-        DigitSequence((1, 2), provenance="guessed")
 
 
 def test_pmf_tail_examples():

@@ -17,10 +17,7 @@ import pytest
 from luroth import extrema
 from luroth.expansion import pmf, tail
 from luroth.extrema import (
-    PartialFractionExpansion,
     coeff_c,
-    corollary_sequence,
-    partial_fraction_expansion,
     q_k,
     q_k_via_partial_fraction,
     rho_exact,
@@ -54,14 +51,6 @@ def test_coeff_rejects_out_of_range():
         coeff_c(0, 5)
     with pytest.raises(ValueError):
         coeff_c(7, 5)
-
-
-def test_partial_fraction_expansion_struct():
-    pf = partial_fraction_expansion(4)
-    assert pf.telescope_coefficient == 8
-    assert pf.power_coefficients == {2: coeff_c(2, 4), 3: coeff_c(3, 4), 4: coeff_c(4, 4)}
-    with pytest.raises(ValueError):
-        PartialFractionExpansion(3, 5, {})
 
 
 # -------------------------------------------------------------- level terms
@@ -285,20 +274,3 @@ def test_cross_oracle_agreement_small_k(k):
 def test_rho_series_k40_band():
     got = rho_series(40, 1e-4)
     assert 0.9 < float(got.value) < 1.0
-
-
-# ---------------------------------------------------------------- sequence
-
-
-def test_corollary_sequence_small():
-    seq = corollary_sequence(5, 64)
-    assert [k for k, _ in seq] == [2, 3, 4, 5]
-    vals = [float(est.value) for _, est in seq]
-    assert all(0 < v <= 1 for v in vals)
-    assert vals == sorted(vals)
-    assert abs(vals[0] - 0.7101318663035471) < 1e-12
-
-
-def test_corollary_sequence_rejects_small_kmax():
-    with pytest.raises(ValueError):
-        corollary_sequence(1)

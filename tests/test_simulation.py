@@ -196,15 +196,6 @@ def test_digit_chi_square_gof():
     assert p > 1e-4
 
 
-def test_digit_sequence_wrapper():
-    seq = RngStream(0, 0).digit_sequence(10)
-    assert seq.provenance == "sampled"
-    assert seq.remainder is None
-    assert len(seq) == 10
-    with pytest.raises(ValueError):
-        RngStream(0, 0).digit_sequence(0)
-
-
 # ------------------------------------------------------------- worker pool
 
 

@@ -9,12 +9,10 @@ import pytest
 
 from luroth.precision import lambert_w0
 from luroth.trimming import (
-    J2PartialSum,
     a_of,
     b_of,
     c_k,
     harmonic,
-    j2_partial,
     j2_partial_sums,
     w_asymptotic_gap,
 )
@@ -86,10 +84,11 @@ def test_j2_first_term_against_bisection_oracle():
     w1 = lambert_bisect(1.0)
     w2 = lambert_bisect(2.0)
     oracle = 0.25 * (4.0 / w2**2 - 1.0 / w1**2)
-    got = j2_partial(2)
-    assert abs(got.value - oracle) < 1e-9
-    assert abs(got.value - 0.598) < 1e-3
-    assert got.last_term == got.value
+    values, terms = j2_partial_sums(2)
+    assert len(values) == len(terms) == 1
+    assert abs(values[-1] - oracle) < 1e-9
+    assert abs(values[-1] - 0.598) < 1e-3
+    assert terms[-1] == values[-1]
 
 
 def test_j2_monotone_prefix():
@@ -100,16 +99,17 @@ def test_j2_monotone_prefix():
 
 
 def test_j2_partial_matches_prefix():
+    # the sum through N = 500 is the last entry of a longer table's prefix
     values, terms = j2_partial_sums(500)
-    one = j2_partial(500)
-    assert one.value == float(values[-1])
-    assert one.last_term == float(terms[-1])
+    longer, longer_terms = j2_partial_sums(1000)
+    assert values[-1] == longer[498]
+    assert terms[-1] == longer_terms[498]
 
 
 def test_j2_last_term_asymptotics():
     # term(n) ~ 2/(n log^2 n) since B(n) ~ n/log n
-    got = j2_partial(10**5)
-    scaled = got.last_term * 10**5 * math.log(10**5) ** 2 / 2
+    _, terms = j2_partial_sums(10**5)
+    scaled = terms[-1] * 10**5 * math.log(10**5) ** 2 / 2
     assert 0.5 <= scaled <= 2.0
 
 
@@ -127,8 +127,6 @@ def test_j2_terms_match_exact_lambert_oracle():
 def test_j2_rejects_small_n():
     with pytest.raises(ValueError):
         j2_partial_sums(1)
-    with pytest.raises(ValueError):
-        J2PartialSum(5, 1.0, -0.1)
 
 
 # ------------------------------------------------------------------- c_k
