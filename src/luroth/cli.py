@@ -2,7 +2,9 @@
 
 Conventions shared by all subcommands:
 
-* every CSV starts with a header row and uses "\n" line endings;
+* every CSV starts with a header row and uses "\n" line endings; no field
+  holds a comma, a quote or a line break, so none is quoted;
+* a table is written only once all its rows are computed;
 * floating values are printed with 17 significant digits (round-trippable),
   exact rationals as "p/q" strings;
 * the same invocation with the same seed produces byte-identical output;
@@ -12,13 +14,12 @@ Conventions shared by all subcommands:
 """
 
 import argparse
-import csv
 import math
 import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .contfrac import mc_cf_rho_table, mc_cf_trimmed_table
 from .expansion import expand, max_cdf_exact, reconstruct
@@ -38,12 +39,18 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _write_csv(path: Optional[str], header: List[str], rows: List[List[str]]) -> int:
+# rows per write: a few writes per table even when stdout is unbuffered,
+# without ever holding the whole table as one string
+_CHUNK_ROWS = 4096
+
+
+def _write_csv(path: Optional[str], header: List[str],
+               rows: Sequence[Sequence[str]]) -> int:
     """Write one table, to path or to stdout; callers compute rows first."""
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(rows), _CHUNK_ROWS):
+            fh.write("".join([",".join(row) + "\n" for row in rows[i:i + _CHUNK_ROWS]]))
     return 0
 
 
@@ -108,11 +115,12 @@ def cmd_reconstruct(args) -> int:
                       [["exact", str(value)], ["approx", _fmt(value)]])
 
 
-def _j2_rows(n_max: int) -> List[List[str]]:
+def _j2_rows(n_max: int) -> List[Tuple[str, str]]:
     # row N carries the partial sum of all series terms with index below N,
-    # so the table starts at N = 3 (one term) and has n_max - 2 rows
-    sums, _ = j2_partial_sums(n_max - 1)
-    return [[str(n), _fmt(sums[n - 3])] for n in range(3, n_max + 1)]
+    # so the table starts at N = 3 (one term) and has n_max - 2 rows; the
+    # arrays go once their floats are out, and tuples keep the table small
+    sums = j2_partial_sums(n_max - 1)[0].tolist()
+    return [(str(n), _fmt(v)) for n, v in enumerate(sums, start=3)]
 
 
 def cmd_j2(args) -> int:

@@ -1,16 +1,20 @@
 """Exact and error-bounded numeric kernels.
 
 Arbitrary-size integer and rational arithmetic (binomial coefficients, partial
-binomial-row sums, Bernoulli numbers) plus two certified real-valued kernels:
-Riemann zeta at integer arguments via Euler-Maclaurin summation in fixed-point
-integers, whose payload is an integer numerator over 2**s with a certified
-count of ulps (one per rounded term plus the remainder rounded up), and the
-principal branch of Lambert W via a float seed refined by Newton steps in
-fixed-point integers, certified by a bracket from an integer exp rounded down
-and up.  The seed, ``_lambert_w_float``, is the
-package's one float64 Lambert W: a vectorised Halley iteration, also used
-uncertified where a W value only feeds a float result (B(x) and the J2 series
-in ``trimming``).
+binomial-row sums, Bernoulli numbers) plus two certified real-valued kernels.
+
+Riemann zeta at integer arguments comes from Euler-Maclaurin summation in
+fixed-point integers; its payload is an integer numerator over 2**s with a
+certified count of ulps (one per rounded term plus the remainder rounded up).
+The cutoff and the Euler-Maclaurin order are chosen per argument, for the
+fewest terms, by a float estimate; the remainder is still certified by an
+integer check on the first omitted term.
+
+The principal branch of Lambert W comes from a float seed refined by Newton
+steps in fixed-point integers, certified by a bracket from an integer exp
+rounded down and up.  The seed, ``_lambert_w_float``, is the package's one
+float64 Lambert W: a vectorised Halley iteration, also used uncertified where
+a W value only feeds a float result (B(x) and the J2 series in ``trimming``).
 
 Real results are carried as ``HighPrecisionReal``: an exact rational payload
 (usually dyadic; for zeta, the fixed-point numerator over 2**s) together with
@@ -167,22 +171,47 @@ def _zeta_em_remainder(j: int, q: int) -> Tuple[int, int, int]:
     )
 
 
+# log2(e), log2(2 pi), and log2 zeta(4), which bounds log2 zeta(2q+2) for q >= 1
+_LOG2_E = 1.0 / math.log(2.0)
+_LOG2_2PI = math.log2(2.0 * math.pi)
+_LOG2_ZETA4 = math.log2(math.pi**4 / 90.0)
+
+
 def _zeta_em_params(j: int, bits: int) -> Tuple[int, int]:
-    """Choose cutoff N and correction order q so the remainder is below 2**-bits."""
-    q = max(1, bits // 6 + 2)
+    """Choose cutoff n and correction order q so the remainder is below 2**-bits.
+
+    ``_zeta_fixed`` pays about one big-integer division for each of its n
+    power terms and q Bernoulli terms, so each argument gets the pair with
+    the fewest terms n + q: the trade between cutoff and order of Borwein,
+    Bradley and Crandall ("Computational strategies for the Riemann zeta
+    function", J. Comput. Appl. Math. 121, 2000).  Large j needs few power
+    terms and q = 1; small j many of both.  A float estimate ranks the pairs:
+    |B_2m| = 2 (2m)! zeta(2m) / (2 pi)^2m and zeta(2q+2) <= zeta(4) put the
+    first omitted term below 2 zeta(4) (j)_{2q+1} / ((2 pi)^(2q+2) n^(j+2q+1)),
+    which gives each q its smallest n; n + q falls and then rises with q, so
+    the search stops at the first rise.  The estimate never enters the
+    certificate: n is raised until the integer check a * 2**bits <= b * n**p
+    on the exact term of ``_zeta_em_remainder`` holds.
+    """
+    best = math.inf
+    # log2 of 2 zeta(4) 2**bits / ((2 pi)^2 (j-1)!), the part of the bound free of q
+    c = bits + 1 + _LOG2_ZETA4 - 2 * _LOG2_2PI - math.lgamma(j) * _LOG2_E
+    for q in range(1, bits + 1):
+        p = j + 2 * q + 1
+        e = (c + math.lgamma(p) * _LOG2_E - 2 * q * _LOG2_2PI) / p  # log2 of the n needed
+        if e > 26:
+            continue  # n past 2**26: far from the fewest terms
+        cost = (2.0**e if e > 1.0 else 2.0) + q
+        if cost >= best:
+            break  # the cost has passed its minimum
+        best, best_q, best_e = cost, q, e
+    if best == math.inf:
+        raise PrecisionError("zeta parameter search diverged")
+    n, q = max(2, math.ceil(2.0**best_e)), best_q
     a, b, p = _zeta_em_remainder(j, q)
     a <<= bits  # remainder <= 2**-bits  <=>  a * 2**bits <= b * n**p
-    n = max(2, (2 * q) // 5)
     while a > b * n**p:
-        n *= 2
-        if n > (1 << 26):
-            raise PrecisionError("zeta parameter search diverged")
-    while n > 2:
-        cand = max(2, (3 * n) // 4)
-        if cand < n and a <= b * cand**p:
-            n = cand
-        else:
-            break
+        n += 1
     return n, q
 
 
@@ -191,7 +220,6 @@ def _zeta_em_params(j: int, bits: int) -> Tuple[int, int]:
 # below the Euler-Maclaurin remainder, which is held at 2**-(bucket + 8).
 _ZETA_GUARD = 32
 _ZETA_CACHE = {}
-_ZETA_LOCK = threading.Lock()
 
 
 def _zeta_fixed(j: int, bits: int) -> Tuple[int, int, int]:
@@ -203,11 +231,12 @@ def _zeta_fixed(j: int, bits: int) -> Tuple[int, int, int]:
     scale s.
     """
     bucket = ((bits + 63) // 64) * 64
-    s = bucket + _ZETA_GUARD
     key = (j, bucket)
-    with _ZETA_LOCK:
-        hit = _ZETA_CACHE.get(key)
+    # a dict read and a dict store are atomic, and two threads that miss the
+    # same key store equal entries, so the cache takes no lock
+    hit = _ZETA_CACHE.get(key)
     if hit is None:
+        s = bucket + _ZETA_GUARD
         n, q = _zeta_em_params(j, bucket + 8)
         one = 1 << s
         # Euler-Maclaurin at cutoff n:
@@ -239,10 +268,9 @@ def _zeta_fixed(j: int, bits: int) -> Tuple[int, int, int]:
         ulps = n + q + 2 - (-(a << s) // (b * n**p))
         if ulps > 1 << _ZETA_GUARD:
             raise PrecisionError("zeta(%d) could not certify 2^-%d" % (j, bucket))
-        hit = (num, ulps)
-        with _ZETA_LOCK:
-            _ZETA_CACHE[key] = hit
-    return hit[0], hit[1], s
+        hit = (num, ulps, s)
+        _ZETA_CACHE[key] = hit
+    return hit
 
 
 def zeta_int(j: int, precision_bits: int = 128) -> HighPrecisionReal:

@@ -3,9 +3,11 @@
 import csv
 import io
 import math
+import sys
 
 import pytest
 
+import luroth.cli
 import luroth.simulation
 from luroth.cli import main
 from luroth.trimming import c_k
@@ -354,3 +356,75 @@ class TestFigures:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def assert_plain_csv(text):
+    """text is what csv writes for its own fields, with none quoted."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    again = io.StringIO()
+    csv.writer(again, lineterminator="\n").writerows(rows)
+    assert again.getvalue() == text
+    for row in rows:
+        assert len(row) == len(rows[0])
+        for field in row:
+            assert not set(field) & set(',"\r\n')
+
+
+class TestCsvFormat:
+    # every subcommand at a small size, in every mode
+    @pytest.mark.parametrize("argv", [
+        ["rho", "--kmax", "4", "--mode", "exact"],
+        ["rho", "--kmax", "4", "--mode", "series"],
+        ["rho", "--kmax", "4", "--mode", "mc", "--samples", "1000"],
+        ["rho", "--kmax", "4", "--mode", "all", "--samples", "1000"],
+        ["expand", "5/7", "--count", "6"],
+        ["reconstruct", "2,1,3"],
+        ["j2", "--nmax", "50"],
+        ["trim", "--kmax", "100", "--seeds", "2"],
+        ["maxdist", "--k", "30", "--samples", "1000"],
+        ["cf", "--statistic", "rho", "--k", "2", "--k", "4", "--samples", "10000"],
+        ["cf", "--statistic", "trimmed", "--k", "2", "--k", "4", "--samples", "10000"],
+    ], ids=" ".join)
+    def test_stdout_and_out_file(self, argv, tmp_path, capsys):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert_plain_csv(text)
+        target = tmp_path / "table.csv"
+        assert main(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == text.encode()
+
+    def test_figures_files(self, tmp_path, capsys):
+        # fig1 is the default exact rho table at kmax 40, fig2 the j2 table at 1000
+        assert main(["figures", "--out", str(tmp_path)]) == 0
+        for name, argv in (("fig1.csv", ["rho", "--kmax", "40"]),
+                           ("fig2.csv", ["j2", "--nmax", "1000"])):
+            data = (tmp_path / name).read_bytes()
+            assert_plain_csv(data.decode())
+            assert main(argv) == 0
+            assert capsys.readouterr().out.encode() == data
+
+
+class TestWriteCount:
+    def test_j2_table_goes_out_in_chunks(self, monkeypatch):
+        # each write reaches the file descriptor when stdout is unbuffered
+        # (PYTHONUNBUFFERED=1), so the table must not go out row by row
+        class CountingStdout:
+            def __init__(self):
+                self.parts = []
+
+            def write(self, text):
+                self.parts.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        stub = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stub)
+        assert main(["j2", "--nmax", "20000"]) == 0
+        assert len(stub.parts) <= 1 + math.ceil(19998 / luroth.cli._CHUNK_ROWS)
+        lines = "".join(stub.parts).split("\n")
+        assert lines[0] == "N,partial_sum"
+        assert lines[-2].startswith("20000,") and lines[-1] == ""
+        assert len(lines) == 1 + 19998 + 1

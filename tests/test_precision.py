@@ -179,6 +179,41 @@ def test_zeta_against_mpmath(j, bits):
         assert bound <= mpmath.mpf(2) ** -bits
 
 
+def test_zeta_params_pass_the_remainder_check():
+    # the float estimate only picks (n, q): the integer check on the first
+    # omitted term must hold at every argument and bucket rho_exact can ask for
+    for bucket in range(64, 449, 64):
+        bits = bucket + 8
+        for j in range(2, 301):
+            n, q = precision._zeta_em_params(j, bits)
+            a, b, p = precision._zeta_em_remainder(j, q)
+            assert n >= 2 and q >= 1
+            assert a << bits <= b * n**p
+
+
+def test_zeta_params_cut_the_sweep_terms():
+    # rho_exact(k, 128) for k = 2..120 asks zeta(j), j <= k, at the bucket of
+    # 192 + k bits: 182 keys, which take 15118 terms n + q at the fixed order
+    # q = bits//6 + 2
+    keys = {(j, -(-(192 + k) // 64) * 64) for k in range(2, 121) for j in range(2, k + 1)}
+    assert len(keys) == 182
+    total = sum(sum(precision._zeta_em_params(j, bucket + 8)) for j, bucket in keys)
+    assert 3 * total <= 2 * 15118
+
+
+# the first two open the sweep's 256- and 320-bit buckets; at (2, 448) the
+# pair takes the most power and Bernoulli terms, at (300, 448) q = 1
+@pytest.mark.parametrize("j,bits", [(64, 256), (65, 320), (2, 448), (300, 448)])
+def test_zeta_per_argument_params_against_mpmath(j, bits):
+    got = zeta_int(j, bits)
+    with mpmath.workprec(bits + 80):
+        oracle = mpmath.zeta(j)
+        diff = abs(mpmath.mpf(got.value.numerator) / got.value.denominator - oracle)
+        bound = mpmath.mpf(got.error_bound.numerator) / got.error_bound.denominator
+        assert diff <= bound
+        assert bound <= mpmath.mpf(2) ** -bits
+
+
 def test_zeta_large_argument_near_one():
     # zeta(60) - 1 is within ten percent of 2^-60 (the n=2 term dominates)
     got = zeta_int(60, 128)
