@@ -7,7 +7,6 @@ counterpart.  See the README for the command-line surface.
 """
 
 from .expansion import (
-    DigitSequence,
     digit,
     expand,
     luroth_step,
@@ -15,7 +14,6 @@ from .expansion import (
     pmf,
     preimage_length,
     reconstruct,
-    sample_digit,
     tail,
     weight,
 )
@@ -24,12 +22,10 @@ from .precision import (
     PrecisionError,
     bernoulli_number,
     bernoulli_triangle,
-    binomial,
     lambert_w0,
     zeta_int,
 )
 from .extrema import (
-    RhoEstimate,
     coeff_c,
     q_k,
     q_k_via_partial_fraction,
@@ -55,7 +51,6 @@ from .trimming import (
     w_asymptotic_gap,
 )
 from .contfrac import (
-    CfSample,
     expand_cf,
     mc_cf_rho_table,
     mc_cf_trimmed_table,

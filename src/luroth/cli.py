@@ -73,8 +73,9 @@ def _rho_rows(k_max: int, mode: str, precision_bits: int, tol: float,
                 rows.append([str(k), "monte-carlo", _fmt(r.estimate),
                              _fmt(r.standard_error)])
             else:
-                est = rho_exact(k, precision_bits) if method == "exact" else rho_series(k, tol)
-                rows.append([str(k), est.method, _fmt(est.value.value),
+                exact = method == "exact"
+                est = rho_exact(k, precision_bits) if exact else rho_series(k, tol)
+                rows.append([str(k), "exact-formula" if exact else "series", _fmt(est.value),
                              _fmt(est.error_bound)])
     return rows
 
@@ -97,10 +98,10 @@ def cmd_expand(args) -> int:
         raise _UsageError(f"cannot parse {args.value!r} as a rational: {exc}")
     _require(0 < x <= 1, "value must lie in (0, 1]")
     _require(args.count >= 1, "--count must be >= 1")
-    seq = expand(x, args.count)
-    rows = [[str(i), str(d)] for i, d in enumerate(seq.digits, start=1)]
+    digits, remainder = expand(x, args.count)
+    rows = [[str(i), str(d)] for i, d in enumerate(digits, start=1)]
     return _write_csv(args.out, ["index", "digit"],
-                      rows + [["remainder", str(seq.remainder)]])
+                      rows + [["remainder", str(remainder)]])
 
 
 def cmd_reconstruct(args) -> int:
@@ -162,7 +163,7 @@ def cmd_maxdist(args) -> int:
     rows = []
     for c, r in zip(c_list, sampled):
         threshold = math.ceil(c * args.k) - 1
-        exact = float(max_cdf_exact(args.k, threshold).value) if threshold >= 1 else 0.0
+        exact = float(max_cdf_exact(args.k, threshold)) if threshold >= 1 else 0.0
         rows.append([_fmt(c), _fmt(r.estimate), _fmt(exact),
                      _fmt(math.exp(-1.0 / c))])
     return _write_csv(args.out, ["c", "empirical", "exact_finite_k", "limit_exp"], rows)

@@ -40,7 +40,6 @@ the suite.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +49,6 @@ from .rng import RngStream
 from .simulation import _RHO_BLOCK, McResult, _step_blocks, _unique_max_table
 
 __all__ = [
-    "CfSample",
     "expand_cf",
     "mc_cf_rho_table",
     "mc_cf_trimmed_table",
@@ -61,15 +59,7 @@ LN2 = math.log(2.0)
 _MIN_SAMPLES = 10**4
 
 
-@dataclass(frozen=True)
-class CfSample:
-    """A starting point and the CF digits extracted from it."""
-
-    seed_point: float
-    digits: Tuple[int, ...]
-
-
-def expand_cf(x: float, k: int) -> CfSample:
+def expand_cf(x: float, k: int) -> Tuple[int, ...]:
     """Up to k CF digits of the exact binary value of x, by Euclid's algorithm.
 
     The digits are true digits of that dyadic rational; the tuple is shorter
@@ -86,7 +76,7 @@ def expand_cf(x: float, k: int) -> CfSample:
         a, rem = divmod(den, num)
         digits.append(a)
         num, den = rem, num
-    return CfSample(x, tuple(digits))
+    return tuple(digits)
 
 
 def _check_samples(samples: int):
@@ -157,5 +147,5 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0,
     for k, x in stats.items():
         # the std first: the median below reorders x in place
         se = float(np.std(x, ddof=1) / math.sqrt(samples))
-        results[k] = McResult(float(np.median(x, overwrite_input=True)), se, samples, seed)
+        results[k] = McResult(float(np.median(x, overwrite_input=True)), se)
     return [results[k] for k in ks]

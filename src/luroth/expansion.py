@@ -6,16 +6,14 @@ digits of that dyadic rational (iterating the map in floating point instead
 would shed roughly log2(digit) bits per step).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Tuple, Union
 
-from .precision import HighPrecisionReal, _to_fraction
+from .precision import _to_fraction
 
 Real = Union[int, float, Fraction]
 
 __all__ = [
-    "DigitSequence",
     "digit",
     "expand",
     "luroth_step",
@@ -23,29 +21,9 @@ __all__ = [
     "pmf",
     "preimage_length",
     "reconstruct",
-    "sample_digit",
     "tail",
     "weight",
 ]
-
-
-@dataclass(frozen=True)
-class DigitSequence:
-    """A finite run of Luroth digits.
-
-    ``remainder`` is the exact state of the orbit after the recorded digits,
-    as ``expand`` returns it; a sequence built from bare digits carries None.
-    """
-
-    digits: Tuple[int, ...]
-    remainder: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if not all(isinstance(d, int) and d >= 1 for d in self.digits):
-            raise ValueError("digits must be integers >= 1")
-
-    def __len__(self) -> int:
-        return len(self.digits)
 
 
 def _check_unit(x: Fraction) -> Fraction:
@@ -71,11 +49,12 @@ def luroth_step(x: Real) -> Fraction:
     return n * ((n + 1) * xq - 1)
 
 
-def expand(x: Real, count: int) -> DigitSequence:
-    """The first ``count`` Luroth digits of x, with the exact remainder.
+def expand(x: Real, count: int) -> Tuple[Tuple[int, ...], Fraction]:
+    """(digits, remainder): the first ``count`` Luroth digits of x, and the rest.
 
-    digits[i] is the digit of the i-th iterate; remainder is the orbit point
-    after ``count`` steps, so reconstruct-with-remainder reproduces x exactly.
+    digits[i] is the digit of the i-th iterate; remainder is the exact orbit
+    point after ``count`` steps, so reconstruct(digits) + remainder *
+    weight(digits) reproduces x exactly.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -85,20 +64,17 @@ def expand(x: Real, count: int) -> DigitSequence:
         n = xq.denominator // xq.numerator
         digits.append(n)
         xq = n * ((n + 1) * xq - 1)
-    return DigitSequence(tuple(digits), xq)
+    return tuple(digits), xq
 
 
-def reconstruct(d: Union[DigitSequence, Sequence[int], Iterable[int]]) -> Fraction:
+def reconstruct(d: Iterable[int]) -> Fraction:
     """Truncation value of a digit list: r(d1..dn) = 1/(d1+1) + r(d2..dn)/(d1(d1+1)).
 
     This inverts the step identity x = 1/(n+1) + L(x)/(n(n+1)); feeding the
     digits of ``expand(x, n)`` back in and adding remainder * weight(digits)
     recovers x exactly.
     """
-    if isinstance(d, DigitSequence):
-        digits = d.digits
-    else:
-        digits = tuple(d)
+    digits = tuple(d)
     if not digits:
         raise ValueError("digit list must be nonempty")
     if not all(isinstance(n, int) and n >= 1 for n in digits):
@@ -109,10 +85,8 @@ def reconstruct(d: Union[DigitSequence, Sequence[int], Iterable[int]]) -> Fracti
     return acc
 
 
-def weight(digits: Union[DigitSequence, Sequence[int]]) -> Fraction:
+def weight(digits: Iterable[int]) -> Fraction:
     """Product of 1/(d*(d+1)) over a digit list: the cylinder length."""
-    if isinstance(digits, DigitSequence):
-        digits = digits.digits
     acc = Fraction(1)
     for n in digits:
         acc /= n * (n + 1)
@@ -133,25 +107,13 @@ def tail(n: int) -> Fraction:
     return Fraction(1, n)
 
 
-def max_cdf_exact(k: int, n: int) -> HighPrecisionReal:
-    """P(max of k IID digits <= n) = (1 - 1/(n+1))^k, exact."""
+def max_cdf_exact(k: int, n: int) -> Fraction:
+    """P(max of k IID digits <= n) = (1 - 1/(n+1))^k, as an exact rational."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return HighPrecisionReal(Fraction(n, n + 1) ** k, Fraction(0), 0)
-
-
-def sample_digit(u: Real) -> int:
-    """Inverse-CDF digit sampler: floor(1/u) for u in (0, 1).
-
-    Agrees with ``digit`` on every rational u; under uniform u the output
-    follows the Luroth digit law.
-    """
-    uq = _to_fraction(u)
-    if uq <= 0 or uq >= 1:
-        raise ValueError("u must lie in (0, 1)")
-    return uq.denominator // uq.numerator
+    return Fraction(n, n + 1) ** k
 
 
 def preimage_length(n: int, a: Real, b: Real) -> Fraction:

@@ -16,7 +16,6 @@ tracked one.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,14 +23,12 @@ import numpy as np
 from .precision import (
     HighPrecisionReal,
     PrecisionError,
-    _quantize,
     _row_sums,
     _zeta_fixed,
     bernoulli_triangle,
 )
 
 __all__ = [
-    "RhoEstimate",
     "coeff_c",
     "q_k",
     "q_k_via_partial_fraction",
@@ -42,23 +39,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RhoEstimate:
-    """rho_k estimate tagged with how it was produced."""
-
-    k: int
-    value: HighPrecisionReal
-    method: str  # exact-formula | series
-
-    @property
-    def error_bound(self) -> Fraction:
-        return self.value.error_bound
-
-    def __post_init__(self):
-        if self.method not in ("exact-formula", "series"):
-            raise ValueError("unknown method %r" % self.method)
-        if not 0 < self.value.value <= 1 + self.value.error_bound:
-            raise ValueError("rho estimate outside (0, 1] by more than its bound")
+def _probability(value: Fraction, bound: Fraction) -> HighPrecisionReal:
+    """rho_k as a certified real, rejected if outside (0, 1] by more than its bound."""
+    if not 0 < value <= 1 + bound:
+        raise ValueError("rho estimate outside (0, 1] by more than its bound")
+    return HighPrecisionReal(value, bound)
 
 
 def coeff_c(j: int, k: int) -> int:
@@ -118,19 +103,21 @@ def rho_sum_over_k(m: int, k_top: int) -> Fraction:
     return acc * p
 
 
-def rho_exact(k: int, target: int = 128) -> RhoEstimate:
+def rho_exact(k: int, target: int = 128) -> HighPrecisionReal:
     """rho_k through the zeta-value formula, certified to 2**-target.
 
     Works at target + k + 64 bits internally so that the ~k bits destroyed
     by cancellation still leave the requested accuracy; the returned bound
-    is propagated from the certified zeta bounds, not assumed.
+    is propagated from the certified zeta bounds, not assumed.  The value is
+    rounded half to even onto the grid 2**-(target+16), and the bound counts
+    that rounding.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if target < 8:
         raise ValueError("target must be >= 8 bits")
     if k == 1:
-        return RhoEstimate(1, HighPrecisionReal(Fraction(1), Fraction(0), target), "exact-formula")
+        return HighPrecisionReal(Fraction(1), Fraction(0))
     zbits = target + k + 64
     # Every zeta value of this k comes from one accuracy bucket, so all share
     # one scale 2**-s and the sum is accumulated exactly on integer
@@ -144,16 +131,19 @@ def rho_exact(k: int, target: int = 128) -> RhoEstimate:
         acc += zval * t if j % 2 == 1 else -zval * t
         errsum += t * zulps
     acc += 1 << (k - 1 + s)
-    value = Fraction(k * acc, 1 << s)
-    err = Fraction(k * errsum, 1 << s)
-    value_q = _quantize(value, target + 16)
-    err += Fraction(1, 2 ** (target + 17))
-    if err > Fraction(1, 2**target):
+    # rho_k is k acc ulps of 2**-s; rounding it half to even onto the grid
+    # 2**-(target+16), of 2**sh ulps, adds at most 2**(sh-1) ulps to the bound
+    sh = s - target - 16
+    q, r = divmod(k * acc, 1 << sh)
+    if 2 * r > 1 << sh or (2 * r == 1 << sh and q & 1):
+        q += 1
+    err = k * errsum + (1 << (sh - 1))
+    if err > 1 << (s - target):
         raise PrecisionError("rho_exact could not certify 2^-%d at k=%d" % (target, k))
-    return RhoEstimate(k, HighPrecisionReal(value_q, err, target), "exact-formula")
+    return _probability(Fraction(q, 1 << (target + 16)), Fraction(err, 1 << s))
 
 
-def rho_series(k: int, tol: float = 1e-6) -> RhoEstimate:
+def rho_series(k: int, tol: float = 1e-6) -> HighPrecisionReal:
     """rho_k = k * sum_m f(m), f(x) = (1 - 1/x)^(k-1)/(x(x+1)), with f(1..M)
     summed directly and the rest taken as the midpoint of a bracket whose
     half-width is at most tol.  No zeta values enter, so the route stays
@@ -195,4 +185,4 @@ def rho_series(k: int, tol: float = 1e-6) -> RhoEstimate:
     # midpoint, sum and product, value is within (k+25)u, all terms being
     # positive, and the half-width within (k/2+28)u value: (3k/2+53)u in all.
     bound = Fraction(k * (upper - lower) / 2.0) + Fraction(value) * (k + 64) / 2**52
-    return RhoEstimate(k, HighPrecisionReal(Fraction(value), bound, 53), "series")
+    return _probability(Fraction(value), bound)

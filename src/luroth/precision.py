@@ -1,7 +1,7 @@
 """Exact and error-bounded numeric kernels.
 
-Arbitrary-size integer and rational arithmetic (binomial coefficients, partial
-binomial-row sums, Bernoulli numbers) plus two certified real-valued kernels.
+Arbitrary-size integer and rational arithmetic (partial binomial-row sums,
+Bernoulli numbers) plus two certified real-valued kernels.
 
 Riemann zeta at integer arguments comes from Euler-Maclaurin summation in
 fixed-point integers; its payload is an integer numerator over 2**s with a
@@ -16,19 +16,19 @@ rounded down and up.  The seed, ``_lambert_w_float``, is the package's one
 float64 Lambert W: a vectorised Halley iteration, also used uncertified where
 a W value only feeds a float result (B(x) and the J2 series in ``trimming``).
 
-Real results are carried as ``HighPrecisionReal``: an exact rational payload
-(usually dyadic; for zeta, the fixed-point numerator over 2**s) together with
-a conservative absolute error bound.  It is a record, not a number type:
-callers read ``value`` and ``error_bound`` and combine them in their own
-integer or rational arithmetic, stating their own bounds.
+``HighPrecisionReal`` is the package's one certified-real record: an exact
+rational payload (usually dyadic; for zeta, the fixed-point numerator over
+2**s) together with a conservative absolute error bound.  It is a record,
+not a number type: callers read ``value`` and ``error_bound`` and combine
+them in their own integer or rational arithmetic, stating their own bounds.
+Exact quantities are returned as plain ``Fraction`` values instead.
 """
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "PrecisionError",
     "bernoulli_number",
     "bernoulli_triangle",
-    "binomial",
     "lambert_w0",
     "zeta_int",
 ]
@@ -62,39 +61,20 @@ def _to_fraction(x: Real) -> Fraction:
     raise TypeError("expected int, float or Fraction, got %s" % type(x).__name__)
 
 
-def _quantize(x: Fraction, bits: int) -> Fraction:
-    # nearest point on the dyadic grid 2**-bits; off by at most 2**-(bits+1)
-    return Fraction(round(x * (1 << bits)), 1 << bits)
-
-
 @dataclass(frozen=True)
 class HighPrecisionReal:
     """A real number as an exact stored value plus an absolute error bound.
 
     ``value`` is the exact rational payload, ``error_bound`` a certified bound
-    on ``|value - true|`` (zero means the value is exact), ``precision_bits``
-    the resolution the value was requested at (0 for exact quantities).
+    on ``|value - true|`` (zero means the value is exact).
     """
 
     value: Fraction
     error_bound: Fraction
-    precision_bits: int = 0
 
     def __post_init__(self):
         if self.error_bound < 0:
             raise ValueError("error_bound must be nonnegative")
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), exact; zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires n >= 0 and k >= 0")
-    if k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def bernoulli_triangle(l: int, j: int) -> int:
@@ -119,33 +99,34 @@ def _row_sums(l: int):
         c = c * (l - i) // (i + 1)
 
 
-# Bernoulli numbers B_m (B_1 = -1/2 convention), rebuilt at least twice as
-# long under a lock whenever a larger index is asked for, so the zeta kernel
-# stays thread-safe.
-_BERNOULLI = [Fraction(1), Fraction(-1, 2)]
-_BERNOULLI_LOCK = threading.Lock()
+# Bernoulli numbers B_m (B_1 = -1/2 convention).  A larger index rebinds the
+# global to a new tuple at least twice as long.  Tuples never change, so
+# callers share them without a lock, and each caller indexes the tuple it read
+# or built, never the global again: a concurrent rebind may be shorter.
+_BERNOULLI = (Fraction(1), Fraction(-1, 2))
 
 
-def _bernoulli_upto(m: int) -> List[Fraction]:
-    """[B_0, B_1, ..., B_m] as a new list (possibly longer)."""
-    with _BERNOULLI_LOCK:
-        if len(_BERNOULLI) <= m:
-            n = max(m // 2, len(_BERNOULLI))
-            # tangent numbers T_1..T_n in integers (Brent and Harvey, "Fast
-            # computation of Bernoulli, tangent and secant numbers", 2011);
-            # then |B_2k| = 2k T_k / (4^k (4^k - 1)), of sign (-1)^(k+1)
-            t = [0, 1] + [0] * (n - 1)
-            for k in range(2, n + 1):
-                t[k] = (k - 1) * t[k - 1]
-            for k in range(2, n + 1):
-                for i in range(k, n + 1):
-                    t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
-            table = [Fraction(1), Fraction(-1, 2)]
-            for k in range(1, n + 1):
-                b = Fraction(2 * k * t[k], 4**k * (4**k - 1))
-                table += [b if k % 2 else -b, Fraction(0)]
-            _BERNOULLI[:] = table
-        return _BERNOULLI[:]
+def _bernoulli_upto(m: int) -> Tuple[Fraction, ...]:
+    """(B_0, B_1, ..., B_m, ...): a shared table that holds index m."""
+    global _BERNOULLI
+    table = _BERNOULLI
+    if len(table) <= m:
+        n = max(m // 2, len(table))
+        # tangent numbers T_1..T_n in integers (Brent and Harvey, "Fast
+        # computation of Bernoulli, tangent and secant numbers", 2011);
+        # then |B_2k| = 2k T_k / (4^k (4^k - 1)), of sign (-1)^(k+1)
+        t = [0, 1] + [0] * (n - 1)
+        for k in range(2, n + 1):
+            t[k] = (k - 1) * t[k - 1]
+        for k in range(2, n + 1):
+            for i in range(k, n + 1):
+                t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
+        grown = [Fraction(1), Fraction(-1, 2)]
+        for k in range(1, n + 1):
+            b = Fraction(2 * k * t[k], 4**k * (4**k - 1))
+            grown += [b if k % 2 else -b, Fraction(0)]
+        table = _BERNOULLI = tuple(grown)
+    return table
 
 
 def bernoulli_number(m: int) -> Fraction:
@@ -287,7 +268,7 @@ def zeta_int(j: int, precision_bits: int = 128) -> HighPrecisionReal:
     if precision_bits < 16:
         raise ValueError("precision_bits must be >= 16")
     num, ulps, s = _zeta_fixed(j, precision_bits)
-    return HighPrecisionReal(Fraction(num, 1 << s), Fraction(ulps, 1 << s), precision_bits)
+    return HighPrecisionReal(Fraction(num, 1 << s), Fraction(ulps, 1 << s))
 
 
 def _exp_bracket(w: int, s: int) -> Tuple[int, int]:
@@ -387,7 +368,7 @@ def lambert_w0(x: Real, precision_bits: int = 64) -> HighPrecisionReal:
     if xq < 0:
         raise ValueError("argument must be nonnegative")
     if xq == 0:
-        return HighPrecisionReal(Fraction(0), Fraction(0), precision_bits)
+        return HighPrecisionReal(Fraction(0), Fraction(0))
     s = precision_bits + 3
     one = 1 << s
     num = xq.numerator << 2 * s  # x * 2**2s = num / den
@@ -408,4 +389,4 @@ def lambert_w0(x: Real, precision_bits: int = 64) -> HighPrecisionReal:
     if not (w_lo * _exp_bracket(w_lo, s)[1] * den <= num
             <= (w + 1) * _exp_bracket(w + 1, s)[0] * den):
         raise PrecisionError("Lambert W refinement did not certify at x=%r" % (x,))
-    return HighPrecisionReal(Fraction(w, one), Fraction(1, one), precision_bits)
+    return HighPrecisionReal(Fraction(w, one), Fraction(1, one))

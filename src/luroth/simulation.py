@@ -39,8 +39,6 @@ _TRAJ_CHUNK = 1 << 16  # 512 KB of digits: a chunk stays in cache while it is su
 class McResult:
     estimate: float
     standard_error: float
-    samples: int
-    seed: int
 
 
 def _usable_cpus() -> List[int]:
@@ -118,9 +116,9 @@ def _blocked(samples: int, block: int) -> List[int]:
     return [min(block, samples - start) for start in range(0, samples, block)]
 
 
-def _binomial(successes: int, n: int, seed: int) -> McResult:
+def _binomial(successes: int, n: int) -> McResult:
     p = successes / n
-    return McResult(p, math.sqrt(p * (1.0 - p) / n), n, seed)
+    return McResult(p, math.sqrt(p * (1.0 - p) / n))
 
 
 def _step_blocks(samples: int, seed: int, workers: Optional[int],
@@ -161,7 +159,7 @@ def _unique_max_table(samples: int, seed: int, workers: Optional[int],
         return unique
 
     per_block = _step_blocks(samples, seed, workers, one_block)
-    return [_binomial(sum(row), samples, seed) for row in zip(*per_block)]
+    return [_binomial(sum(row), samples) for row in zip(*per_block)]
 
 
 def mc_rho(k_max: int, samples: int, seed: int = 0,
@@ -204,7 +202,7 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
         lambda b: RngStream(seed, b).luroth_row_maxima(sizes[b], k), range(len(sizes)), workers))
     # digits lie in [1, 2^63], so clamping the threshold there changes no count
     thresholds = [np.uint64(min(max(math.ceil(c * k) - 1, 0), 1 << 63)) for c in cs]
-    return [_binomial(int((maxes <= t).sum()), samples, seed) for t in thresholds]
+    return [_binomial(int((maxes <= t).sum()), samples) for t in thresholds]
 
 
 def mc_trimmed_trajectory(

@@ -61,12 +61,12 @@ def test_criterion_02_base_values():
     r2 = rho_exact(2, 128)
     with mpmath.workprec(320):
         oracle = 4 - 2 * mpmath.zeta(2)
-        got = mpmath.mpf(r2.value.value.numerator) / r2.value.value.denominator
+        got = mpmath.mpf(r2.value.numerator) / r2.value.denominator
         diff = abs(got - oracle)
         within = diff <= mpmath.mpf(2) ** -100
         diff_txt = mpmath.nstr(diff, 3)
     dt = time.perf_counter() - t0
-    exact_one = one.value.value == 1 and one.error_bound == 0
+    exact_one = one.value == 1 and one.error_bound == 0
     ok = exact_one and within and dt < 1.0
     _verdict(2, ok, f"rho(1) exact={exact_one}, |rho(2)-(4-2*zeta(2))|={diff_txt}, {dt:.2f}s")
     assert exact_one
@@ -79,8 +79,8 @@ def test_criterion_03_cross_oracle_agreement():
     tol = 1e-6 + 2.0**-64
     worst = 0.0
     for k in (1, 2, 3, 5, 10, 20, 40):
-        exact = float(rho_exact(k).value.value)
-        series = float(rho_series(k, 1e-6).value.value)
+        exact = float(rho_exact(k).value)
+        series = float(rho_series(k, 1e-6).value)
         worst = max(worst, abs(exact - series))
     dt = time.perf_counter() - t0
     ok = worst <= tol and dt < 300.0
@@ -91,8 +91,8 @@ def test_criterion_03_cross_oracle_agreement():
 
 def test_criterion_04_approach_to_one():
     t0 = time.perf_counter()
-    gap2 = 1.0 - float(rho_exact(2).value.value)
-    gap40 = 1.0 - float(rho_exact(40).value.value)
+    gap2 = 1.0 - float(rho_exact(2).value)
+    gap40 = 1.0 - float(rho_exact(40).value)
     dt = time.perf_counter() - t0
     ok = gap40 < gap2 and gap40 < 0.1 and dt < 10.0
     _verdict(4, ok, f"1-rho: k=2 {gap2:.4f} -> k=40 {gap40:.4f} (< 0.1), {dt:.2f}s")
@@ -120,7 +120,7 @@ def test_criterion_06_monte_carlo_consistency():
     table = mc_rho(40, 10**6, seed=0)
     for k in (2, 10, 40):
         r = table[k - 1]
-        target = float(rho_exact(k).value.value)
+        target = float(rho_exact(k).value)
         worst_dev = max(worst_dev, abs(r.estimate - target) / r.standard_error)
     [m] = mc_max_scaled_cdf(1000, [1.0], 10**6, seed=0)
     limit_target = (1000.0 / 1001.0) ** 1000

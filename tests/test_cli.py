@@ -286,6 +286,33 @@ class TestPinnedSampledTables:
         assert capsys.readouterr().out == want
 
 
+class TestPinnedExactTables:
+    # the bytes of the exact route when it rounded through Fraction; at 8 bits
+    # the 2^-24 rounding grid of the value and the bound show in 17 digits
+    DEFAULT = (
+        "k,method,value,error_bound\n"
+        "2,exact-formula,0.71013186630354708,2.2420775429197073e-44\n"
+        "3,exact-formula,0.80176410784474494,2.2420775429197073e-44\n"
+        "4,exact-formula,0.84546364395861562,2.2420775429197073e-44\n"
+        "5,exact-formula,0.86963259309909779,2.2420775429197073e-44\n"
+        "6,exact-formula,0.88545083611194741,2.2420775429197073e-44\n"
+    )
+    EIGHT_BITS = (
+        "k,method,value,error_bound\n"
+        "2,exact-formula,0.71013188362121582,2.9802322387695312e-08\n"
+        "3,exact-formula,0.80176413059234619,2.9802322387695312e-08\n"
+        "4,exact-formula,0.84546363353729248,2.9802322387695312e-08\n"
+        "5,exact-formula,0.86963260173797607,2.9802322387695312e-08\n"
+        "6,exact-formula,0.88545083999633789,2.9802322387695312e-08\n"
+    )
+
+    @pytest.mark.parametrize("extra, want", [([], DEFAULT),
+                                             (["--precision-bits", "8"], EIGHT_BITS)])
+    def test_rho_exact(self, extra, want, capsys):
+        assert main(["rho", "--mode", "exact", "--kmax", "6"] + extra) == 0
+        assert capsys.readouterr().out == want
+
+
 class TestCoreCount:
     # the sampled tables at 1, 2 and 3 usable cores; 70001 trials make three
     # blocks and a short fourth, trim has five seeds, and maxdist at k = 1000

@@ -135,9 +135,8 @@ def test_rho_sum_partial_matches_direct():
 
 def test_rho_exact_k1():
     got = rho_exact(1, 128)
-    assert got.value.value == 1
+    assert got.value == 1
     assert got.error_bound == 0
-    assert got.method == "exact-formula"
 
 
 def test_rho_exact_k2_closed_form():
@@ -145,7 +144,7 @@ def test_rho_exact_k2_closed_form():
     got = rho_exact(2, 128)
     with mpmath.workprec(400):
         oracle = 4 - mpmath.pi**2 / 3
-        diff = abs(mpmath.mpf(got.value.value.numerator) / got.value.value.denominator - oracle)
+        diff = abs(mpmath.mpf(got.value.numerator) / got.value.denominator - oracle)
         assert diff <= mpmath.mpf(2) ** -100
 
 
@@ -154,14 +153,13 @@ def test_rho_exact_k2_independent_series():
     m_top = 4000
     partial = sum(Fraction(1, (m * (m + 1)) ** 2) for m in range(1, m_top + 1))
     tail_bound = Fraction(1, 3 * m_top**3)
-    got = rho_exact(2, 128).value.value
+    got = rho_exact(2, 128).value
     assert abs(got - (1 - partial)) <= tail_bound + Fraction(1, 2**100)
 
 
 def test_rho_exact_certifies_bound():
     got = rho_exact(10, 96)
     assert got.error_bound <= Fraction(1, 2**96)
-    assert got.value.precision_bits == 96
 
 
 def _rho_closed_form_mpmath(k, bits):
@@ -184,7 +182,7 @@ def test_rho_exact_against_mpmath_closed_form(k, target):
     bits = target + k + 100
     oracle = _rho_closed_form_mpmath(k, bits)
     with mpmath.workprec(bits):
-        value = mpmath.mpf(got.value.value.numerator) / got.value.value.denominator
+        value = mpmath.mpf(got.value.numerator) / got.value.denominator
         bound = mpmath.mpf(got.error_bound.numerator) / got.error_bound.denominator
         assert abs(value - oracle) <= bound
     assert got.error_bound <= Fraction(1, 2**target)
@@ -218,8 +216,8 @@ def test_rho_exact_rejects_bad_k():
 
 
 def test_rho_exact_increasing_precision_consistent():
-    a = rho_exact(7, 64).value
-    b = rho_exact(7, 192).value
+    a = rho_exact(7, 64)
+    b = rho_exact(7, 192)
     assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
 
@@ -229,7 +227,6 @@ def test_rho_exact_increasing_precision_consistent():
 def test_rho_series_k1():
     got = rho_series(1, 1e-6)
     assert abs(float(got.value) - 1.0) <= 1e-6
-    assert got.method == "series"
 
 
 def test_rho_series_k2():
@@ -251,16 +248,16 @@ def test_rho_series_within_bound_on_grid():
     for tol in (1e-4, 4e-5, 1e-6, 1e-9, 1e-12):
         for k in range(1, 201):
             got = rho_series(k, tol)
-            exact = rho_exact(k, 128).value
-            err = abs(got.value.value - exact.value) + exact.error_bound
+            exact = rho_exact(k, 128)
+            err = abs(got.value - exact.value) + exact.error_bound
             assert err <= got.error_bound, (k, tol)
-            assert got.error_bound <= tol + got.value.value * Fraction(1, 2**44), (k, tol)
+            assert got.error_bound <= tol + got.value * Fraction(1, 2**44), (k, tol)
 
 
 def test_rho_series_accepts_smallest_tol():
     got = rho_series(40, 2.0**-52)
-    exact = rho_exact(40, 128).value.value
-    assert abs(got.value.value - exact) <= got.error_bound <= 2.0**-44
+    exact = rho_exact(40, 128).value
+    assert abs(got.value - exact) <= got.error_bound <= 2.0**-44
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20])

@@ -10,6 +10,7 @@ implementation under test.
 import math
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -24,7 +25,6 @@ from luroth.precision import (
     _lambert_w_float,
     bernoulli_number,
     bernoulli_triangle,
-    binomial,
     lambert_w0,
     zeta_int,
 )
@@ -62,32 +62,6 @@ def lambert_bisect(x, iters=200):
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-# ---------------------------------------------------------------- binomial
-
-
-def test_binomial_against_pascal_recurrence():
-    for n in range(41):
-        for k in range(n + 1):
-            assert binomial(n, k) == PASCAL[n][k]
-
-
-def test_binomial_oversized_k_is_zero():
-    assert binomial(3, 5) == 0
-    assert binomial(0, 1) == 0
-
-
-def test_binomial_rejects_negatives():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(4, -2)
-
-
-def test_binomial_large_value_exact():
-    # the Pascal oracle row 39
-    assert binomial(39, 20) == PASCAL[39][20]
 
 
 # ------------------------------------------------------- bernoulli triangle
@@ -141,8 +115,45 @@ def test_bernoulli_sum_identity():
     # check it holds including the computed top term, past B_136, the
     # largest index zeta_int uses at 384 bits
     for m in range(2, 160):
-        total = sum(binomial(m + 1, j) * bernoulli_number(j) for j in range(m + 1))
+        total = sum(math.comb(m + 1, j) * bernoulli_number(j) for j in range(m + 1))
         assert total == 0
+
+
+def test_bernoulli_table_is_shared_until_it_grows():
+    table = precision._bernoulli_upto(10)
+    assert precision._bernoulli_upto(10) is table
+    assert precision._bernoulli_upto(len(table) - 1) is table
+
+
+def test_bernoulli_table_grows_safely_across_threads(monkeypatch):
+    # each caller grows from whatever table it read, so a concurrent rebind to
+    # a shorter table must not leave any caller short of its own index
+    fresh = (Fraction(1), Fraction(-1, 2))
+    monkeypatch.setattr(precision, "_BERNOULLI", fresh)
+    serial = precision._bernoulli_upto(250)  # longer than any table grown below
+    monkeypatch.setattr(precision, "_BERNOULLI", fresh)
+    ms = [3, 120, 7, 64, 40, 2, 96, 18, 120, 33]
+    got = [None] * len(ms)
+    barrier = threading.Barrier(len(ms))
+
+    def grow(i):
+        barrier.wait(timeout=30)
+        got[i] = precision._bernoulli_upto(ms[i])
+
+    threads = [threading.Thread(target=grow, args=(i,)) for i in range(len(ms))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for m, table in zip(ms, got):
+        assert len(table) > m
+        assert table == serial[:len(table)]
 
 
 # -------------------------------------------------------------------- zeta
@@ -283,14 +294,14 @@ def test_lambert_at_one_against_bisection():
     oracle = lambert_bisect(1.0)
     assert abs(oracle - 0.5671432904097838) < 1e-12  # sanity on the oracle itself
     w = lambert_w0(1, 64)
-    assert abs(float(w) - oracle) < 1e-12
+    assert abs(float(w.value) - oracle) < 1e-12
 
 
 def test_lambert_at_zero_and_e():
-    assert float(lambert_w0(0, 64)) == 0.0
+    assert lambert_w0(0, 64).value == 0
     w = lambert_w0(math.e, 64)
     # argument is float e, not e itself; still within a comfortable window of 1
-    assert abs(float(w) - 1.0) < 1e-12
+    assert abs(float(w.value) - 1.0) < 1e-12
 
 
 def test_lambert_residual_certificate():
@@ -333,7 +344,7 @@ def test_lambert_bound_and_residual_at_high_precision(bits):
 
 def test_lambert_monotone_on_grid():
     xs = [0.001 * 1.9**i for i in range(40)]
-    ws = [float(lambert_w0(x, 64)) for x in xs]
+    ws = [float(lambert_w0(x, 64).value) for x in xs]
     assert all(a < b for a, b in zip(ws, ws[1:]))
 
 
@@ -347,7 +358,7 @@ def test_lambert_float_within_two_ulps_of_certified():
     # J2 series passes in, against the certified kernel at 96 bits
     def check(xs, got):
         for x, w in zip(xs, got):
-            ref = float(lambert_w0(float(x), 96))
+            ref = float(lambert_w0(float(x), 96).value)
             assert abs(w - ref) <= 2 * math.ulp(ref), x
 
     xs = [float(x) for x in np.logspace(-3, 9, 50)] + [1.0, math.e, 1e300, 1.7e308,
@@ -361,7 +372,7 @@ def test_lambert_random_rationals_vs_bisection():
     rng = random.Random(7)
     for _ in range(25):
         x = Fraction(rng.randrange(1, 10**6), rng.randrange(1, 10**6))
-        got = float(lambert_w0(x, 64))
+        got = float(lambert_w0(x, 64).value)
         assert abs(got - lambert_bisect(float(x))) < 1e-10
 
 
@@ -370,4 +381,4 @@ def test_lambert_random_rationals_vs_bisection():
 
 def test_hpr_rejects_negative_bound():
     with pytest.raises(ValueError):
-        HighPrecisionReal(Fraction(1), Fraction(-1), 0)
+        HighPrecisionReal(Fraction(1), Fraction(-1))

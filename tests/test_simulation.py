@@ -230,7 +230,7 @@ def test_mc_rho_k1_exact():
 
 def test_mc_rho_matches_exact_formula():
     table = mc_rho(40, 10**6, seed=0)
-    assert [r.samples for r in table] == [10**6] * 40
+    assert len(table) == 40
     for k in (2, 5, 10, 20, 40):
         r = table[k - 1]
         exact = float(rho_exact(k).value)
@@ -280,13 +280,13 @@ def test_mc_rho_rows_do_not_depend_on_k_max():
 
 def test_mc_max_scaled_cdf_at_c1():
     [r] = mc_max_scaled_cdf(1000, [1.0], 10**5, seed=0)
-    finite_k = float(max_cdf_exact(1000, 999).value)
+    finite_k = float(max_cdf_exact(1000, 999))
     assert abs(r.estimate - finite_k) <= 4 * r.standard_error
 
 
 def test_mc_max_scaled_cdf_at_c2():
     [r] = mc_max_scaled_cdf(1000, [2.0], 10**5, seed=0)
-    finite_k = float(max_cdf_exact(1000, 1999).value)
+    finite_k = float(max_cdf_exact(1000, 1999))
     assert abs(r.estimate - finite_k) <= 4 * r.standard_error
     assert abs(finite_k - math.exp(-0.5)) < 5e-4  # the limit the law approaches
 
