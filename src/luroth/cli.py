@@ -5,8 +5,9 @@ Conventions shared by all subcommands:
 * every CSV starts with a header row and uses "\n" line endings; no field
   holds a comma, a quote or a line break, so none is quoted;
 * a table is written only once all its rows are computed;
-* floating values are printed with 17 significant digits (round-trippable),
-  exact rationals as "p/q" strings;
+* each table has one row format, applied with one ``%`` operation per row:
+  floating values as ``%.17g`` (17 significant digits, round-trippable),
+  integers as ``%d``, labels and exact rationals ("p/q") as ``%s``;
 * the same invocation with the same seed produces byte-identical output;
 * exit status 0 means every computation certified its error bound (or, for
   Monte Carlo, completed within its sampling contract), 1 means a
@@ -14,12 +15,14 @@ Conventions shared by all subcommands:
 """
 
 import argparse
+import gc
+import itertools
 import math
 import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .contfrac import mc_cf_rho_table, mc_cf_trimmed_table
 from .expansion import expand, max_cdf_exact, reconstruct
@@ -35,22 +38,29 @@ class _UsageError(Exception):
     """Invalid flag value caught before any computation starts."""
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
-
-
 # rows per write: a few writes per table even when stdout is unbuffered,
 # without ever holding the whole table as one string
 _CHUNK_ROWS = 4096
 
+# (header, row format) of the two tables `figures` writes as well
+_RHO_TABLE = ("k,method,value,error_bound", "%d,%s,%.17g,%.17g")
+_J2_TABLE = ("N,partial_sum", "%d,%.17g")
 
-def _write_csv(path: Optional[str], header: List[str],
-               rows: Sequence[Sequence[str]]) -> int:
-    """Write one table, to path or to stdout; callers compute rows first."""
+
+def _write_csv(path: Optional[str], header: str, fmt: str,
+               rows: Iterable[tuple]) -> int:
+    """Write one table, to path or to stdout; callers compute its values first.
+
+    Each row is a tuple of plain values, formatted as ``fmt % row``.  rows
+    may be an iterator over values already computed, such as ``enumerate``
+    of a list, so that a long table is never held as tuples all at once.
+    """
+    line = (fmt + "\n").__mod__
+    rows = iter(rows)
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(0, len(rows), _CHUNK_ROWS):
-            fh.write("".join([",".join(row) + "\n" for row in rows[i:i + _CHUNK_ROWS]]))
+        fh.write(header + "\n")
+        while chunk := "".join(map(line, itertools.islice(rows, _CHUNK_ROWS))):
+            fh.write(chunk)
     return 0
 
 
@@ -60,7 +70,7 @@ def _require(cond: bool, message: str):
 
 
 def _rho_rows(k_max: int, mode: str, precision_bits: int, tol: float,
-              samples: int, seed: int) -> List[List[str]]:
+              samples: int, seed: int) -> List[tuple]:
     methods = ["exact", "series", "mc"] if mode == "all" else [mode]
     sampled = mc_rho(k_max, samples, seed=seed) if "mc" in methods else []
     rows = []
@@ -70,13 +80,12 @@ def _rho_rows(k_max: int, mode: str, precision_bits: int, tol: float,
                 r = sampled[k - 1]
                 # for sampled rows the bound column carries the standard
                 # error, a statistical scale rather than a certified bound
-                rows.append([str(k), "monte-carlo", _fmt(r.estimate),
-                             _fmt(r.standard_error)])
+                rows.append((k, "monte-carlo", r.estimate, r.standard_error))
             else:
                 exact = method == "exact"
                 est = rho_exact(k, precision_bits) if exact else rho_series(k, tol)
-                rows.append([str(k), "exact-formula" if exact else "series", _fmt(est.value),
-                             _fmt(est.error_bound)])
+                rows.append((k, "exact-formula" if exact else "series", est.value,
+                             est.error_bound))
     return rows
 
 
@@ -88,7 +97,7 @@ def cmd_rho(args) -> int:
     _require(args.samples >= 100, "--samples must be >= 100")
     rows = _rho_rows(args.kmax, args.mode, args.precision_bits, args.tol,
                      args.samples, args.seed)
-    return _write_csv(args.out, ["k", "method", "value", "error_bound"], rows)
+    return _write_csv(args.out, *_RHO_TABLE, rows)
 
 
 def cmd_expand(args) -> int:
@@ -99,9 +108,8 @@ def cmd_expand(args) -> int:
     _require(0 < x <= 1, "value must lie in (0, 1]")
     _require(args.count >= 1, "--count must be >= 1")
     digits, remainder = expand(x, args.count)
-    rows = [[str(i), str(d)] for i, d in enumerate(digits, start=1)]
-    return _write_csv(args.out, ["index", "digit"],
-                      rows + [["remainder", str(remainder)]])
+    rows = list(enumerate(digits, start=1)) + [("remainder", remainder)]
+    return _write_csv(args.out, "index,digit", "%s,%s", rows)
 
 
 def cmd_reconstruct(args) -> int:
@@ -112,21 +120,20 @@ def cmd_reconstruct(args) -> int:
     _require(len(digits) >= 1, "at least one digit is required")
     _require(all(d >= 1 for d in digits), "digits must be >= 1")
     value = reconstruct(digits)
-    return _write_csv(args.out, ["field", "value"],
-                      [["exact", str(value)], ["approx", _fmt(value)]])
+    return _write_csv(args.out, "field,value", "%s,%s",
+                      [("exact", value), ("approx", "%.17g" % value)])
 
 
-def _j2_rows(n_max: int) -> List[Tuple[str, str]]:
+def _j2_rows(n_max: int) -> Iterator[Tuple[int, float]]:
     # row N carries the partial sum of all series terms with index below N,
     # so the table starts at N = 3 (one term) and has n_max - 2 rows; the
-    # arrays go once their floats are out, and tuples keep the table small
-    sums = j2_partial_sums(n_max - 1)[0].tolist()
-    return [(str(n), _fmt(v)) for n, v in enumerate(sums, start=3)]
+    # arrays go once their floats are out
+    return enumerate(j2_partial_sums(n_max - 1)[0].tolist(), start=3)
 
 
 def cmd_j2(args) -> int:
     _require(args.nmax >= 3, "--nmax must be >= 3")
-    return _write_csv(args.out, ["N", "partial_sum"], _j2_rows(args.nmax))
+    return _write_csv(args.out, *_J2_TABLE, _j2_rows(args.nmax))
 
 
 def _decade_checkpoints(k_max: int) -> List[int]:
@@ -148,9 +155,8 @@ def cmd_trim(args) -> int:
     # one path per seed, one worker per usable core, rows in seed order
     paths = _ordered_map(lambda seed: mc_trimmed_trajectory(args.kmax, checkpoints, seed=seed),
                          seeds)
-    rows = [[str(seed), str(k), _fmt(stat), _fmt(targets[k])]
-            for seed, path in zip(seeds, paths) for k, stat in path]
-    return _write_csv(args.out, ["seed", "k", "statistic", "c_k"], rows)
+    rows = [(seed, k, stat, targets[k]) for seed, path in zip(seeds, paths) for k, stat in path]
+    return _write_csv(args.out, "seed,k,statistic,c_k", "%d,%d,%.17g,%.17g", rows)
 
 
 def cmd_maxdist(args) -> int:
@@ -164,9 +170,9 @@ def cmd_maxdist(args) -> int:
     for c, r in zip(c_list, sampled):
         threshold = math.ceil(c * args.k) - 1
         exact = float(max_cdf_exact(args.k, threshold)) if threshold >= 1 else 0.0
-        rows.append([_fmt(c), _fmt(r.estimate), _fmt(exact),
-                     _fmt(math.exp(-1.0 / c))])
-    return _write_csv(args.out, ["c", "empirical", "exact_finite_k", "limit_exp"], rows)
+        rows.append((c, r.estimate, exact, math.exp(-1.0 / c)))
+    return _write_csv(args.out, "c,empirical,exact_finite_k,limit_exp",
+                      "%.17g,%.17g,%.17g,%.17g", rows)
 
 
 def cmd_cf(args) -> int:
@@ -177,9 +183,8 @@ def cmd_cf(args) -> int:
              "--k values must be >= 2 for the trimmed statistic")
     if args.statistic == "rho":
         table = mc_cf_rho_table(max(k_list), args.samples, seed=args.seed)
-        rows = [[str(k), _fmt(table[k - 1].estimate), _fmt(table[k - 1].standard_error)]
-                for k in k_list]
-        return _write_csv(args.out, ["k", "rho_hat", "se"], rows)
+        rows = [(k, table[k - 1].estimate, table[k - 1].standard_error) for k in k_list]
+        return _write_csv(args.out, "k,rho_hat,se", "%d,%.17g,%.17g", rows)
     # both candidate constants stay in the table.  The limit is 1/ln 2: Diamond
     # and Vaaler (Pacific J. Math. 122, 1986) prove (S_n - max a_i)/(n log n)
     # -> 1/ln 2 almost surely, but the approach is too slow to show at the
@@ -188,18 +193,17 @@ def cmd_cf(args) -> int:
     for k, r in zip(k_list, mc_cf_trimmed_table(k_list, args.samples, seed=args.seed)):
         d1 = abs(r.estimate - math.log(2.0))
         d2 = abs(r.estimate - 1.0 / math.log(2.0))
-        rows.append([str(k), _fmt(r.estimate), _fmt(r.standard_error),
-                     _fmt(d1), _fmt(d2)])
-    return _write_csv(args.out, ["k", "median", "se", "dist_log2", "dist_inv_log2"], rows)
+        rows.append((k, r.estimate, r.standard_error, d1, d2))
+    return _write_csv(args.out, "k,median,se,dist_log2,dist_inv_log2",
+                      "%d,%.17g,%.17g,%.17g,%.17g", rows)
 
 
 def cmd_figures(args) -> int:
     out_dir = args.out if args.out else "."
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "fig1.csv"), ["k", "method", "value", "error_bound"],
+    _write_csv(os.path.join(out_dir, "fig1.csv"), *_RHO_TABLE,
                _rho_rows(40, "exact", 128, 1e-6, 10**6, 0))
-    return _write_csv(os.path.join(out_dir, "fig2.csv"), ["N", "partial_sum"],
-                      _j2_rows(1000))
+    return _write_csv(os.path.join(out_dir, "fig2.csv"), *_J2_TABLE, _j2_rows(1000))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -280,21 +284,28 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # the objects the imports made live as long as the process; frozen for
+    # the run, no collection it triggers scans them again (one such scan
+    # took about 2 ms, more than a whole `rho --mode series` table)
+    gc.freeze()
     try:
-        # seeds seed..seed+seeds-1 each key a Philox stream
-        first = getattr(args, "seed", 0)
-        _require(0 <= first and first + getattr(args, "seeds", 1) <= 1 << 64,
-                 "every seed used must lie in [0, 2^64)")
-        return _DISPATCH[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (PrecisionError, ValueError, RuntimeError, OSError) as exc:
-        # OSError: an --out path that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        try:
+            # seeds seed..seed+seeds-1 each key a Philox stream
+            first = getattr(args, "seed", 0)
+            _require(0 <= first and first + getattr(args, "seeds", 1) <= 1 << 64,
+                     "every seed used must lie in [0, 2^64)")
+            return _DISPATCH[args.command](args)
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except (PrecisionError, ValueError, RuntimeError, OSError) as exc:
+            # OSError: an --out path that cannot be written
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

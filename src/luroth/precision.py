@@ -26,9 +26,8 @@ Exact quantities are returned as plain ``Fraction`` values instead.
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -61,20 +60,22 @@ def _to_fraction(x: Real) -> Fraction:
     raise TypeError("expected int, float or Fraction, got %s" % type(x).__name__)
 
 
-@dataclass(frozen=True)
-class HighPrecisionReal:
+class HighPrecisionReal(NamedTuple("HighPrecisionReal",
+                                    [("value", Fraction), ("error_bound", Fraction)])):
     """A real number as an exact stored value plus an absolute error bound.
 
     ``value`` is the exact rational payload, ``error_bound`` a certified bound
-    on ``|value - true|`` (zero means the value is exact).
+    on ``|value - true|`` (zero means the value is exact).  As a named tuple
+    it unpacks as ``value, bound = r``; ``+`` and ``*`` act on it as on a
+    tuple, never as on a number.
     """
 
-    value: Fraction
-    error_bound: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.error_bound < 0:
+    def __new__(cls, value: Fraction, error_bound: Fraction):
+        if error_bound < 0:
             raise ValueError("error_bound must be nonnegative")
+        return super().__new__(cls, value, error_bound)
 
 
 def bernoulli_triangle(l: int, j: int) -> int:

@@ -14,10 +14,8 @@ interpreter lock in Philox and in its array loops, so the blocks overlap.
 
 import math
 import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+import threading
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +33,7 @@ _MATRIX_DRAW_BUDGET = 1 << 22  # per-block draw count for matrix-shaped trials
 _TRAJ_CHUNK = 1 << 16  # 512 KB of digits: a chunk stays in cache while it is summed
 
 
-@dataclass(frozen=True)
-class McResult:
+class McResult(NamedTuple):
     estimate: float
     standard_error: float
 
@@ -51,38 +48,55 @@ def _usable_cores() -> int:
     return len(_usable_cpus()) or os.cpu_count() or 1
 
 
-def _bind_to_next(cpus: "queue.SimpleQueue[Optional[int]]"):
-    """Pool initializer: bind the new worker thread to the next CPU in cpus."""
-    cpu = cpus.get()
-    if cpu is None:  # no affinity calls on this OS
-        return
-    try:
-        os.sched_setaffinity(0, {cpu})
-    except OSError:  # the CPU left the mask meanwhile: run unbound
-        pass
-
-
 def _ordered_map(fn: Callable[[object], object], items: Sequence[object],
                  workers: Optional[int] = None) -> List[object]:
-    """[fn(x) for x in items], on a thread pool when more than one worker runs.
+    """[fn(x) for x in items], on worker threads when more than one runs.
 
     workers=None means one per usable core; never more than one per item.
     Results come back in item order, so the output does not depend on the
     worker count as long as fn(x) depends on x alone.  Each worker thread is
     bound to its own usable CPU, in turn: left to the scheduler, two workers
     were seen sharing one vCPU of a 2-vCPU VM for minutes while the other
-    stayed idle.
+    stayed idle.  If some fn(x) raises, the exception of the first such item
+    is raised here once every worker has stopped, as the serial loop would.
     """
     workers = min(_usable_cores() if workers is None else workers, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
     mask = _usable_cpus()
-    cpus = queue.SimpleQueue()  # one per worker, taken as its thread starts
-    for i in range(workers):
-        cpus.put(mask[i % len(mask)] if mask else None)
-    with ThreadPoolExecutor(max_workers=workers, initializer=_bind_to_next,
-                            initargs=(cpus,)) as pool:
-        return list(pool.map(fn, items))
+    results = [None] * len(items)
+    failures = {}  # item index -> exception
+    lock = threading.Lock()
+    pending = iter(range(len(items)))
+
+    def work(cpu: Optional[int]):
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, {cpu})  # this thread only
+            except OSError:  # the CPU left the mask meanwhile: run unbound
+                pass
+        while True:
+            # items go out in order, so once one has failed every item
+            # before it is already taken and no later one is needed
+            with lock:
+                i = None if failures else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+
+    threads = [threading.Thread(target=work, args=(mask[w % len(mask)] if mask else None,))
+               for w in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _exact_sum_u64(a: np.ndarray) -> int:

@@ -1,6 +1,7 @@
 """CLI contract tests: CSV shapes, exit codes, determinism, formatting."""
 
 import csv
+import gc
 import io
 import math
 import sys
@@ -313,6 +314,52 @@ class TestPinnedExactTables:
         assert capsys.readouterr().out == want
 
 
+class TestPinnedRowFormats:
+    # the bytes these tables had when every cell was formatted on its own;
+    # each table now has one row format, and the bytes must not move
+    @pytest.mark.parametrize("argv, want", [
+        (["j2", "--nmax", "12"],
+         "N,partial_sum\n"
+         "3,0.59839796016019697\n"
+         "4,0.89419079188154316\n"
+         "5,1.0758402761786305\n"
+         "6,1.2011151186712388\n"
+         "7,1.293969741904222\n"
+         "8,1.366255430467104\n"
+         "9,1.4245624600731051\n"
+         "10,1.4728742331247349\n"
+         "11,1.513753978575014\n"
+         "12,1.5489334855037484\n"),
+        (["expand", "5/7", "--count", "6"],
+         "index,digit\n"
+         "1,1\n"
+         "2,2\n"
+         "3,1\n"
+         "4,7\n"
+         "5,1\n"
+         "6,1\n"
+         "remainder,1\n"),
+        (["reconstruct", "2,1,3"],
+         "field,value\n"
+         "exact,7/16\n"
+         "approx,0.4375\n"),
+        (["rho", "--mode", "series", "--kmax", "4"],
+         "k,method,value,error_bound\n"
+         "2,series,0.71013157011713879,9.1693529397812641e-07\n"
+         "3,series,0.80176382352837428,8.762675138255491e-07\n"
+         "4,series,0.84546335823867724,8.7840527035634907e-07\n"),
+        (["trim", "--kmax", "100", "--seeds", "2"],
+         "seed,k,statistic,c_k\n"
+         "0,10,1.1725951011387796,1.2579999846183172\n"
+         "0,100,0.94459049813957263,1.2429757029375137\n"
+         "1,10,1.8240368239936573,1.2579999846183172\n"
+         "1,100,0.90550399476828003,1.2429757029375137\n"),
+    ], ids=["j2", "expand", "reconstruct", "rho-series", "trim"])
+    def test_stdout(self, argv, want, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+
 class TestCoreCount:
     # the sampled tables at 1, 2 and 3 usable cores; 70001 trials make three
     # blocks and a short fourth, trim has five seeds, and maxdist at k = 1000
@@ -455,3 +502,17 @@ class TestWriteCount:
         assert lines[0] == "N,partial_sum"
         assert lines[-2].startswith("20000,") and lines[-1] == ""
         assert len(lines) == 1 + 19998 + 1
+
+
+class TestGcState:
+    @pytest.mark.parametrize("argv", [["j2", "--nmax", "10"], ["j2", "--nmax", "2"],
+                                      ["frobnicate"]], ids=["ok", "usage-error", "parser-exit"])
+    def test_main_leaves_no_object_frozen(self, argv, capsys):
+        # main freezes the objects the imports made only for its own run
+        assert gc.get_freeze_count() == 0
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert gc.get_freeze_count() == 0

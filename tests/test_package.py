@@ -1,6 +1,9 @@
-"""The package namespace and the README's library example."""
+"""The package namespace, what importing the CLI loads, and the README's library example."""
 
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import luroth
@@ -22,3 +25,19 @@ def test_readme_library_block_runs():
     library = README.read_text().split("## Library", 1)[1]
     block = library.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_cli_import_adds_no_pool_or_dataclass_modules():
+    # each CLI run is a fresh interpreter, so every module on the import path
+    # is start-up cost; these two come from nothing the CLI itself needs
+    code = (
+        "import sys, numpy.random, fractions, argparse\n"
+        "before = set(sys.modules)\n"
+        "import luroth.cli\n"
+        "print(sorted({'concurrent.futures', 'dataclasses'} & (set(sys.modules) - before)))\n"
+    )
+    src = str(pathlib.Path(luroth.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import threading
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -217,6 +218,38 @@ def test_ordered_map_under_fast_thread_switches():
     finally:
         sys.setswitchinterval(old)
     assert many == [mc_trimmed_trajectory(3000, [3000], seed=s) for s in range(12)]
+
+
+def test_ordered_map_reraises_first_failing_item():
+    # item 6 fails first in time and item 5 after it; the caller must get
+    # item 5's exception, as from the serial loop, with no worker left behind
+    six_failed = threading.Event()
+
+    def fn(x):
+        if x == 5:
+            assert six_failed.wait(30)
+            raise ValueError("item 5")
+        if x == 6:
+            six_failed.set()
+            raise KeyError("item 6")
+        return x
+
+    threads_before = threading.active_count()
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(_ordered_map(fn, range(20), workers=3))
+        except Exception as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(60)
+    assert not caller.is_alive(), "_ordered_map hung after a failing item"
+    assert len(outcome) == 1
+    assert type(outcome[0]) is ValueError and str(outcome[0]) == "item 5"
+    assert threading.active_count() == threads_before
 
 
 # ------------------------------------------------------------------ mc_rho
