@@ -15,7 +15,13 @@ __all__ = ["RngStream"]
 _TWO63 = np.uint64(1 << 63)
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # the bit pattern of 1.0
 _U64_MAX = (1 << 64) - 1
-_ROW_CHUNK = 1 << 18  # words per chunk of luroth_row_maxima: 2 MB
+_ROW_CHUNK = 1 << 16  # prefix words per chunk of luroth_row_maxima: 512 KB
+# Where luroth_row_maxima's low words start on the 256-bit Philox counter.  A
+# stream's own words start at counter 0, the low range at 2^192 and the tie
+# range of row r at 2^193 + r 2^64.  Each 4 words step a counter by one, so a
+# range runs into the next only after 2^66 draws: the ranges never overlap.
+_LOW_RANGE = 1 << 192  # each row's first low word, one word per row in row order
+_TIE_RANGE = 2 << 192  # row r's further low words: from _TIE_RANGE + (r << 64) on
 
 
 def _to_digits(words: np.ndarray) -> np.ndarray:
@@ -35,8 +41,14 @@ class RngStream:
             raise ValueError("stream_index must fit in 64 bits")
         self.seed = seed
         self.stream_index = stream_index
-        key = np.array([seed, stream_index], dtype=np.uint64)
-        self._bg = Philox(key=key)
+        self._key = np.array([seed, stream_index], dtype=np.uint64)
+        self._bg = Philox(key=self._key)
+        self._lows = None  # the low-word range, opened by the first row maxima
+        self._rows = 0  # rows luroth_row_maxima has drawn from this stream
+
+    def _counter_range(self, counter: int) -> Philox:
+        """This stream's key, from counter ``counter`` on: its own words start at 0."""
+        return Philox(key=self._key, counter=counter)
 
     def raw64(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words of this stream."""
@@ -71,17 +83,57 @@ class RngStream:
         return _to_digits(self._bg.random_raw(n))
 
     def luroth_row_maxima(self, n: int, k: int) -> np.ndarray:
-        """luroth_digits(n * k).reshape(n, k).max(axis=1), without the digits.
+        """n row maxima, in law luroth_digits(n * k).reshape(n, k).max(axis=1).
 
-        Neither the shift nor the increment decreases a word, and 2^63 // x
-        does not increase as x grows, so the largest digit of a row is the
-        digit of its smallest raw word.  The rows are drawn in order, in
-        chunks of about _ROW_CHUNK words, and each chunk is reduced to its
-        row minima at once; only the n minima are mapped to digits.
+        The largest digit of a row is the digit of its smallest raw word, as
+        neither the shift nor the increment of _to_digits decreases a word and
+        2^63 // x does not increase as x grows.  Write a word as
+        w = (h << 48) | l: its top 16 bits h and its low 48 bits l are
+        independent and uniform.  So the smallest of k words is h* << 48 | l*,
+        where h* is the least h of the row and, given all k prefixes, l* is
+        the least of c independent uniform l, one for each of the c entries
+        that attain h*.  Drawing just those c low parts gives exactly the law
+        of the k-word row, its 2^-63 digit bias included:
+
+        * the k prefixes of row r are the first k 16-bit lanes (lane j of a
+          word is its bits 16j to 16j + 15, on a little-endian host) of the
+          next ceil(k/4) words of this stream; the padding lanes are unused;
+        * its first low part is word r of the _LOW_RANGE counter range,
+          shifted right by 16;
+        * a row with c >= 2 takes its other c - 1 low parts from the counter
+          range _TIE_RANGE + (r << 64), its own.
+
+        The three ranges are disjoint (see _LOW_RANGE), so no word is used
+        twice.  Row r counts the rows of all calls on this stream, so two calls
+        draw what one call of their total draws.  A row costs
+        ceil(k/4) + 1 + (c - 1) words instead of k; k = 1 costs two words where
+        luroth_digits costs one.  Rows are drawn in chunks of about
+        _ROW_CHUNK prefix words, which change no draw.  The tie counts are
+        summed in uint8, a cheaper pass, so they are c mod 256; they are exact
+        unless their sum falls short of the number of ties, and only then are
+        the rows counted in full.
         """
-        rows = max(1, _ROW_CHUNK // k)
-        low = np.empty(n, dtype=np.uint64)
+        q = -(-k // 4)
+        rows = max(1, _ROW_CHUNK // q)
+        if self._lows is None:
+            self._lows = self._counter_range(_LOW_RANGE)
+        words = np.empty(n, dtype=np.uint64)
         for start in range(0, n, rows):
             m = min(rows, n - start)
-            self._bg.random_raw(m * k).reshape(m, k).min(axis=1, out=low[start:start + m])
-        return _to_digits(low)
+            prefixes = self._bg.random_raw(m * q).view(np.uint16).reshape(m, 4 * q)[:, :k]
+            h = prefixes.min(axis=1)
+            tied = prefixes == h[:, None]
+            ties = np.add.reduce(tied.view(np.uint8), axis=1, dtype=np.uint8)  # c mod 256
+            if int(ties.sum()) != np.count_nonzero(tied):  # some c wrapped
+                ties = np.count_nonzero(tied, axis=1)
+            low = self._lows.random_raw(m)
+            low >>= np.uint64(16)
+            for r in np.flatnonzero(ties > 1).tolist():
+                row = self._rows + start + r
+                more = self._counter_range(_TIE_RANGE + (row << 64)).random_raw(int(ties[r]) - 1)
+                low[r] = min(int(low[r]), int(more.min()) >> 16)
+            chunk = words[start:start + m]
+            np.left_shift(h, np.uint64(48), out=chunk)
+            chunk |= low
+        self._rows += n
+        return _to_digits(words)

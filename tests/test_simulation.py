@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.stats
+from numpy.random import Philox
 
 from luroth.expansion import digit, max_cdf_exact, pmf
 from luroth.extrema import rho_exact
@@ -137,41 +138,180 @@ def test_digits_of_extreme_raw_words():
     assert stream._bg.used == len(_EDGE_WORDS)  # one word per digit, no redraw
 
 
+# luroth_row_maxima reads its low words from these counter offsets of the
+# stream's key: word r of the low range for row r, and row r's further low
+# words from a tie range of its own
+_LOW_RANGE = 1 << 192
+_TIE_RANGE = 2 << 192
+
+
+def _fed_row_stream(prefix_words, lows, ties=()):
+    """A stream whose row maxima draw the given words from stubs.
+
+    prefix_words are the stream's own words, lows the low range and
+    ties[r] the tie range of row r; opening any other range fails.
+    """
+    stream = _fed_stream(prefix_words)
+    feeds = {_LOW_RANGE: _RawFeed(lows)}
+    feeds.update({_TIE_RANGE + (r << 64): _RawFeed(w) for r, w in dict(ties).items()})
+    stream._counter_range = feeds.__getitem__
+    return stream, feeds
+
+
+def _pack(lanes):
+    """Raw words whose 16-bit lanes, lowest bits first, are the given lanes."""
+    lanes = list(lanes) + [0] * (-len(lanes) % 4)  # padding lanes hold 0
+    return [sum(lanes[i + j] << (16 * j) for j in range(4)) for i in range(0, len(lanes), 4)]
+
+
+def _row_maxima_reference(seed, index, n, k):
+    """luroth_row_maxima(n, k) of stream (seed, index), in plain Python on Philox words.
+
+    Also returns the tie counts c of the rows.
+    """
+    key = np.array([seed, index], dtype=np.uint64)
+    q = -(-k // 4)
+    words = Philox(key=key).random_raw(n * q).tolist()
+    lows = Philox(key=key, counter=_LOW_RANGE).random_raw(n).tolist()
+    maxima, counts = [], []
+    for r in range(n):
+        lanes = [(w >> (16 * j)) & 0xFFFF for w in words[r * q:(r + 1) * q] for j in range(4)][:k]
+        h = min(lanes)
+        c = lanes.count(h)
+        low = [lows[r]]
+        if c > 1:
+            low += Philox(key=key, counter=_TIE_RANGE + (r << 64)).random_raw(c - 1).tolist()
+        maxima.append(_digit_of_word((h << 48) | (min(low) >> 16)))
+        counts.append(c)
+    return maxima, counts
+
+
 def test_row_maxima_of_extreme_raw_words():
-    # rows of three; the row minima 0, 1, 14 (j = 7), 2 and 2^64 - 1 give
-    # 2^63 // (j + 1) for j = 0, 0, 7, 1 and 2^63 - 1
-    words = [5, 0, 9, 1, 7, 3, 40, 14, 77, 6, 3, 2] + [(1 << 64) - 1] * 3
-    stream = _fed_stream(words)
-    maxima = stream.luroth_row_maxima(5, 3)
-    matrix = _fed_stream(words).luroth_digits(15).reshape(5, 3)
-    assert maxima.dtype == matrix.dtype == np.uint64
-    assert maxima.tolist() == matrix.max(axis=1).tolist()
-    assert maxima.tolist() == [1 << 63, 1 << 63, 1 << 60, 1 << 62, 1]
-    assert stream._bg.used == len(words)
+    # k = 3: one prefix word per row, its top lane padding.  Row 0 has the
+    # least word 0 (digit 2^63), row 1 ties all three prefixes at 2^16 - 1
+    # with all-ones low words (word 2^64 - 1, digit 1) and a padding lane 0
+    # below them, row 2 joins prefix 7 to low part 1
+    top = (1 << 64) - 1
+    stream, feeds = _fed_row_stream(
+        _pack([5, 0, 9, 0] + [0xFFFF] * 3 + [0] + [7, 8, 8, 0]),
+        [0, top, 1 << 16], {1: [top, top]})
+    maxima = stream.luroth_row_maxima(3, 3)
+    assert maxima.dtype == np.uint64
+    assert maxima.tolist() == [1 << 63, 1, _digit_of_word((7 << 48) | 1)]
+    assert [f.used for f in feeds.values()] == [3, 2]
+    assert stream._bg.used == 3
 
 
-def test_row_maxima_match_digit_matrix(monkeypatch):
-    # about 2^20 draws per k, in chunks from one row to several rows, with a
-    # short last chunk
-    for k, n in ((1, 2**20 + 3), (7, 150001), (1000, 1049), (2**18 + 1, 4)):
-        slow = RngStream(6, k).luroth_digits(n * k).reshape(n, k).max(axis=1)
-        for chunk in (999, 2**16 + 5, 2**18, 2**21):
+def test_row_maxima_tie_counts_and_words_per_row():
+    # k = 5: two prefix words per row, three padding lanes of 0 that must not
+    # count.  Rows 0-3 have c = 1, 2, 3 and 2 (a tie at prefix 0); each tie
+    # range holds a low word below the row's first one, the least one last
+    k = 5
+    rows = [[9, 4, 7, 8, 6], [3, 8, 3, 9, 5], [2, 2, 7, 2, 9], [0, 5, 0, 1, 1]]
+    lows = [5 << 16, 9 << 16, 8 << 16, 7 << 16]
+    ties = {1: [4 << 16], 2: [6 << 16, 3 << 16], 3: [(2 << 16) + 0xFFFF]}
+    prefix_words = [w for lanes in rows for w in _pack(lanes)]
+    want = [_digit_of_word((h << 48) | l) for h, l in ((4, 5), (3, 4), (2, 3), (0, 2))]
+    stream, feeds = _fed_row_stream(prefix_words, lows, ties)
+    assert stream.luroth_row_maxima(4, k).tolist() == want
+    # ceil(k/4) + 1 + (c - 1) words per row
+    assert stream._bg.used == 4 * 2
+    assert [f.used for f in feeds.values()] == [4, 1, 2, 1]
+    # two calls draw what one call does: row 2 of the whole is row 0 of the
+    # second call, and still opens the tie range of row 2
+    stream, feeds = _fed_row_stream(prefix_words, lows, ties)
+    assert [stream.luroth_row_maxima(2, k).tolist(), stream.luroth_row_maxima(2, k).tolist()] == [
+        want[:2], want[2:]]
+    assert [f.used for f in feeds.values()] == [4, 1, 2, 1]
+
+
+def test_row_maxima_count_ties_past_255():
+    # k = 300: row 0 ties 257 prefixes at 0, a count that wraps to 1 in uint8,
+    # and must still draw its 256 further low words, the least one last
+    k = 300
+    ties = [(45 + i) << 16 for i in range(255, -1, -1)]
+    stream, feeds = _fed_row_stream(
+        _pack([0] * 257 + [1] * 43) + _pack([4] + [6] * 299), [400 << 16, 3 << 16], {0: ties})
+    assert stream.luroth_row_maxima(2, k).tolist() == [
+        _digit_of_word(45), _digit_of_word((4 << 48) | 3)]
+    assert [f.used for f in feeds.values()] == [2, 256]
+
+
+def test_row_maxima_match_python_reference():
+    # k = 1000 and 2^18 + 1 have tied rows; at 2^18 + 1 a chunk holds less
+    # than one row
+    for k, n in ((1, 3000), (3, 3000), (4, 3000), (5, 3000), (1000, 400), (2**18 + 1, 3)):
+        want, counts = _row_maxima_reference(6, k, n, k)
+        got = RngStream(6, k).luroth_row_maxima(n, k)
+        assert got.dtype == np.uint64
+        assert got.tolist() == want
+        if k >= 1000:
+            assert max(counts) > 1
+
+
+def test_row_maxima_law_matches_digit_matrix():
+    # a chi-square test of homogeneity against the maxima of digit matrices,
+    # 20000 rows each, in 12 bins of near-equal exact probability; the gate
+    # is significance 1e-4 at this fixed seed
+    n = 20000
+    for k in (1, 5, 1000):
+        fast = RngStream(7, k).luroth_row_maxima(n, k)
+        digits = RngStream(8, k)
+        slow = np.concatenate([digits.luroth_digits(1000 * k).reshape(1000, k).max(axis=1)
+                               for _ in range(n // 1000)])
+        # P(max <= m) = (m / (m + 1))^k: edges at its 1/12, 2/12, ... quantiles
+        edges = sorted({math.ceil(1 / (1 - (i / 12) ** (1 / k))) for i in range(1, 12)})
+        table = [np.bincount(np.searchsorted(edges, x.astype(np.float64), side="right"),
+                             minlength=len(edges) + 1) for x in (fast, slow)]
+        _, p, _, _ = scipy.stats.chi2_contingency(table)
+        assert p > 1e-4, (k, p)
+
+
+def test_row_maxima_do_not_depend_on_chunk_size(monkeypatch):
+    # chunks from less than one row (ceil(1000/4) = 250 words) to several
+    # rows, odd so that the last chunk is short, and one draw split in two
+    for k, n in ((5, 3001), (1000, 1049)):
+        want = RngStream(6, k).luroth_row_maxima(n, k)
+        for chunk in (1, 249, 251, 999, 2**16 + 5):
             monkeypatch.setattr(luroth.rng, "_ROW_CHUNK", chunk)
-            fast = RngStream(6, k).luroth_row_maxima(n, k)
-            assert fast.shape == (n,)
-            assert np.array_equal(fast, slow)
+            assert np.array_equal(RngStream(6, k).luroth_row_maxima(n, k), want)
+            stream = RngStream(6, k)
+            split = np.concatenate([stream.luroth_row_maxima(n // 3, k),
+                                    stream.luroth_row_maxima(n - n // 3, k)])
+            assert np.array_equal(split, want)
 
 
-def test_max_scaled_cdf_counts_block_digit_matrices():
+def test_max_scaled_cdf_counts_block_row_maxima():
     # one full block and a short last one of 3 trials, each drawn from its
-    # own stream as a digit matrix, row-major
+    # own stream
     k = 1000
     full = _MATRIX_DRAW_BUDGET // k
-    maxima = np.concatenate([RngStream(6, b).luroth_digits(n * k).reshape(n, k).max(axis=1)
+    maxima = np.concatenate([RngStream(6, b).luroth_row_maxima(n, k)
                              for b, n in enumerate((full, 3))])
     got = mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], full + 3, seed=6)
     assert [r.estimate for r in got] == [
         int((maxima < math.ceil(c * k)).sum()) / (full + 3) for c in (0.5, 1.0, 2.0)]
+
+
+def test_max_scaled_cdf_block_maxima_do_not_depend_on_workers(monkeypatch):
+    # the maxima each block draws, recorded by stream index; two blocks of
+    # 4194 trials and a short third
+    real = RngStream.luroth_row_maxima
+    seen = {}
+
+    def spy(stream, n, k):
+        out = real(stream, n, k)
+        seen[stream.stream_index] = out.tolist()
+        return out
+
+    monkeypatch.setattr(RngStream, "luroth_row_maxima", spy)
+    runs = []
+    for workers in (1, 2, 3):
+        seen.clear()
+        got = mc_max_scaled_cdf(1000, [0.5, 1.0, 2.0], 9001, seed=2, workers=workers)
+        runs.append((got, dict(seen)))
+    assert sorted(runs[0][1]) == [0, 1, 2]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_digits_are_positive():
