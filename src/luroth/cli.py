@@ -292,7 +292,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         try:
-            # seeds seed..seed+seeds-1 each key a Philox stream
+            # seeds seed..seed+seeds-1 each key a family of PCG64DXSM streams
             first = getattr(args, "seed", 0)
             _require(0 <= first and first + getattr(args, "seeds", 1) <= 1 << 64,
                      "every seed used must lie in [0, 2^64)")

@@ -46,7 +46,7 @@ import numpy as np
 
 from .precision import _to_fraction
 from .rng import RngStream
-from .simulation import _RHO_BLOCK, McResult, _step_blocks, _unique_max_table
+from .simulation import _RHO_BLOCK, McResult, _ordered_map, _step_blocks, _unique_max_table
 
 __all__ = [
     "expand_cf",
@@ -143,9 +143,9 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0,
                 out /= k * math.log(k)
 
     _step_blocks(samples, seed, workers, one_block)
-    results = {}
-    for k, x in stats.items():
-        # the std first: the median below reorders x in place
-        se = float(np.std(x, ddof=1) / math.sqrt(samples))
-        results[k] = McResult(float(np.median(x, overwrite_input=True)), se)
-    return [results[k] for k in ks]
+    # every std first, one at a time (each holds a temporary the size of x):
+    # the medians then reorder each x in place, one k per worker
+    ses = {k: float(np.std(x, ddof=1) / math.sqrt(samples)) for k, x in stats.items()}
+    medians = dict(zip(stats, _ordered_map(
+        lambda x: float(np.median(x, overwrite_input=True)), list(stats.values()), workers)))
+    return [McResult(medians[k], ses[k]) for k in ks]

@@ -1,14 +1,16 @@
-"""Counter-based random streams for reproducible parallel Monte Carlo.
+"""Seekable random streams for reproducible parallel Monte Carlo.
 
-Each (seed, stream_index) pair keys an independent Philox counter stream, so
-the i-th draw of stream j is a pure function of (seed, j, i) with no
-sequential coupling between streams.  Work is partitioned across streams and
-reduced in stream order, which makes every estimate bit-identical regardless
-of how many workers ran it.
+Each (seed, stream_index) pair keys its own PCG64DXSM generator through
+``SeedSequence(seed, spawn_key=(stream_index,))`` (O'Neill 2014), so the
+i-th word of stream j is a pure function of (seed, j, i) with no sequential
+coupling between streams.  A generator can jump to any word of its 2^128
+period (``advance``), which gives a stream ranges of words apart from its
+own.  Work is partitioned across streams and reduced in stream order, which
+makes every estimate bit-identical regardless of how many workers ran it.
 """
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import PCG64DXSM, SeedSequence
 
 __all__ = ["RngStream"]
 
@@ -16,12 +18,10 @@ _TWO63 = np.uint64(1 << 63)
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # the bit pattern of 1.0
 _U64_MAX = (1 << 64) - 1
 _ROW_CHUNK = 1 << 16  # prefix words per chunk of luroth_row_maxima: 512 KB
-# Where luroth_row_maxima's low words start on the 256-bit Philox counter.  A
-# stream's own words start at counter 0, the low range at 2^192 and the tie
-# range of row r at 2^193 + r 2^64.  Each 4 words step a counter by one, so a
-# range runs into the next only after 2^66 draws: the ranges never overlap.
-_LOW_RANGE = 1 << 192  # each row's first low word, one word per row in row order
-_TIE_RANGE = 2 << 192  # row r's further low words: from _TIE_RANGE + (r << 64) on
+# Where luroth_row_maxima's low words start, in words from the start of the
+# stream on its 2^128-word period; its docstring shows the ranges disjoint.
+_LOW_RANGE = 1 << 126  # each row's first low word, one word per row in row order
+_TIE_RANGE = 1 << 127  # row r's further low words: from _TIE_RANGE + (r << 64) on
 
 
 def _to_digits(words: np.ndarray) -> np.ndarray:
@@ -41,14 +41,16 @@ class RngStream:
             raise ValueError("stream_index must fit in 64 bits")
         self.seed = seed
         self.stream_index = stream_index
-        self._key = np.array([seed, stream_index], dtype=np.uint64)
-        self._bg = Philox(key=self._key)
+        self._seq = SeedSequence(seed, spawn_key=(stream_index,))
+        self._bg = PCG64DXSM(self._seq)
         self._lows = None  # the low-word range, opened by the first row maxima
         self._rows = 0  # rows luroth_row_maxima has drawn from this stream
 
-    def _counter_range(self, counter: int) -> Philox:
-        """This stream's key, from counter ``counter`` on: its own words start at 0."""
-        return Philox(key=self._key, counter=counter)
+    def _counter_range(self, offset: int) -> PCG64DXSM:
+        """This stream's generator, from word ``offset`` on: its own words start at 0."""
+        bg = PCG64DXSM(self._seq)
+        bg.advance(offset)
+        return bg
 
     def raw64(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words of this stream."""
@@ -98,14 +100,19 @@ class RngStream:
         * the k prefixes of row r are the first k 16-bit lanes (lane j of a
           word is its bits 16j to 16j + 15, on a little-endian host) of the
           next ceil(k/4) words of this stream; the padding lanes are unused;
-        * its first low part is word r of the _LOW_RANGE counter range,
-          shifted right by 16;
-        * a row with c >= 2 takes its other c - 1 low parts from the counter
-          range _TIE_RANGE + (r << 64), its own.
+        * its first low part is word r of the range from word _LOW_RANGE of
+          this stream, shifted right by 16;
+        * a row with c >= 2 takes its other c - 1 low parts from the range
+          from word _TIE_RANGE + (r << 64), its own.
 
-        The three ranges are disjoint (see _LOW_RANGE), so no word is used
-        twice.  Row r counts the rows of all calls on this stream, so two calls
-        draw what one call of their total draws.  A row costs
+        Offsets count words of this stream's 2^128-word period.  Its own words
+        lie below 2^126 while fewer than 2^126 are drawn, the low range in
+        [2^126, 2^127) and the tie range of row r in
+        [2^127 + r 2^64, 2^127 + (r + 1) 2^64), as no row has 2^64 ties; the
+        last of these ends at 2^128 for r = 2^63 - 1.  So the ranges are
+        disjoint, and no word is used twice, while r < 2^63.  Row r counts
+        the rows of all calls on this stream, so two calls draw what one
+        call of their total draws.  A row costs
         ceil(k/4) + 1 + (c - 1) words instead of k; k = 1 costs two words where
         luroth_digits costs one.  Rows are drawn in chunks of about
         _ROW_CHUNK prefix words, which change no draw.  The tie counts are

@@ -1,17 +1,18 @@
 """Reproducible Monte Carlo for Luroth digit statistics.
 
 Trials are partitioned into fixed-size blocks; block b always draws from
-stream index b of the seed's Philox family and partial results are reduced
-in block order.  The draws depend only on (seed, samples) for rho (and for
-the continued-fraction sweeps in ``contfrac``, which share its block loop
-and uniqueness counter) and on (seed, samples, k) for the scaled maximum,
+stream b of the seed, a SeedSequence-keyed PCG64DXSM stream with seekable
+ranges (``RngStream``), and partial results are reduced in block order.
+The draws depend only on (seed, samples) for rho (and for the
+continued-fraction sweeps in ``contfrac``, which share its block loop and
+uniqueness counter) and on (seed, samples, k) for the scaled maximum,
 whose trials draw their row maxima from 16-bit word prefixes
 (``RngStream.luroth_row_maxima``), never on k_max, on the c-grid, on the
 worker count or on the chunks a block is drawn in.  So one pass yields
 every row of a sweep, and each row is bit-identical whether run serially,
 on a thread pool, or alone.
 Every sweep runs one worker per usable core by default; numpy releases the
-interpreter lock in Philox and in its array loops, so the blocks overlap.
+interpreter lock in its generators and array loops, so the blocks overlap.
 """
 
 import math
@@ -32,7 +33,7 @@ __all__ = [
 
 _RHO_BLOCK = 1 << 15
 # a block of k-digit row maxima holds _MATRIX_DRAW_BUDGET // k trials, which
-# draw about a quarter as many Philox words (luroth_row_maxima)
+# draw about a quarter as many raw words (luroth_row_maxima)
 _MATRIX_DRAW_BUDGET = 1 << 22
 _TRAJ_CHUNK = 1 << 16  # 512 KB of digits: a chunk stays in cache while it is summed
 
@@ -203,7 +204,7 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
     The event max/k < c is max <= ceil(c*k) - 1 on integers, so each estimate
     targets the exact finite-k value (1 - 1/ceil(c*k))^k.  One pass draws
     each trial's maximum once for the whole c-grid, with the law of the
-    largest of k digits but from about k/4 + 1 Philox words: the row's k
+    largest of k digits but from about k/4 + 1 raw words: the row's k
     16-bit prefixes, and low parts only for the entries that attain the
     least prefix (``RngStream.luroth_row_maxima``).  Trials come in blocks of
     _MATRIX_DRAW_BUDGET // k; block b draws its trials from stream b, in

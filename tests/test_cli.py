@@ -235,23 +235,22 @@ class TestInvalidFlags:
 
 
 class TestPinnedSampledTables:
-    # the bytes these tables had when each row drew its own pass; the one-pass
-    # tables must keep them, so a change of block layout or draw order shows.
-    # MAXDIST holds the bytes of the row maxima drawn from 16-bit word
-    # prefixes, which draw other words than the k-digit rows before them
+    # the bytes of the sampled tables on PCG64DXSM streams, so a change of
+    # generator, block layout or draw order shows.  MAXDIST holds the bytes of
+    # the row maxima drawn from 16-bit word prefixes
     RHO = (
         "k,method,value,error_bound\n"
-        "2,monte-carlo,0.70699999999999996,0.010177204920802176\n"
-        "3,monte-carlo,0.79649999999999999,0.0090024371700112415\n"
-        "4,monte-carlo,0.84799999999999998,0.0080279511707533457\n"
-        "5,monte-carlo,0.87849999999999995,0.0073054003997043183\n"
-        "6,monte-carlo,0.90000000000000002,0.0067082039324993679\n"
+        "2,monte-carlo,0.70550000000000002,0.010192392996740265\n"
+        "3,monte-carlo,0.8095,0.0087809381617228125\n"
+        "4,monte-carlo,0.84250000000000003,0.0081453591081056698\n"
+        "5,monte-carlo,0.86699999999999999,0.0075931218876032804\n"
+        "6,monte-carlo,0.88749999999999996,0.0070655413805312912\n"
     )
     MAXDIST = (
         "c,empirical,exact_finite_k,limit_exp\n"
-        "0.5,0.13600000000000001,0.12988579352203863,0.1353352832366127\n"
-        "1,0.371,0.36416968008711709,0.36787944117144233\n"
-        "2,0.61899999999999999,0.60500606713753668,0.60653065971263342\n"
+        "0.5,0.13,0.12988579352203863,0.1353352832366127\n"
+        "1,0.36849999999999999,0.36416968008711709,0.36787944117144233\n"
+        "2,0.60350000000000004,0.60500606713753668,0.60653065971263342\n"
     )
 
     def test_rho_mc(self, capsys):
@@ -259,20 +258,20 @@ class TestPinnedSampledTables:
                      "--seed", "3"]) == 0
         assert capsys.readouterr().out == self.RHO
 
-    # the CF tables as the per-block dicts and concatenation left them
+    # the CF tables on PCG64DXSM streams
     CF_RHO = (
         "k,rho_hat,se\n"
-        "2,0.8003885658776303,0.0015107445049237971\n"
-        "8,0.93332952386394485,0.0009428273196273022\n"
-        "16,0.96251482121683973,0.00071792881394997139\n"
+        "2,0.80200282853102101,0.0015061399247356508\n"
+        "8,0.93395808631305266,0.0009386882807394031\n"
+        "16,0.96245767917601177,0.0007184544800601701\n"
     )
     CF_TRIMMED = (
         "k,median,se,dist_log2,dist_inv_log2\n"
-        "2,0.72134752044448169,0.0093325488786084789,0.028200339884536407,"
+        "2,0.72134752044448169,0.01683048364220394,0.028200339884536407,"
         "0.72134752044448169\n"
-        "8,1.0820212806667227,0.006755040468458001,0.38887410010677737,"
+        "8,1.0820212806667227,0.0059593413987819891,0.38887410010677737,"
         "0.36067376022224074\n"
-        "16,1.1496476107083928,0.0047576030235770821,0.45650043014844754,"
+        "16,1.1496476107083928,0.0045079777047393856,0.45650043014844754,"
         "0.29304743018057056\n"
     )
 
@@ -318,7 +317,8 @@ class TestPinnedExactTables:
 
 class TestPinnedRowFormats:
     # the bytes these tables had when every cell was formatted on its own;
-    # each table now has one row format, and the bytes must not move
+    # each table now has one row format, and the bytes must not move (the trim
+    # bytes are those of the PCG64DXSM streams)
     @pytest.mark.parametrize("argv, want", [
         (["j2", "--nmax", "12"],
          "N,partial_sum\n"
@@ -352,10 +352,10 @@ class TestPinnedRowFormats:
          "4,series,0.84546335823867724,8.7840527035634907e-07\n"),
         (["trim", "--kmax", "100", "--seeds", "2"],
          "seed,k,statistic,c_k\n"
-         "0,10,1.1725951011387796,1.2579999846183172\n"
-         "0,100,0.94459049813957263,1.2429757029375137\n"
-         "1,10,1.8240368239936573,1.2579999846183172\n"
-         "1,100,0.90550399476828003,1.2429757029375137\n"),
+         "0,10,0.6948711710452028,1.2579999846183172\n"
+         "0,100,0.85121718453037354,1.2429757029375137\n"
+         "1,10,0.39086503371292658,1.2579999846183172\n"
+         "1,100,0.70138558827375164,1.2429757029375137\n"),
     ], ids=["j2", "expand", "reconstruct", "rho-series", "trim"])
     def test_stdout(self, argv, want, capsys):
         assert main(argv) == 0

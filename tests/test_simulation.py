@@ -10,13 +10,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.stats
-from numpy.random import Philox
+from numpy.random import PCG64DXSM, SeedSequence
 
 from luroth.expansion import digit, max_cdf_exact, pmf
 from luroth.extrema import rho_exact
 import luroth.rng
 import luroth.simulation
-from luroth.rng import RngStream
+from luroth.rng import _LOW_RANGE, _TIE_RANGE, RngStream
 from luroth.simulation import (
     _MATRIX_DRAW_BUDGET,
     _exact_sum_u64,
@@ -44,11 +44,31 @@ def test_streams_differ_by_index_and_seed():
     assert not np.array_equal(base, RngStream(12, 0).raw64(64))
 
 
+def test_distinct_keys_give_distinct_first_words():
+    # SeedSequence mixes seed and stream index apart, so swapping them, as in
+    # (0, 1) and (1, 0), gives another stream
+    keys = [(s, b) for s in (0, 1, 2, 7, (1 << 64) - 1) for b in (0, 1, 2, 7, (1 << 64) - 1)]
+    firsts = {int(RngStream(s, b).raw64(1)[0]) for s, b in keys}
+    assert len(firsts) == len(keys)
+
+
 def test_stream_draws_are_position_pure():
-    # drawing in two chunks equals drawing at once: no hidden state beyond the counter
+    # drawing in two chunks equals drawing at once: no hidden state beyond the position
     s1 = RngStream(5, 7)
     chunks = np.concatenate([s1.raw64(10), s1.raw64(22)])
     assert np.array_equal(chunks, RngStream(5, 7).raw64(32))
+
+
+@pytest.mark.parametrize("seed, index", [(5, 7), (0, 0), ((1 << 64) - 1, 3)])
+def test_range_offsets_count_words(seed, index):
+    # _counter_range(c) starts at word c of the stream's own words, the unit
+    # luroth_row_maxima's disjoint ranges are laid out in
+    m = 16
+    stream = RngStream(seed, index)
+    own = RngStream(seed, index).raw64(40 + m)
+    for c in (0, 1, 2, 3, 17, 40):
+        assert np.array_equal(stream._counter_range(c).random_raw(m), own[c:c + m])
+    assert np.array_equal(stream.raw64(m), own[:m])  # opening a range moves no own word
 
 
 def test_stream_validates_key_range():
@@ -102,7 +122,7 @@ def test_digits_match_inverse_cdf_mapping():
 
 
 class _RawFeed:
-    """Stands in for the Philox generator: serves fixed raw words in order."""
+    """Stands in for the stream generator: serves fixed raw words in order."""
 
     def __init__(self, words):
         self.words = np.array(words, dtype=np.uint64)
@@ -138,13 +158,6 @@ def test_digits_of_extreme_raw_words():
     assert stream._bg.used == len(_EDGE_WORDS)  # one word per digit, no redraw
 
 
-# luroth_row_maxima reads its low words from these counter offsets of the
-# stream's key: word r of the low range for row r, and row r's further low
-# words from a tie range of its own
-_LOW_RANGE = 1 << 192
-_TIE_RANGE = 2 << 192
-
-
 def _fed_row_stream(prefix_words, lows, ties=()):
     """A stream whose row maxima draw the given words from stubs.
 
@@ -165,14 +178,22 @@ def _pack(lanes):
 
 
 def _row_maxima_reference(seed, index, n, k):
-    """luroth_row_maxima(n, k) of stream (seed, index), in plain Python on Philox words.
+    """luroth_row_maxima(n, k) of stream (seed, index), in plain Python on raw words.
 
-    Also returns the tie counts c of the rows.
+    Also returns the tie counts c of the rows.  luroth_row_maxima reads row
+    r's first low word from word r of the low range and its further low
+    words from a tie range of its own.
     """
-    key = np.array([seed, index], dtype=np.uint64)
+    seq = SeedSequence(seed, spawn_key=(index,))
+
+    def words_from(offset, m):
+        bg = PCG64DXSM(seq)
+        bg.advance(offset)
+        return bg.random_raw(m).tolist()
+
     q = -(-k // 4)
-    words = Philox(key=key).random_raw(n * q).tolist()
-    lows = Philox(key=key, counter=_LOW_RANGE).random_raw(n).tolist()
+    words = words_from(0, n * q)
+    lows = words_from(_LOW_RANGE, n)
     maxima, counts = [], []
     for r in range(n):
         lanes = [(w >> (16 * j)) & 0xFFFF for w in words[r * q:(r + 1) * q] for j in range(4)][:k]
@@ -180,7 +201,7 @@ def _row_maxima_reference(seed, index, n, k):
         c = lanes.count(h)
         low = [lows[r]]
         if c > 1:
-            low += Philox(key=key, counter=_TIE_RANGE + (r << 64)).random_raw(c - 1).tolist()
+            low += words_from(_TIE_RANGE + (r << 64), c - 1)
         maxima.append(_digit_of_word((h << 48) | (min(low) >> 16)))
         counts.append(c)
     return maxima, counts
@@ -546,7 +567,7 @@ def test_trajectory_with_extreme_words_does_not_depend_on_chunk_size(monkeypatch
     runs = []
     for chunk in (2**10, 2**16, 2**19):
         feed = _RawFeed(words)
-        monkeypatch.setattr(luroth.rng, "Philox", lambda key: feed)
+        monkeypatch.setattr(luroth.rng, "PCG64DXSM", lambda seq: feed)
         monkeypatch.setattr(luroth.simulation, "_TRAJ_CHUNK", chunk)
         runs.append(mc_trimmed_trajectory(n, cps, seed=9))
         assert feed.used == n
@@ -617,7 +638,7 @@ def test_trajectory_against_python_reference(monkeypatch):
     # seven digits, whose sum exceeds 2^64, while the chunks before are small
     words = [10, 7, 1000, 5, 6, 77, 0, 19, 1, 2**40, 2**64 - 5, 12]
     feed = _RawFeed(words)
-    monkeypatch.setattr(luroth.rng, "Philox", lambda key: feed)
+    monkeypatch.setattr(luroth.rng, "PCG64DXSM", lambda seq: feed)
     got = mc_trimmed_trajectory(12, [2, 5, 12], seed=0)
     digits = [_digit_of_word(w) for w in words]
     want = [(k, float(sum(digits[:k]) - max(digits[:k])) / (k * math.log(k)))
