@@ -9,10 +9,8 @@ counterpart.  See the README for the command-line surface.
 from .expansion import (
     digit,
     expand,
-    luroth_step,
     max_cdf_exact,
     pmf,
-    preimage_length,
     reconstruct,
     tail,
     weight,
@@ -30,7 +28,6 @@ from .extrema import (
     q_k,
     q_k_via_partial_fraction,
     rho_exact,
-    rho_km,
     rho_series,
     rho_sum_over_k,
 )
@@ -44,11 +41,9 @@ from .simulation import (
 from .trimming import (
     EULER_GAMMA,
     a_of,
-    b_of,
     c_k,
     harmonic,
     j2_partial_sums,
-    w_asymptotic_gap,
 )
 from .contfrac import (
     expand_cf,

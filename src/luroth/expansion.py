@@ -16,10 +16,8 @@ Real = Union[int, float, Fraction]
 __all__ = [
     "digit",
     "expand",
-    "luroth_step",
     "max_cdf_exact",
     "pmf",
-    "preimage_length",
     "reconstruct",
     "tail",
     "weight",
@@ -40,13 +38,6 @@ def digit(x: Real) -> int:
     """
     xq = _check_unit(_to_fraction(x))
     return xq.denominator // xq.numerator
-
-
-def luroth_step(x: Real) -> Fraction:
-    """One step of the Luroth map: n*((n+1)*x - 1) with n the digit of x."""
-    xq = _check_unit(_to_fraction(x))
-    n = xq.denominator // xq.numerator
-    return n * ((n + 1) * xq - 1)
 
 
 def expand(x: Real, count: int) -> Tuple[Tuple[int, ...], Fraction]:
@@ -114,19 +105,3 @@ def max_cdf_exact(k: int, n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     return Fraction(n, n + 1) ** k
-
-
-def preimage_length(n: int, a: Real, b: Real) -> Fraction:
-    """Length of the branch-n preimage of the interval (a, b] under the map.
-
-    Branch n is linear with slope n(n+1), so the preimage within that branch
-    has length (b-a)/(n(n+1)).  Summing over n <= N approaches b-a with tail
-    exactly 1/(N+1) of the interval length, which is the measure-preservation
-    probe used in the tests.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    aq, bq = _to_fraction(a), _to_fraction(b)
-    if not (0 <= aq < bq <= 1):
-        raise ValueError("need 0 <= a < b <= 1")
-    return (bq - aq) / (n * (n + 1))

@@ -33,7 +33,6 @@ __all__ = [
     "q_k",
     "q_k_via_partial_fraction",
     "rho_exact",
-    "rho_km",
     "rho_series",
     "rho_sum_over_k",
 ]
@@ -75,15 +74,8 @@ def q_k_via_partial_fraction(m: int, k: int) -> Fraction:
     return acc
 
 
-def rho_km(k: int, m: int) -> Fraction:
-    """Probability the maximum of k digits equals m and is attained once."""
-    if m < 1 or k < 1:
-        raise ValueError("need m >= 1 and k >= 1")
-    return k * q_k(m, k)
-
-
 def rho_sum_over_k(m: int, k_top: int) -> Fraction:
-    """Sum of rho_km over k = 1..k_top; converges to m/(m+1) geometrically.
+    """Sum of k q_k(m, k) over k = 1..k_top; converges to m/(m+1) geometrically.
 
     Not a probability (the events overlap across k); the limit identity
     p_m / tau_m^2 = m/(m+1) is what the tests pin down.

@@ -14,7 +14,7 @@ The principal branch of Lambert W comes from a float seed refined by Newton
 steps in fixed-point integers, certified by a bracket from an integer exp
 rounded down and up.  The seed, ``_lambert_w_float``, is the package's one
 float64 Lambert W: a vectorised Halley iteration, also used uncertified where
-a W value only feeds a float result (B(x) and the J2 series in ``trimming``).
+a W value only feeds a float result (the J2 series in ``trimming``).
 
 ``HighPrecisionReal`` is the package's one certified-real record: an exact
 rational payload (usually dyadic; for zeta, the fixed-point numerator over

@@ -4,9 +4,9 @@ Each (seed, stream_index) pair keys its own PCG64DXSM generator through
 ``SeedSequence(seed, spawn_key=(stream_index,))`` (O'Neill 2014), so the
 i-th word of stream j is a pure function of (seed, j, i) with no sequential
 coupling between streams.  A generator can jump to any word of its 2^128
-period (``advance``), which gives a stream ranges of words apart from its
-own.  Work is partitioned across streams and reduced in stream order, which
-makes every estimate bit-identical regardless of how many workers ran it.
+period (``advance``), which gives a stream a second range of words.  Work
+is partitioned across streams and reduced in stream order, which makes every
+estimate bit-identical regardless of how many workers ran it.
 """
 
 import numpy as np
@@ -19,9 +19,8 @@ _ONE_BITS = np.uint64(0x3FF0000000000000)  # the bit pattern of 1.0
 _U64_MAX = (1 << 64) - 1
 _ROW_CHUNK = 1 << 16  # prefix words per chunk of luroth_row_maxima: 512 KB
 # Where luroth_row_maxima's low words start, in words from the start of the
-# stream on its 2^128-word period; its docstring shows the ranges disjoint.
-_LOW_RANGE = 1 << 126  # each row's first low word, one word per row in row order
-_TIE_RANGE = 1 << 127  # row r's further low words: from _TIE_RANGE + (r << 64) on
+# stream on its 2^128-word period; its docstring shows them apart from its own.
+_LOW_RANGE = 1 << 126
 
 
 def _to_digits(words: np.ndarray) -> np.ndarray:
@@ -39,12 +38,10 @@ class RngStream:
             raise ValueError("seed must fit in 64 bits")
         if not 0 <= stream_index <= _U64_MAX:
             raise ValueError("stream_index must fit in 64 bits")
-        self.seed = seed
         self.stream_index = stream_index
         self._seq = SeedSequence(seed, spawn_key=(stream_index,))
         self._bg = PCG64DXSM(self._seq)
         self._lows = None  # the low-word range, opened by the first row maxima
-        self._rows = 0  # rows luroth_row_maxima has drawn from this stream
 
     def _counter_range(self, offset: int) -> PCG64DXSM:
         """This stream's generator, from word ``offset`` on: its own words start at 0."""
@@ -100,25 +97,19 @@ class RngStream:
         * the k prefixes of row r are the first k 16-bit lanes (lane j of a
           word is its bits 16j to 16j + 15, on a little-endian host) of the
           next ceil(k/4) words of this stream; the padding lanes are unused;
-        * its first low part is word r of the range from word _LOW_RANGE of
-          this stream, shifted right by 16;
-        * a row with c >= 2 takes its other c - 1 low parts from the range
-          from word _TIE_RANGE + (r << 64), its own.
+        * its c low parts are the next c words of the range from word
+          _LOW_RANGE of this stream, shifted right by 16, in row order.
 
         Offsets count words of this stream's 2^128-word period.  Its own words
-        lie below 2^126 while fewer than 2^126 are drawn, the low range in
-        [2^126, 2^127) and the tie range of row r in
-        [2^127 + r 2^64, 2^127 + (r + 1) 2^64), as no row has 2^64 ties; the
-        last of these ends at 2^128 for r = 2^63 - 1.  So the ranges are
-        disjoint, and no word is used twice, while r < 2^63.  Row r counts
-        the rows of all calls on this stream, so two calls draw what one
-        call of their total draws.  A row costs
-        ceil(k/4) + 1 + (c - 1) words instead of k; k = 1 costs two words where
-        luroth_digits costs one.  Rows are drawn in chunks of about
-        _ROW_CHUNK prefix words, which change no draw.  The tie counts are
-        summed in uint8, a cheaper pass, so they are c mod 256; they are exact
-        unless their sum falls short of the number of ties, and only then are
-        the rows counted in full.
+        lie below 2^126 while fewer than 2^126 are drawn, and the low words
+        from 2^126 on, so no word is used twice while fewer than 3 * 2^126
+        low words are drawn.  Both ranges are read in order, so two calls draw
+        what one call of their total draws.  A row costs ceil(k/4) + c words
+        instead of k; k = 1 costs two words where luroth_digits costs one.
+        Rows are drawn in chunks of about _ROW_CHUNK prefix words, which
+        change no draw.  The tie counts are summed in uint8, a cheaper pass,
+        so they are c mod 256; they are exact unless their sum falls short of
+        the number of ties, and only then are the rows counted in full.
         """
         q = -(-k // 4)
         rows = max(1, _ROW_CHUNK // q)
@@ -131,16 +122,12 @@ class RngStream:
             h = prefixes.min(axis=1)
             tied = prefixes == h[:, None]
             ties = np.add.reduce(tied.view(np.uint8), axis=1, dtype=np.uint8)  # c mod 256
-            if int(ties.sum()) != np.count_nonzero(tied):  # some c wrapped
+            total = np.count_nonzero(tied)
+            if int(ties.sum()) != total:  # some c wrapped
                 ties = np.count_nonzero(tied, axis=1)
-            low = self._lows.random_raw(m)
+            low = self._lows.random_raw(total)
             low >>= np.uint64(16)
-            for r in np.flatnonzero(ties > 1).tolist():
-                row = self._rows + start + r
-                more = self._counter_range(_TIE_RANGE + (row << 64)).random_raw(int(ties[r]) - 1)
-                low[r] = min(int(low[r]), int(more.min()) >> 16)
             chunk = words[start:start + m]
             np.left_shift(h, np.uint64(48), out=chunk)
-            chunk |= low
-        self._rows += n
+            chunk |= np.minimum.reduceat(low, np.cumsum(ties, dtype=np.intp) - ties)
         return _to_digits(words)

@@ -13,8 +13,8 @@ forming it: since W(n) e^W(n) = n, B(n) = e^W(n), and the increment
 d = W(n) - W(n-1) solves the well-conditioned equation
 d + log1p(d/W(n-1)) = log1p(1/(n-1)) (Corless, Gonnet, Hare, Jeffrey, Knuth,
 "On the Lambert W function", Adv. Comput. Math. 5, 1996), so each term is
-e^(2 W(n-1)) * expm1(2d) / n^2.  All of this, like B and the asymptotic gap,
-is float64 and uncertified; the certified kernel is ``lambert_w0``.
+e^(2 W(n-1)) * expm1(2d) / n^2.  All of this is float64 and uncertified; the
+certified kernel is ``lambert_w0``.
 """
 
 import math
@@ -27,11 +27,9 @@ from .precision import _lambert_w_float
 __all__ = [
     "EULER_GAMMA",
     "a_of",
-    "b_of",
     "c_k",
     "harmonic",
     "j2_partial_sums",
-    "w_asymptotic_gap",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -42,21 +40,6 @@ def a_of(x: float) -> float:
     if not x > 1:
         raise ValueError("a_of requires x > 1")
     return x * math.log(x)
-
-
-def b_of(x: float) -> float:
-    """B(x) = x/W(x), the inverse of A on (1, inf); defined for x > 0."""
-    if not x > 0:
-        raise ValueError("b_of requires x > 0")
-    return x / float(_lambert_w_float(x))
-
-
-def w_asymptotic_gap(x: float) -> float:
-    """W(x) - (log x - log log x), the remainder of the two-term asymptotic."""
-    if not x >= math.e**2:
-        raise ValueError("gap is probed for x >= e^2")
-    lx = math.log(x)
-    return float(_lambert_w_float(x)) - (lx - math.log(lx))
 
 
 def harmonic(n: int) -> float:

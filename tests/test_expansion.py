@@ -9,10 +9,8 @@ import pytest
 from luroth.expansion import (
     digit,
     expand,
-    luroth_step,
     max_cdf_exact,
     pmf,
-    preimage_length,
     reconstruct,
     tail,
     weight,
@@ -45,20 +43,6 @@ def test_digit_domain():
         digit(Fraction(3, 2))
     with pytest.raises(ValueError):
         digit(Fraction(-1, 2))
-
-
-def test_step_examples():
-    assert luroth_step(Fraction(1, 2)) == 1
-    assert luroth_step(1) == 1
-    assert luroth_step(Fraction(2, 3)) == Fraction(1, 3)
-
-
-def test_step_stays_in_unit_interval():
-    rng = random.Random(1)
-    for _ in range(300):
-        x = Fraction(rng.randrange(1, 10**6), 10**6)
-        y = luroth_step(x)
-        assert 0 < y <= 1
 
 
 def test_expand_examples():
@@ -134,12 +118,3 @@ def test_max_cdf_is_a_cdf_in_n():
     vals = [max_cdf_exact(5, n) for n in range(1, 30)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert all(0 < v < 1 for v in vals)
-
-
-def test_measure_preservation_probe():
-    # preimage of (a, b] within branch n has length (b-a)/(n(n+1)); the sum
-    # over n <= N comes back to (b-a) with tail exactly (b-a)/(N+1)
-    a, b = Fraction(1, 5), Fraction(2, 3)
-    for n_top in (5, 17, 50):
-        total = sum(preimage_length(n, a, b) for n in range(1, n_top + 1))
-        assert (b - a) - total == (b - a) * Fraction(1, n_top + 1)

@@ -21,7 +21,6 @@ from luroth.extrema import (
     q_k,
     q_k_via_partial_fraction,
     rho_exact,
-    rho_km,
     rho_series,
     rho_sum_over_k,
 )
@@ -84,24 +83,6 @@ def test_partial_fraction_identity_sweep():
             assert q_k_via_partial_fraction(m, k) == q_k(m, k)
 
 
-def test_rho_km_values():
-    assert rho_km(2, 1) == 0
-    assert rho_km(5, 1) == 0
-    assert rho_km(2, 2) == Fraction(1, 6)
-    for m in (1, 4, 9):
-        assert rho_km(1, m) == Fraction(1, m * (m + 1))
-
-
-def test_rho_km_bounds():
-    for k in (1, 2, 7, 19):
-        total = Fraction(0)
-        for m in range(1, 300):
-            v = rho_km(k, m)
-            assert v >= 0
-            total += v
-        assert total <= 1
-
-
 def test_pmf_tail_ratio_premise():
     # the heavy-tail criterion input: pmf(m)*(m+1) = tail(m) exactly
     for m in range(1, 2000):
@@ -126,7 +107,7 @@ def test_rho_sum_near_limit(m, k_top):
 
 def test_rho_sum_partial_matches_direct():
     for m in (2, 3, 11):
-        direct = sum(rho_km(k, m) for k in range(1, 31))
+        direct = sum(k * q_k(m, k) for k in range(1, 31))
         assert rho_sum_over_k(m, 30) == direct
 
 

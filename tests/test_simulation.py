@@ -16,7 +16,7 @@ from luroth.expansion import digit, max_cdf_exact, pmf
 from luroth.extrema import rho_exact
 import luroth.rng
 import luroth.simulation
-from luroth.rng import _LOW_RANGE, _TIE_RANGE, RngStream
+from luroth.rng import _LOW_RANGE, RngStream
 from luroth.simulation import (
     _MATRIX_DRAW_BUDGET,
     _exact_sum_u64,
@@ -62,7 +62,7 @@ def test_stream_draws_are_position_pure():
 @pytest.mark.parametrize("seed, index", [(5, 7), (0, 0), ((1 << 64) - 1, 3)])
 def test_range_offsets_count_words(seed, index):
     # _counter_range(c) starts at word c of the stream's own words, the unit
-    # luroth_row_maxima's disjoint ranges are laid out in
+    # luroth_row_maxima's low range is placed in
     m = 16
     stream = RngStream(seed, index)
     own = RngStream(seed, index).raw64(40 + m)
@@ -158,17 +158,16 @@ def test_digits_of_extreme_raw_words():
     assert stream._bg.used == len(_EDGE_WORDS)  # one word per digit, no redraw
 
 
-def _fed_row_stream(prefix_words, lows, ties=()):
+def _fed_row_stream(prefix_words, lows):
     """A stream whose row maxima draw the given words from stubs.
 
-    prefix_words are the stream's own words, lows the low range and
-    ties[r] the tie range of row r; opening any other range fails.
+    prefix_words are the stream's own words and lows the low range; opening
+    any other range fails.  Returns the stream and the low range's feed.
     """
     stream = _fed_stream(prefix_words)
     feeds = {_LOW_RANGE: _RawFeed(lows)}
-    feeds.update({_TIE_RANGE + (r << 64): _RawFeed(w) for r, w in dict(ties).items()})
     stream._counter_range = feeds.__getitem__
-    return stream, feeds
+    return stream, feeds[_LOW_RANGE]
 
 
 def _pack(lanes):
@@ -180,28 +179,20 @@ def _pack(lanes):
 def _row_maxima_reference(seed, index, n, k):
     """luroth_row_maxima(n, k) of stream (seed, index), in plain Python on raw words.
 
-    Also returns the tie counts c of the rows.  luroth_row_maxima reads row
-    r's first low word from word r of the low range and its further low
-    words from a tie range of its own.
+    Also returns the tie counts c of the rows.  luroth_row_maxima reads each
+    row's c low words as the next c words of the one low range, in row order.
     """
     seq = SeedSequence(seed, spawn_key=(index,))
-
-    def words_from(offset, m):
-        bg = PCG64DXSM(seq)
-        bg.advance(offset)
-        return bg.random_raw(m).tolist()
-
     q = -(-k // 4)
-    words = words_from(0, n * q)
-    lows = words_from(_LOW_RANGE, n)
+    words = PCG64DXSM(seq).random_raw(n * q).tolist()
+    lows = PCG64DXSM(seq)
+    lows.advance(_LOW_RANGE)
     maxima, counts = [], []
     for r in range(n):
         lanes = [(w >> (16 * j)) & 0xFFFF for w in words[r * q:(r + 1) * q] for j in range(4)][:k]
         h = min(lanes)
         c = lanes.count(h)
-        low = [lows[r]]
-        if c > 1:
-            low += words_from(_TIE_RANGE + (r << 64), c - 1)
+        low = lows.random_raw(c).tolist()
         maxima.append(_digit_of_word((h << 48) | (min(low) >> 16)))
         counts.append(c)
     return maxima, counts
@@ -213,49 +204,71 @@ def test_row_maxima_of_extreme_raw_words():
     # with all-ones low words (word 2^64 - 1, digit 1) and a padding lane 0
     # below them, row 2 joins prefix 7 to low part 1
     top = (1 << 64) - 1
-    stream, feeds = _fed_row_stream(
+    stream, feed = _fed_row_stream(
         _pack([5, 0, 9, 0] + [0xFFFF] * 3 + [0] + [7, 8, 8, 0]),
-        [0, top, 1 << 16], {1: [top, top]})
+        [0, top, top, top, 1 << 16])
     maxima = stream.luroth_row_maxima(3, 3)
     assert maxima.dtype == np.uint64
     assert maxima.tolist() == [1 << 63, 1, _digit_of_word((7 << 48) | 1)]
-    assert [f.used for f in feeds.values()] == [3, 2]
+    assert feed.used == 5
     assert stream._bg.used == 3
 
 
 def test_row_maxima_tie_counts_and_words_per_row():
     # k = 5: two prefix words per row, three padding lanes of 0 that must not
-    # count.  Rows 0-3 have c = 1, 2, 3 and 2 (a tie at prefix 0); each tie
-    # range holds a low word below the row's first one, the least one last
+    # count.  Rows 0-3 have c = 1, 2, 3 and 2 (a tie at prefix 0); each row
+    # reads its c low words in turn, the least one not first
     k = 5
     rows = [[9, 4, 7, 8, 6], [3, 8, 3, 9, 5], [2, 2, 7, 2, 9], [0, 5, 0, 1, 1]]
-    lows = [5 << 16, 9 << 16, 8 << 16, 7 << 16]
-    ties = {1: [4 << 16], 2: [6 << 16, 3 << 16], 3: [(2 << 16) + 0xFFFF]}
+    lows = [5 << 16, 9 << 16, 4 << 16, 8 << 16, 6 << 16, 3 << 16, 7 << 16, (2 << 16) + 0xFFFF]
     prefix_words = [w for lanes in rows for w in _pack(lanes)]
     want = [_digit_of_word((h << 48) | l) for h, l in ((4, 5), (3, 4), (2, 3), (0, 2))]
-    stream, feeds = _fed_row_stream(prefix_words, lows, ties)
+    stream, feed = _fed_row_stream(prefix_words, lows)
     assert stream.luroth_row_maxima(4, k).tolist() == want
-    # ceil(k/4) + 1 + (c - 1) words per row
+    # ceil(k/4) + c words per row
     assert stream._bg.used == 4 * 2
-    assert [f.used for f in feeds.values()] == [4, 1, 2, 1]
-    # two calls draw what one call does: row 2 of the whole is row 0 of the
-    # second call, and still opens the tie range of row 2
-    stream, feeds = _fed_row_stream(prefix_words, lows, ties)
-    assert [stream.luroth_row_maxima(2, k).tolist(), stream.luroth_row_maxima(2, k).tolist()] == [
-        want[:2], want[2:]]
-    assert [f.used for f in feeds.values()] == [4, 1, 2, 1]
+    assert feed.used == 1 + 2 + 3 + 2
+    # two calls draw what one call does: the second call goes on from the
+    # low word where the first one stopped
+    stream, feed = _fed_row_stream(prefix_words, lows)
+    assert stream.luroth_row_maxima(2, k).tolist() == want[:2]
+    assert feed.used == 1 + 2
+    assert stream.luroth_row_maxima(2, k).tolist() == want[2:]
+    assert feed.used == len(lows)
 
 
 def test_row_maxima_count_ties_past_255():
     # k = 300: row 0 ties 257 prefixes at 0, a count that wraps to 1 in uint8,
-    # and must still draw its 256 further low words, the least one last
+    # and must still read 257 low words, the least one last, before row 1's
     k = 300
-    ties = [(45 + i) << 16 for i in range(255, -1, -1)]
-    stream, feeds = _fed_row_stream(
-        _pack([0] * 257 + [1] * 43) + _pack([4] + [6] * 299), [400 << 16, 3 << 16], {0: ties})
+    row0 = [(45 + i) << 16 for i in range(256, -1, -1)]
+    stream, feed = _fed_row_stream(
+        _pack([0] * 257 + [1] * 43) + _pack([4] + [6] * 299), row0 + [3 << 16])
     assert stream.luroth_row_maxima(2, k).tolist() == [
         _digit_of_word(45), _digit_of_word((4 << 48) | 3)]
-    assert [f.used for f in feeds.values()] == [2, 256]
+    assert feed.used == 258
+
+
+def test_row_maxima_open_one_low_range_per_stream(monkeypatch):
+    # k = 1000 ties about 0.75 % of its rows, yet a stream opens its low
+    # range once, also across calls and in each block of mc_max_scaled_cdf
+    real = RngStream._counter_range
+    opened = []
+
+    def spy(stream, offset):
+        opened.append(offset)
+        return real(stream, offset)
+
+    monkeypatch.setattr(RngStream, "_counter_range", spy)
+    k, n = 1000, 2400
+    stream = RngStream(6, k)
+    stream.luroth_row_maxima(n // 2, k)
+    stream.luroth_row_maxima(n - n // 2, k)
+    assert opened == [_LOW_RANGE]
+    assert max(_row_maxima_reference(6, k, 200, k)[1]) > 1
+    opened.clear()
+    mc_max_scaled_cdf(k, [1.0], 9001, seed=2, workers=2)  # blocks of 4194, 4194 and 613
+    assert opened == [_LOW_RANGE] * 3
 
 
 def test_row_maxima_match_python_reference():

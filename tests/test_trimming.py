@@ -10,11 +10,9 @@ import pytest
 from luroth.precision import lambert_w0
 from luroth.trimming import (
     a_of,
-    b_of,
     c_k,
     harmonic,
     j2_partial_sums,
-    w_asymptotic_gap,
 )
 
 
@@ -31,33 +29,16 @@ def lambert_bisect(x, iters=200):
     return (lo + hi) / 2
 
 
-# ----------------------------------------------------------------- a and b
-
-
-def test_b_of_e_is_e():
-    assert abs(b_of(math.e) - math.e) < 1e-14
+# ---------------------------------------------------------------------- a
 
 
 def test_a_of_e_is_e():
     assert abs(a_of(math.e) - math.e) < 1e-15
 
 
-def test_round_trip_identity():
-    for x in (2.0, 10.0, 1e3, 1e6, 1e9, 1e12):
-        assert abs(a_of(b_of(x)) - x) <= 1e-10 * x
-
-
 def test_domain_checks():
     with pytest.raises(ValueError):
         a_of(1.0)
-    with pytest.raises(ValueError):
-        b_of(0.0)
-    with pytest.raises(ValueError):
-        w_asymptotic_gap(2.0)
-    with pytest.raises(ValueError):
-        b_of(math.inf)
-    with pytest.raises(ValueError):
-        w_asymptotic_gap(math.inf)
 
 
 # ---------------------------------------------------------------- harmonic
@@ -162,25 +143,3 @@ def test_c_k_asymptotic_gap():
 def test_c_k_rejects_small_k():
     with pytest.raises(ValueError):
         c_k(1)
-
-
-# ------------------------------------------------------- asymptotic gap
-
-
-def test_gap_values_and_trend():
-    g3 = w_asymptotic_gap(1e3)
-    g9 = w_asymptotic_gap(1e9)
-    assert 0.1 < g3 < 0.5
-    assert g9 < g3
-    assert g9 > 0
-
-
-def test_gap_positive_on_grid():
-    for x in (10.0, 1e4, 1e6, 1e10, 1e12):
-        assert w_asymptotic_gap(x) > 0
-
-
-def test_gap_relative_vanishing():
-    x = 1e12
-    w = float(lambert_w0(x, 64).value)
-    assert w_asymptotic_gap(x) / w < 0.02
