@@ -9,10 +9,12 @@ the point has density (1 + s_n)/(1 + x s_n)^2 and the next digit has the law
     P(a_{n+1} >= i | a_1..a_n, s_0) = (1 + s_n)/(i + s_n)
 
 (Iosifescu and Kraaikamp, *Metrical Theory of Continued Fractions*, 2002,
-ch. 1).  So one uniform u makes one digit: a = 1 + floor((1 + s)(1 - u)/u),
-which is floor((1 + s)/u - s) written without the cancellation that could
-round it to 0, and then s <- 1/(a + s).  The digits a_1..a_k are the true CF
-prefix of the point [0; a_1, a_2, ...] they define, at any depth.
+ch. 1).  So one uniform u makes one digit: a = floor((1 + s(1 - u))/u), which
+is floor((1 + s)/u - s) computed without that difference, whose cancellation
+could round it below 1: 1 - u is exact, every term is positive and the
+numerator is at least 1 >= u, so a >= 1 always.  Then s <- 1/(a + s).  The
+digits a_1..a_k are the true CF prefix of the point [0; a_1, a_2, ...] they
+define, at any depth.
 
 Why float error does not grow.  The forward map x -> 1/x - a stretches an
 error by 1/x^2, about 3.4 bits per step, so 53 bits last some 15 digits.  The
@@ -20,23 +22,22 @@ backward map s -> s' = 1/(a + s) multiplies an error in s by s'^2 <= 1, and
 two steps by (s' s'')^2 <= 1/4, because 1/(s' s'') = (a + s) a'' + 1 >= 2.
 
 Per-digit bias, with eps = 2^-53 and the exact conditional law above as the
-reference.  (1) ``RngStream.uniforms`` returns the exact centres of 2^52
-equal cells, (j + 1/2) 2^-52, so |P(u <= t) - t| <= eps for every t.
-(2) Each step rounds a + s
-and the reciprocal, a relative error of at most 2.01 eps in s'.  So the
-error e_n of the float s_n against the exact [0; a_n, ..., a_1 + s_0],
+reference.  (1) ``RngStream.uniforms`` returns u = (j + 1) 2^-53 with j
+uniform on [0, 2^53), so |P(u <= t) - t| <= eps for every t.  (2) Each step
+rounds a + s and the reciprocal, a relative error of at most 2.01 eps in s'.
+So the error e_n of the float s_n against the exact [0; a_n, ..., a_1 + s_0],
 taken at the reported digits and the float s_0, obeys e_{n+2} <= e_n/4 +
 3.02 eps from e_0 = 0, hence e_n < 4.1 eps; since d/ds (1 + s)/(i + s) =
 (i - 1)/(i + s)^2 <= 1/4, that moves a tail probability by at most
-1.03 eps.  (3) The computed (1 + s)(1 - u)/u takes four roundings, is
-monotone in u and lies within a relative 4.01 eps of the exact value, which
-moves the cut point of {a >= i} in u by at most 4.01 eps (1 + s)/(i + s)
-<= 4.01 eps.  Together every conditional tail P(a >= i | past) is within
-6.04 eps < 2^-50 of (1 + s_n)/(i + s_n); for s_0 the same argument, with
-expm1 good to an ulp, bounds the CDF error by 4 eps.  Since u >= 2^-53,
-digits stop at about 2^54, and above 2^53 they are even integers; both
-touch tails of mass below 2^-50.  This is noise far below every tolerance in
-the suite.
+1.03 eps.  (3) The computed (1 + s(1 - u))/u takes three roundings (the
+product, the sum and the quotient; 1 - u is exact), is monotone in u and
+lies within a relative 3.01 eps of the exact value, which moves the cut
+point of {a >= i} in u by at most 3.01 eps (1 + s)/(i + s) <= 3.01 eps.
+Together every conditional tail P(a >= i | past) is within 5.04 eps < 2^-50
+of (1 + s_n)/(i + s_n); for s_0 the same argument, with expm1 good to an
+ulp, bounds the CDF error by 4 eps.  Since u >= 2^-53, digits stop at about
+2^54, and above 2^53 they are even integers; both touch tails of mass below
+2^-50.  This is noise far below every tolerance in the suite.
 """
 
 import math
@@ -85,19 +86,40 @@ def _check_samples(samples: int):
 
 
 def _cf_digits(stream: RngStream, n: int, depth: int) -> Iterator[np.ndarray]:
-    """Digits a_1..a_depth of n Gauss-measure trials, one float64 array per step."""
-    s = np.expm1(stream.uniforms(n) * LN2)
+    """Digits a_1..a_depth of n Gauss-measure trials, one float64 array per step.
+
+    Every step yields the same array, overwritten by the next step: a caller
+    that keeps a step's digits must copy them.
+    """
+    s = stream.uniforms(n)
+    s *= LN2
+    np.expm1(s, out=s)
+    u, v, a = np.empty(n), np.empty(n), np.empty(n)
     for _ in range(depth):
-        u = stream.uniforms(n)
-        # a = 1 + floor((1 + s)(1 - u)/u), then s <- 1/(a + s), in place
-        a = 1.0 + s
-        a *= 1.0 - u
-        a /= u
+        stream.uniforms(n, out=u)
+        # a = floor((1 + s(1 - u))/u), then s <- 1/(a + s), in place
+        np.subtract(1.0, u, out=v)
+        v *= s
+        v += 1.0
+        np.divide(v, u, out=a)
         np.floor(a, out=a)
-        a += 1.0
         s += a
         np.divide(1.0, s, out=s)
         yield a
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median(x) of a float64 array with no NaN, bit for bit; reorders x.
+
+    One pivot: after x.partition(h), x[h] is the middle order statistic and
+    x[:h] holds the ones below it, so an even size's lower middle is their
+    maximum, and the mean of the two is np.median's (lo + hi) / 2.
+    """
+    h = x.size // 2
+    x.partition(h)
+    if x.size % 2:
+        return float(x[h])
+    return float((x[:h].max() + x[h]) / 2)
 
 
 def mc_cf_rho_table(k_max: int, samples: int, seed: int = 0,
@@ -146,6 +168,5 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0,
     # every std first, one at a time (each holds a temporary the size of x):
     # the medians then reorder each x in place, one k per worker
     ses = {k: float(np.std(x, ddof=1) / math.sqrt(samples)) for k, x in stats.items()}
-    medians = dict(zip(stats, _ordered_map(
-        lambda x: float(np.median(x, overwrite_input=True)), list(stats.values()), workers)))
+    medians = dict(zip(stats, _ordered_map(_median, list(stats.values()), workers)))
     return [McResult(medians[k], ses[k]) for k in ks]

@@ -18,7 +18,7 @@ interpreter lock in its generators and array loops, so the blocks overlap.
 import math
 import os
 import threading
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,18 +116,20 @@ def _exact_sum_u64(a: np.ndarray) -> int:
 
 
 def _sum_and_max(d: np.ndarray) -> Tuple[int, int]:
-    """Exact sum and maximum of a uint64 array of at most 2^32 entries.
+    """Exact sum and maximum of at most 2^32 float64 digits, integers in [1, 2^53].
 
-    The entries are nonnegative, so every partial sum of the plain uint64
-    sum lies between 0 and the total, which is at most m * n for maximum m
-    over n entries: when m * n < 2^64 no partial sum can wrap and the one
-    pass is exact.  Otherwise the split sum is.  For a chunk of 2^16 digits
-    the split runs only when some digit reaches 2^48, about 2^-32 per chunk.
+    The entries are nonnegative integers, so every partial sum of the float
+    sum, in whatever order numpy adds them, is an integer between 0 and the
+    total, which is at most m * n for maximum m over n entries: when
+    m * n <= 2^53 a double holds every partial sum and the one pass is exact.
+    Otherwise the digits go to uint64, exactly, and the split sum is exact.
+    For a chunk of 2^16 digits the split runs only when some digit exceeds
+    2^37, about 2^-21 per chunk.
     """
     m = int(d.max())
-    if m * d.size < 1 << 64:
+    if m * d.size <= 1 << 53:
         return int(d.sum()), m
-    return _exact_sum_u64(d), m
+    return _exact_sum_u64(d.astype(np.uint64)), m
 
 
 def _blocked(samples: int, block: int) -> List[int]:
@@ -160,7 +162,8 @@ def _unique_max_table(samples: int, seed: int, workers: Optional[int],
     """Row i: the fraction of trials whose maximum over digits 1..i+1 is unique.
 
     ``digit_steps(stream, n)`` yields one array of n digits >= 1 per step, of
-    any ordered dtype; it runs once per block of ``_step_blocks``.  The
+    any ordered dtype, which may be overwritten by the next step; it runs
+    once per block of ``_step_blocks``.  The
     running maximum and runner-up are kept per trial (a tie puts the
     runner-up at the maximum), and the maximum is unique iff runner-up < max.
     """
@@ -186,15 +189,20 @@ def mc_rho(k_max: int, samples: int, seed: int = 0,
     """Fraction of trials whose maximum digit among k draws is unique.
 
     Returns one result per k = 1..k_max; row i is k = i + 1.  Each block
-    draws one digit per trial and step, so row k does not depend on k_max.
-    workers=None runs one worker per usable core.
+    draws one digit per trial and step, into one buffer, so row k does not
+    depend on k_max.  workers=None runs one worker per usable core.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    return _unique_max_table(samples, seed, workers, lambda stream, n: (
-        stream.luroth_digits(n) for _ in range(k_max)))
+
+    def digit_steps(stream: RngStream, n: int) -> Iterator[np.ndarray]:
+        d = np.empty(n)
+        for _ in range(k_max):
+            yield stream.luroth_digits(n, out=d)
+
+    return _unique_max_table(samples, seed, workers, digit_steps)
 
 
 def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
@@ -220,8 +228,9 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
     sizes = _blocked(samples, max(1, _MATRIX_DRAW_BUDGET // k))
     maxes = np.concatenate(_ordered_map(
         lambda b: RngStream(seed, b).luroth_row_maxima(sizes[b], k), range(len(sizes)), workers))
-    # digits lie in [1, 2^63], so clamping the threshold there changes no count
-    thresholds = [np.uint64(min(max(math.ceil(c * k) - 1, 0), 1 << 63)) for c in cs]
+    # digits lie in [1, 2^53], so clamping the threshold there changes no
+    # count, and a double holds the clamped integer exactly
+    thresholds = [float(min(max(math.ceil(c * k) - 1, 0), 1 << 53)) for c in cs]
     return [_binomial(int((maxes <= t).sum()), samples) for t in thresholds]
 
 
@@ -230,7 +239,8 @@ def mc_trimmed_trajectory(
 ) -> List[Tuple[int, float]]:
     """One digit path X_1..X_kmax; reports (S_k - M_k)/(k log k) at checkpoints.
 
-    The running sum and maximum are kept as exact Python integers (unbounded,
+    The digits are drawn in chunks of _TRAJ_CHUNK into one buffer.  The
+    running sum and maximum are kept as exact Python integers (unbounded,
     so no overflow for any digit magnitude or path length); the statistic is
     formed in floating point only at each checkpoint.  Natural logarithm.
     """
@@ -244,6 +254,7 @@ def mc_trimmed_trajectory(
     if cps[0] < 2 or cps[-1] > k_max:
         raise ValueError("checkpoints must lie in [2, k_max]")
     stream = RngStream(seed)
+    buf = np.empty(min(k_max, _TRAJ_CHUNK))
     total = 0
     biggest = 0
     pos = 0
@@ -252,7 +263,7 @@ def mc_trimmed_trajectory(
         need = cp - pos
         while need > 0:
             n = min(need, _TRAJ_CHUNK)
-            s, m = _sum_and_max(stream.luroth_digits(n))
+            s, m = _sum_and_max(stream.luroth_digits(n, out=buf[:n]))
             total += s
             biggest = max(biggest, m)
             need -= n

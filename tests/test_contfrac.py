@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import luroth.contfrac
 from luroth.contfrac import (
     expand_cf,
     _cf_digits,
+    _median,
     mc_cf_rho_table,
     mc_cf_trimmed_table,
 )
@@ -104,6 +106,22 @@ class TestGaussMeasure:
             assert abs(float((a1 == n).mean()) - p) < 4 * se, n
 
 
+class _Doubles:
+    """Stands in for a stream's numpy generator: serves chosen doubles in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None, out=None):
+        size = out.size if out is not None else size
+        take, self.values = self.values[:size], self.values[size:]
+        assert len(take) == size, "stub ran out of doubles"
+        if out is None:
+            out = np.empty(size)
+        out[:] = take
+        return out
+
+
 class TestSamplerLaw:
     """The natural-extension sampler against the Gauss-measure digit law."""
 
@@ -114,7 +132,7 @@ class TestSamplerLaw:
         kept, smallest = {}, math.inf
         for k, a in enumerate(_cf_digits(RngStream(17), self.N, 32), start=1):
             if k in (1, 2, 32):
-                kept[k] = a
+                kept[k] = a.copy()  # the sampler overwrites a at the next step
             smallest = min(smallest, float(a.min()))
         return kept[1], kept[2], kept[32], smallest
 
@@ -138,6 +156,18 @@ class TestSamplerLaw:
 
     def test_digits_at_least_one(self, digits):
         assert digits[3] >= 1.0
+
+    def test_u_one_gives_digit_one(self):
+        # numpy's double 1 - 2^-53 is u = 1, where a = floor(1 + s * 0) = 1
+        # for every s; floor((1 + s)/u - s) would round below 1 for some s
+        n = 64
+        stream = RngStream(0)
+        stream._gen = _Doubles(np.linspace(0.0, 1.0 - 2.0**-53, n).tolist()
+                               + [1.0 - 2.0**-53] * n)
+        a = next(_cf_digits(stream, n, 1))
+        assert a.tolist() == [1.0] * n
+        stream._gen = _Doubles([1.0 - 2.0**-53])
+        assert stream.luroth_digits(1).tolist() == [1.0]
 
     def test_rho_against_exact_euclid_oracle(self):
         # exact Euclid digits of dyadic Gauss-measure points: an independent
@@ -200,6 +230,45 @@ class TestMcCfRho:
             mc_cf_rho_table(0, 10**4)
         with pytest.raises(ValueError):
             mc_cf_rho_table(8, 9999)
+
+
+class TestMedian:
+    @staticmethod
+    def check(x):
+        want = np.median(x)
+        y = x.copy()
+        assert np.float64(_median(y)).tobytes() == want.tobytes()
+        assert sorted(y.tolist()) == sorted(x.tolist())  # reordered, not changed
+
+    def test_odd_and_even_sizes(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 4, 5, 100, 101, 4096, 4097):
+            self.check(rng.standard_normal(n) * 1e3)
+            self.check(rng.pareto(0.5, n))
+
+    def test_heavy_ties(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 7, 1000, 1001):
+            self.check(rng.integers(0, 3, n).astype(np.float64) / 7.0)
+            self.check(np.full(n, 0.1))
+
+    def test_default_trimmed_table_arrays(self, monkeypatch):
+        # the four arrays `cf --statistic trimmed` takes the medians of at
+        # its defaults: k = 2, 8, 16, 32, 10^6 samples, seed 0
+        seen = []
+
+        def spy(x):
+            want = np.median(x)
+            got = _median(x)
+            seen.append((np.float64(got).tobytes(), want.tobytes()))
+            return got
+
+        monkeypatch.setattr(luroth.contfrac, "_median", spy)
+        table = mc_cf_trimmed_table([2, 8, 16, 32], 10**6, seed=0)
+        assert len(seen) == 4
+        assert all(got == want for got, want in seen)
+        # the workers take the medians in any order
+        assert sorted(np.float64(r.estimate).tobytes() for r in table) == sorted(w for _, w in seen)
 
 
 class TestMcCfTrimmed:

@@ -5,7 +5,6 @@ import os
 import sys
 import threading
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from luroth.expansion import digit, max_cdf_exact, pmf
 from luroth.extrema import rho_exact
 import luroth.rng
 import luroth.simulation
-from luroth.rng import _LOW_RANGE, RngStream
+from luroth.rng import _LOW_RANGE, RngStream, _to_digits
 from luroth.simulation import (
     _MATRIX_DRAW_BUDGET,
     _exact_sum_u64,
@@ -78,51 +77,18 @@ def test_stream_validates_key_range():
         RngStream(0, 1 << 64)
 
 
-def test_uniforms_in_open_interval():
+def test_uniforms_in_half_open_interval():
     u = RngStream(0, 0).uniforms(200000)
     assert u.min() > 0.0
-    assert u.max() < 1.0
-
-
-def test_uniforms_extreme_raw_words_stay_inside(monkeypatch):
-    # the smallest and largest raw words map to the end cells' centres
-    stream = RngStream(0, 0)
-    raw = np.array([0, (1 << 64) - 1], dtype=np.uint64)
-    monkeypatch.setattr(stream, "_bg", SimpleNamespace(random_raw=lambda n: raw[:n].copy()))
-    u = stream.uniforms(2)
-    assert u.tolist() == [2.0**-53, 1.0 - 2.0**-53]
-
-
-def test_uniforms_match_the_float_formula(monkeypatch):
-    # the in-place mantissa route against ((raw >> 12) + 1/2) 2^-52 in floats
-    edges = [0, 1, (1 << 12) - 1, 1 << 12, 1 << 63, (1 << 64) - 1]
-    raw = np.concatenate([np.array(edges, dtype=np.uint64), RngStream(8, 1).raw64(10**5)])
-    stream = RngStream(0, 0)
-    monkeypatch.setattr(stream, "_bg", SimpleNamespace(random_raw=lambda n: raw[:n].copy()))
-    want = ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * (2.0**-52)
-    got = stream.uniforms(len(raw))
-    assert got.dtype == np.float64
-    assert np.array_equal(got, want)
-
-
-def test_uniforms_are_exact_cell_centres():
-    u = RngStream(4, 2).uniforms(4096)
-    frac, _ = np.modf(u * 2.0**52)
-    assert np.all(frac == 0.5)
-
-
-def test_digits_match_inverse_cdf_mapping():
-    # the integer digit path must agree with the exact digit of u = (j + 1) 2^-63
-    s = RngStream(3, 1)
-    raw = s.raw64(2000)
-    digits = RngStream(3, 1).luroth_digits(2000)
-    j = raw >> np.uint64(1)
-    for jv, dv in zip(j[:200].tolist(), digits[:200].tolist()):
-        assert dv == digit(Fraction(jv + 1, 1 << 63))
+    assert u.max() <= 1.0
 
 
 class _RawFeed:
-    """Stands in for the stream generator: serves fixed raw words in order."""
+    """Stands in for the stream generators: serves fixed raw words in order.
+
+    ``random`` maps them to doubles as numpy's generators do, (w >> 11) 2^-53,
+    so a stream fed through it reads the words as the real one would.
+    """
 
     def __init__(self, words):
         self.words = np.array(words, dtype=np.uint64)
@@ -134,26 +100,109 @@ class _RawFeed:
         self.used += n
         return out
 
+    def random(self, size=None, out=None):
+        if out is not None:
+            assert size in (None, out.size)
+            size = out.size
+        u = (self.random_raw(size) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        if out is None:
+            return u
+        out[...] = u
+        return out
+
 
 def _fed_stream(words):
     stream = RngStream(0, 0)
-    stream._bg = _RawFeed(words)
+    stream._bg = stream._gen = _RawFeed(words)
     return stream
 
 
+def _feed_new_streams(monkeypatch, feed):
+    """Every RngStream made from here on draws its own words from feed."""
+    monkeypatch.setattr(luroth.rng, "PCG64DXSM", lambda seq: feed)
+    monkeypatch.setattr(luroth.rng, "Generator", lambda bg: bg)
+
+
 def _digit_of_word(w):
-    return (1 << 63) // ((w >> 1) + 1)
+    return (1 << 53) // ((w >> 11) + 1)
 
 
-# the extreme raw words: 0 and 1 give u = 2^-63, 2^64 - 2 and 2^64 - 1 give u = 1
-_EDGE_WORDS = [0, 1, 2, 3, (1 << 64) - 2, (1 << 64) - 1, 1 << 63, 40, 9, 1000, 77, 12]
+def test_uniforms_extreme_raw_words_stay_inside():
+    # the smallest and largest raw words map to the ends of the grid
+    stream = _fed_stream([0, (1 << 64) - 1])
+    u = stream.uniforms(2)
+    assert u.tolist() == [2.0**-53, 1.0]
+
+
+def test_uniforms_match_the_float_formula():
+    # numpy's doubles against ((raw >> 11) + 1) 2^-53 of a twin stream
+    raw = RngStream(8, 1).raw64(10**5)
+    want = ((raw >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    got = RngStream(8, 1).uniforms(10**5)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+def test_uniforms_lie_on_the_grid():
+    u = RngStream(4, 2).uniforms(4096)
+    frac, whole = np.modf(u * 2.0**53)
+    assert np.all(frac == 0.0)
+    assert whole.min() >= 1.0
+
+
+def test_draws_split_in_two_calls_and_into_buffers_agree():
+    # two calls of 10 and 22 draw what one call of 32 draws, and a draw
+    # into a caller's buffer equals a fresh one, buffer returned
+    for method in ("uniforms", "luroth_digits"):
+        want = getattr(RngStream(5, 7), method)(32)
+        stream = RngStream(5, 7)
+        split = np.concatenate([getattr(stream, method)(10), getattr(stream, method)(22)])
+        assert np.array_equal(split, want), method
+        buf = np.full(40, -1.0)
+        stream = RngStream(5, 7)
+        first = getattr(stream, method)(10, out=buf[:10])
+        rest = getattr(stream, method)(22, out=buf[10:32])
+        assert np.shares_memory(first, buf) and np.shares_memory(rest, buf)
+        assert np.array_equal(buf[:32], want), method
+        assert np.all(buf[32:] == -1.0)
+
+
+def test_digits_match_inverse_cdf_mapping():
+    # the float digit path must agree with the exact digit of u = (j + 1) 2^-53
+    s = RngStream(3, 1)
+    raw = s.raw64(2000)
+    digits = RngStream(3, 1).luroth_digits(2000)
+    j = raw >> np.uint64(11)
+    for jv, dv in zip(j[:200].tolist(), digits[:200].tolist()):
+        assert dv == digit(Fraction(jv + 1, 1 << 53))
+
+
+def test_float_digit_map_is_exact_at_the_integer_seams():
+    # floor(fl(1/u)) against the integer 2^53 // (j + 1) at both ends of the
+    # grid and at every cut N = floor(2^53 / m) - 1, N, N + 1 for m <= 3e5,
+    # where a quotient lies closest to an integer
+    cuts = np.uint64(1 << 53) // np.arange(1, 3 * 10**5 + 1, dtype=np.uint64)
+    n = np.concatenate([np.array([1, 1 << 53], dtype=np.uint64), cuts - np.uint64(1), cuts,
+                        cuts + np.uint64(1)])
+    n = n[(n >= 1) & (n <= 1 << 53)]  # n = j + 1
+    got = _to_digits(n.astype(np.float64) * 2.0**-53)
+    want = np.uint64(1 << 53) // n
+    assert np.array_equal(got, want.astype(np.float64))
+    assert got[0] == 2.0**53 and got[1] == 1.0
+
+
+# the extreme raw words: below 2^11 they give u = 2^-53, from 2^64 - 2^11 on
+# u = 1
+_EDGE_WORDS = [0, (1 << 11) - 1, 1 << 11, (1 << 12) - 1, (1 << 64) - (1 << 11), (1 << 64) - 1,
+               1 << 63, 40 << 11, 9, 1000 << 11, 77 << 11, 12 << 11]
 
 
 def test_digits_of_extreme_raw_words():
     stream = _fed_stream(_EDGE_WORDS)
     digits = stream.luroth_digits(len(_EDGE_WORDS))
-    assert digits.dtype == np.uint64
-    assert digits.tolist()[:6] == [1 << 63, 1 << 63, 1 << 62, 1 << 62, 1, 1]
+    assert digits.dtype == np.float64
+    # the cap 2^53 at u = 2^-53, and the digit 1 at u = 1
+    assert digits.tolist()[:6] == [1 << 53, 1 << 53, 1 << 52, 1 << 52, 1, 1]
     assert digits.tolist() == [_digit_of_word(w) for w in _EDGE_WORDS]
     assert stream._bg.used == len(_EDGE_WORDS)  # one word per digit, no redraw
 
@@ -200,16 +249,16 @@ def _row_maxima_reference(seed, index, n, k):
 
 def test_row_maxima_of_extreme_raw_words():
     # k = 3: one prefix word per row, its top lane padding.  Row 0 has the
-    # least word 0 (digit 2^63), row 1 ties all three prefixes at 2^16 - 1
+    # least word 0 (digit 2^53), row 1 ties all three prefixes at 2^16 - 1
     # with all-ones low words (word 2^64 - 1, digit 1) and a padding lane 0
-    # below them, row 2 joins prefix 7 to low part 1
+    # below them, row 2 joins prefix 7 to low part 5 << 44
     top = (1 << 64) - 1
     stream, feed = _fed_row_stream(
         _pack([5, 0, 9, 0] + [0xFFFF] * 3 + [0] + [7, 8, 8, 0]),
-        [0, top, top, top, 1 << 16])
+        [0, top, top, top, 5 << 60])
     maxima = stream.luroth_row_maxima(3, 3)
-    assert maxima.dtype == np.uint64
-    assert maxima.tolist() == [1 << 63, 1, _digit_of_word((7 << 48) | 1)]
+    assert maxima.dtype == np.float64
+    assert maxima.tolist() == [1 << 53, 1, _digit_of_word((7 << 48) | (5 << 44))]
     assert feed.used == 5
     assert stream._bg.used == 3
 
@@ -217,12 +266,13 @@ def test_row_maxima_of_extreme_raw_words():
 def test_row_maxima_tie_counts_and_words_per_row():
     # k = 5: two prefix words per row, three padding lanes of 0 that must not
     # count.  Rows 0-3 have c = 1, 2, 3 and 2 (a tie at prefix 0); each row
-    # reads its c low words in turn, the least one not first
+    # reads its c low words in turn, the least one not first.  The low words
+    # differ in their top bits, so that each one gives its row another digit
     k = 5
     rows = [[9, 4, 7, 8, 6], [3, 8, 3, 9, 5], [2, 2, 7, 2, 9], [0, 5, 0, 1, 1]]
-    lows = [5 << 16, 9 << 16, 4 << 16, 8 << 16, 6 << 16, 3 << 16, 7 << 16, (2 << 16) + 0xFFFF]
+    lows = [5 << 60, 9 << 60, 4 << 60, 8 << 60, 6 << 60, 3 << 60, 7 << 60, (2 << 60) + 0xFFFF]
     prefix_words = [w for lanes in rows for w in _pack(lanes)]
-    want = [_digit_of_word((h << 48) | l) for h, l in ((4, 5), (3, 4), (2, 3), (0, 2))]
+    want = [_digit_of_word((h << 48) | (l << 44)) for h, l in ((4, 5), (3, 4), (2, 3), (0, 2))]
     stream, feed = _fed_row_stream(prefix_words, lows)
     assert stream.luroth_row_maxima(4, k).tolist() == want
     # ceil(k/4) + c words per row
@@ -241,11 +291,11 @@ def test_row_maxima_count_ties_past_255():
     # k = 300: row 0 ties 257 prefixes at 0, a count that wraps to 1 in uint8,
     # and must still read 257 low words, the least one last, before row 1's
     k = 300
-    row0 = [(45 + i) << 16 for i in range(256, -1, -1)]
+    row0 = [(45 + i) << 40 for i in range(256, -1, -1)]
     stream, feed = _fed_row_stream(
-        _pack([0] * 257 + [1] * 43) + _pack([4] + [6] * 299), row0 + [3 << 16])
+        _pack([0] * 257 + [1] * 43) + _pack([4] + [6] * 299), row0 + [3 << 60])
     assert stream.luroth_row_maxima(2, k).tolist() == [
-        _digit_of_word(45), _digit_of_word((4 << 48) | 3)]
+        _digit_of_word(45 << 24), _digit_of_word((4 << 48) | (3 << 44))]
     assert feed.used == 258
 
 
@@ -273,11 +323,13 @@ def test_row_maxima_open_one_low_range_per_stream(monkeypatch):
 
 def test_row_maxima_match_python_reference():
     # k = 1000 and 2^18 + 1 have tied rows; at 2^18 + 1 a chunk holds less
-    # than one row
-    for k, n in ((1, 3000), (3, 3000), (4, 3000), (5, 3000), (1000, 400), (2**18 + 1, 3)):
+    # than one row.  k = 1 never ties, and k = 2 rarely does, so their
+    # chunks OR in the low words without counting ties
+    for k, n in ((1, 3000), (2, 3000), (3, 3000), (4, 3000), (5, 3000), (1000, 400),
+                 (2**18 + 1, 3)):
         want, counts = _row_maxima_reference(6, k, n, k)
         got = RngStream(6, k).luroth_row_maxima(n, k)
-        assert got.dtype == np.uint64
+        assert got.dtype == np.float64
         assert got.tolist() == want
         if k >= 1000:
             assert max(counts) > 1
@@ -570,7 +622,7 @@ def test_trajectory_does_not_depend_on_chunk_size(monkeypatch):
 
 
 def test_trajectory_with_extreme_words_does_not_depend_on_chunk_size(monkeypatch):
-    # raw words 0 and 1 (the digit 2^63) inside chunks and at chunk edges
+    # raw words 0 and 1 (the digit 2^53) inside chunks and at chunk edges
     # shift no later digit, so every chunk size reads the same path
     n = 6 * 10**5
     words = RngStream(9).raw64(n)
@@ -580,14 +632,14 @@ def test_trajectory_with_extreme_words_does_not_depend_on_chunk_size(monkeypatch
     runs = []
     for chunk in (2**10, 2**16, 2**19):
         feed = _RawFeed(words)
-        monkeypatch.setattr(luroth.rng, "PCG64DXSM", lambda seq: feed)
+        _feed_new_streams(monkeypatch, feed)
         monkeypatch.setattr(luroth.simulation, "_TRAJ_CHUNK", chunk)
         runs.append(mc_trimmed_trajectory(n, cps, seed=9))
         assert feed.used == n
     assert runs[0] == runs[1] == runs[2]
     digits = [_digit_of_word(w) for w in words.tolist()]
     total, top = sum(digits), max(digits)
-    assert top == 1 << 63
+    assert top == 1 << 53
     assert runs[0][-1] == (n, float(total - top) / (n * math.log(n)))
 
 
@@ -616,7 +668,7 @@ def test_trajectory_validates_checkpoints():
 def test_exact_sum_helper_against_python_sum():
     rng = np.random.default_rng(0)
     a = rng.integers(0, 1 << 63, size=5000, dtype=np.uint64)
-    a[0] = np.uint64(1 << 63)  # the largest digit the sampler can emit
+    a[0] = np.uint64(1 << 63)
     a[1] = np.uint64(0xFFFFFFFFFFFFFFFF)
     assert _exact_sum_u64(a) == sum(int(v) for v in a.tolist())
 
@@ -629,32 +681,41 @@ def test_sum_and_max_guard_branches(monkeypatch):
         return _exact_sum_u64(a)
 
     monkeypatch.setattr(luroth.simulation, "_exact_sum_u64", counted)
-    third = ((1 << 64) - 1) // 3  # 3 * third = 2^64 - 1, the uint64 maximum
     cases = [
-        ([(1 << 62) - 1] * 4, False),  # max * n = 2^64 - 4
-        ([third] * 3, False),          # max * n = 2^64 - 1
-        ([1 << 62] * 4, True),         # max * n = 2^64: the plain sum wraps to 0
-        ([third + 1] * 3, True),       # max * n = 2^64 + 2
-        ([1 << 63, 1], True),          # the largest digit, from raw word 0 or 1
-        ([1 << 63, 1 << 63, 7], True),
-        ([1 << 63], False),
+        ([(1 << 51) - 1] * 4, False),  # max * n = 2^53 - 4
+        ([1 << 52] * 2, False),        # max * n = 2^53: every partial sum a double
+        ([1 << 53], False),
+        ([(1 << 52) + 1] * 2, True),   # max * n = 2^53 + 2
+        ([1 << 53, 1], True),          # the largest digit: a float sum rounds to 2^53
+        ([(1 << 53) - 1, 2], True),    # 2^53 + 1 rounds to 2^53 in floats too
+        ([1 << 53, 1 << 53, 7], True),
     ]
     for values, split in cases:
         split_calls.clear()
-        total, top = _sum_and_max(np.array(values, dtype=np.uint64))
+        total, top = _sum_and_max(np.array(values, dtype=np.float64))
         assert (total, top) == (sum(values), max(values))
         assert bool(split_calls) == split
 
 
 def test_trajectory_against_python_reference(monkeypatch):
-    # raw words 0 and 1 give the digit 2^63; they fall in the last chunk of
-    # seven digits, whose sum exceeds 2^64, while the chunks before are small
-    words = [10, 7, 1000, 5, 6, 77, 0, 19, 1, 2**40, 2**64 - 5, 12]
+    # raw words 0 and 1 give the digit 2^53; they fall in the last chunk of
+    # seven digits, whose sum exceeds 2^53 and so takes the exact uint64
+    # sum, while the chunks before are small and summed in floats
+    words = [10 << 11, 7 << 11, 1000 << 11, 5 << 11, 6 << 11, 77 << 11, 0, 19 << 11, 1, 2**40,
+             2**64 - 5, 12 << 11]
     feed = _RawFeed(words)
-    monkeypatch.setattr(luroth.rng, "PCG64DXSM", lambda seq: feed)
+    _feed_new_streams(monkeypatch, feed)
+    split_calls = []
+
+    def counted(a):
+        split_calls.append(len(a))
+        return _exact_sum_u64(a)
+
+    monkeypatch.setattr(luroth.simulation, "_exact_sum_u64", counted)
     got = mc_trimmed_trajectory(12, [2, 5, 12], seed=0)
     digits = [_digit_of_word(w) for w in words]
     want = [(k, float(sum(digits[:k]) - max(digits[:k])) / (k * math.log(k)))
             for k in (2, 5, 12)]
     assert got == want
     assert feed.used == len(words)
+    assert split_calls == [7]
