@@ -164,7 +164,7 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0,
                 np.subtract(total, maxa, out=out)
                 out /= k * math.log(k)
 
-    _step_blocks(samples, seed, workers, one_block)
+    _step_blocks(samples, _RHO_BLOCK, seed, workers, one_block)
     # every std first, one at a time (each holds a temporary the size of x):
     # the medians then reorder each x in place, one k per worker
     ses = {k: float(np.std(x, ddof=1) / math.sqrt(samples)) for k, x in stats.items()}

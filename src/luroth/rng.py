@@ -1,12 +1,11 @@
-"""Seekable random streams for reproducible parallel Monte Carlo.
+"""Keyed random streams for reproducible parallel Monte Carlo.
 
 Each (seed, stream_index) pair keys its own PCG64DXSM generator through
 ``SeedSequence(seed, spawn_key=(stream_index,))`` (O'Neill 2014), so the
 i-th word of stream j is a pure function of (seed, j, i) with no sequential
-coupling between streams.  A generator can jump to any word of its 2^128
-period (``advance``), which gives a stream a second range of words.  Work
-is partitioned across streams and reduced in stream order, which makes every
-estimate bit-identical regardless of how many workers ran it.
+coupling between streams.  Work is partitioned across streams and reduced in
+stream order, which makes every estimate bit-identical regardless of how
+many workers ran it.
 
 Uniforms and digits are float64 on one grid: the word w gives
 u = ((w >> 11) + 1) 2^-53 in (0, 1], and the digit floor(1/u), computed
@@ -24,9 +23,6 @@ __all__ = ["RngStream"]
 _ULP = 2.0**-53  # the grid step of uniforms
 _U64_MAX = (1 << 64) - 1
 _ROW_CHUNK = 1 << 16  # prefix words per chunk of luroth_row_maxima: 512 KB
-# Where luroth_row_maxima's low words start, in words from the start of the
-# stream on its 2^128-word period; its docstring shows them apart from its own.
-_LOW_RANGE = 1 << 126
 
 
 def _to_digits(u: np.ndarray) -> np.ndarray:
@@ -53,17 +49,11 @@ class RngStream:
             raise ValueError("seed must fit in 64 bits")
         if not 0 <= stream_index <= _U64_MAX:
             raise ValueError("stream_index must fit in 64 bits")
+        self._seed = seed
         self.stream_index = stream_index
-        self._seq = SeedSequence(seed, spawn_key=(stream_index,))
-        self._bg = PCG64DXSM(self._seq)
+        self._bg = PCG64DXSM(SeedSequence(seed, spawn_key=(stream_index,)))
         self._gen = Generator(self._bg)  # its doubles read the words of _bg
-        self._lows = None  # the low-word range, opened by the first row maxima
-
-    def _counter_range(self, offset: int) -> PCG64DXSM:
-        """This stream's generator, from word ``offset`` on: its own words start at 0."""
-        bg = PCG64DXSM(self._seq)
-        bg.advance(offset)
-        return bg
+        self._lows = None  # the child stream of low words, opened by the first row maxima
 
     def raw64(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words of this stream."""
@@ -111,27 +101,27 @@ class RngStream:
         * the k prefixes of row r are the first k 16-bit lanes (lane j of a
           word is its bits 16j to 16j + 15, on a little-endian host) of the
           next ceil(k/4) words of this stream; the padding lanes are unused;
-        * its c low parts are the next c words of the range from word
-          _LOW_RANGE of this stream, shifted right by 16, in row order.
+        * its c low parts are the next c words of this stream's child stream,
+          shifted right by 16, in row order.
 
-        Offsets count words of this stream's 2^128-word period.  Its own words
-        lie below 2^126 while fewer than 2^126 are drawn, and the low words
-        from 2^126 on, so no word is used twice while fewer than 3 * 2^126
-        low words are drawn.  Both ranges are read in order, so two calls draw
-        what one call of their total draws.  A row costs ceil(k/4) + c words
-        instead of k; k = 1 costs two words where luroth_digits costs one.
-        Rows are drawn in chunks of about _ROW_CHUNK prefix words, which
-        change no draw.  The tie counts are summed in uint8, a cheaper pass,
-        so they are c mod 256; they are exact unless their sum falls short of
-        the number of ties, and only then are the rows counted in full.  A
-        chunk whose rows all have c = 1, as every chunk at k = 1, skips the
-        counts and ORs in its low words directly.  The maxima are float64, as
-        from ``luroth_digits``.
+        The child stream is keyed ``spawn_key=(stream_index, 1)``, apart from
+        every stream's own key but one: SeedSequence reads keys in 32-bit
+        words, so for an index i < 2^32 it is the key of stream i + 2^32,
+        far above the block indices the samplers use.  Both streams are read
+        in order, so two calls draw what one call of their total draws.  A
+        row costs ceil(k/4) + c words instead of k; k = 1 costs two words
+        where luroth_digits costs one.  Rows are drawn in chunks of about
+        _ROW_CHUNK prefix words, which change no draw.  The tie counts are
+        summed in uint8, a cheaper pass, so they are c mod 256; they are exact
+        unless their sum falls short of the number of ties, and only then are
+        the rows counted in full.  A chunk whose rows all have c = 1, as every
+        chunk at k = 1, skips the counts and ORs in its low words directly.
+        The maxima are float64, as from ``luroth_digits``.
         """
         q = -(-k // 4)
         rows = max(1, _ROW_CHUNK // q)
         if self._lows is None:
-            self._lows = self._counter_range(_LOW_RANGE)
+            self._lows = PCG64DXSM(SeedSequence(self._seed, spawn_key=(self.stream_index, 1)))
         words = np.empty(n, dtype=np.uint64)
         for start in range(0, n, rows):
             m = min(rows, n - start)

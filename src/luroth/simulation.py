@@ -1,8 +1,8 @@
 """Reproducible Monte Carlo for Luroth digit statistics.
 
 Trials are partitioned into fixed-size blocks; block b always draws from
-stream b of the seed, a SeedSequence-keyed PCG64DXSM stream with seekable
-ranges (``RngStream``), and partial results are reduced in block order.
+stream b of the seed, a SeedSequence-keyed PCG64DXSM stream
+(``RngStream``), and partial results are reduced in block order.
 The draws depend only on (seed, samples) for rho (and for the
 continued-fraction sweeps in ``contfrac``, which share its block loop and
 uniqueness counter) and on (seed, samples, k) for the scaled maximum,
@@ -132,28 +132,22 @@ def _sum_and_max(d: np.ndarray) -> Tuple[int, int]:
     return _exact_sum_u64(d.astype(np.uint64)), m
 
 
-def _blocked(samples: int, block: int) -> List[int]:
-    """Trial counts of the blocks: all equal to block but a shorter last one."""
-    return [min(block, samples - start) for start in range(0, samples, block)]
-
-
 def _binomial(successes: int, n: int) -> McResult:
     p = successes / n
     return McResult(p, math.sqrt(p * (1.0 - p) / n))
 
 
-def _step_blocks(samples: int, seed: int, workers: Optional[int],
+def _step_blocks(samples: int, block: int, seed: int, workers: Optional[int],
                  per_block: Callable[[RngStream, int], object]) -> List[object]:
-    """per_block(stream, n) on blocks of _RHO_BLOCK trials, in block order.
+    """per_block(stream, n) on blocks of block trials, in block order.
 
-    Block b draws from stream b and holds trials b * _RHO_BLOCK onward.  A
-    per_block that draws one variate per trial and step makes the first k
-    steps of a pass the draws of a k-step pass, so row k of a sweep depends
-    on (seed, samples, k) only.
+    Block b draws from stream b and holds trials b * block onward, n of them:
+    block, or fewer in the last one.  A per_block that draws one variate per
+    trial and step makes the first k steps of a pass the draws of a k-step
+    pass, so row k of a sweep depends on (seed, samples, k) only.
     """
-    sizes = _blocked(samples, _RHO_BLOCK)
-    return _ordered_map(lambda b: per_block(RngStream(seed, b), sizes[b]),
-                        range(len(sizes)), workers)
+    return _ordered_map(lambda b: per_block(RngStream(seed, b), min(block, samples - b * block)),
+                        range(-(-samples // block)), workers)
 
 
 def _unique_max_table(samples: int, seed: int, workers: Optional[int],
@@ -163,9 +157,9 @@ def _unique_max_table(samples: int, seed: int, workers: Optional[int],
 
     ``digit_steps(stream, n)`` yields one array of n digits >= 1 per step, of
     any ordered dtype, which may be overwritten by the next step; it runs
-    once per block of ``_step_blocks``.  The
-    running maximum and runner-up are kept per trial (a tie puts the
-    runner-up at the maximum), and the maximum is unique iff runner-up < max.
+    once per ``_step_blocks`` block of _RHO_BLOCK trials.  The running
+    maximum and runner-up are kept per trial (a tie puts the runner-up at
+    the maximum), and the maximum is unique iff runner-up < max.
     """
     def one_block(stream: RngStream, n: int) -> List[int]:
         steps = iter(digit_steps(stream, n))
@@ -180,7 +174,7 @@ def _unique_max_table(samples: int, seed: int, workers: Optional[int],
             unique.append(int(np.count_nonzero(second < maxd)))
         return unique
 
-    per_block = _step_blocks(samples, seed, workers, one_block)
+    per_block = _step_blocks(samples, _RHO_BLOCK, seed, workers, one_block)
     return [_binomial(sum(row), samples) for row in zip(*per_block)]
 
 
@@ -214,9 +208,10 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
     each trial's maximum once for the whole c-grid, with the law of the
     largest of k digits but from about k/4 + 1 raw words: the row's k
     16-bit prefixes, and low parts only for the entries that attain the
-    least prefix (``RngStream.luroth_row_maxima``).  Trials come in blocks of
-    _MATRIX_DRAW_BUDGET // k; block b draws its trials from stream b, in
-    order.  workers=None runs one worker per usable core.
+    least prefix (``RngStream.luroth_row_maxima``).  ``_step_blocks`` runs
+    blocks of max(1, _MATRIX_DRAW_BUDGET // k) trials; block b draws its
+    trials from stream b, in order.  workers=None runs one worker per usable
+    core.
     """
     cs = list(cs)
     if k < 1:
@@ -225,9 +220,8 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
         raise ValueError("c must be positive, with c*k finite")
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    sizes = _blocked(samples, max(1, _MATRIX_DRAW_BUDGET // k))
-    maxes = np.concatenate(_ordered_map(
-        lambda b: RngStream(seed, b).luroth_row_maxima(sizes[b], k), range(len(sizes)), workers))
+    maxes = np.concatenate(_step_blocks(samples, max(1, _MATRIX_DRAW_BUDGET // k), seed, workers,
+                                        lambda stream, n: stream.luroth_row_maxima(n, k)))
     # digits lie in [1, 2^53], so clamping the threshold there changes no
     # count, and a double holds the clamped integer exactly
     thresholds = [float(min(max(math.ceil(c * k) - 1, 0), 1 << 53)) for c in cs]

@@ -15,7 +15,7 @@ from luroth.expansion import digit, max_cdf_exact, pmf
 from luroth.extrema import rho_exact
 import luroth.rng
 import luroth.simulation
-from luroth.rng import _LOW_RANGE, RngStream, _to_digits
+from luroth.rng import RngStream, _to_digits
 from luroth.simulation import (
     _MATRIX_DRAW_BUDGET,
     _exact_sum_u64,
@@ -43,12 +43,21 @@ def test_streams_differ_by_index_and_seed():
     assert not np.array_equal(base, RngStream(12, 0).raw64(64))
 
 
+def _first_low_word(seed, index):
+    """The first word of the child stream that luroth_row_maxima reads low words from."""
+    stream = RngStream(seed, index)
+    stream.luroth_row_maxima(0, 1)  # opens the child stream and draws nothing
+    return int(stream._lows.random_raw(1)[0])
+
+
 def test_distinct_keys_give_distinct_first_words():
     # SeedSequence mixes seed and stream index apart, so swapping them, as in
-    # (0, 1) and (1, 0), gives another stream
+    # (0, 1) and (1, 0), gives another stream; each stream's child stream of
+    # low words is another stream again
     keys = [(s, b) for s in (0, 1, 2, 7, (1 << 64) - 1) for b in (0, 1, 2, 7, (1 << 64) - 1)]
     firsts = {int(RngStream(s, b).raw64(1)[0]) for s, b in keys}
-    assert len(firsts) == len(keys)
+    firsts |= {_first_low_word(s, b) for s, b in keys}
+    assert len(firsts) == 2 * len(keys)
 
 
 def test_stream_draws_are_position_pure():
@@ -56,18 +65,6 @@ def test_stream_draws_are_position_pure():
     s1 = RngStream(5, 7)
     chunks = np.concatenate([s1.raw64(10), s1.raw64(22)])
     assert np.array_equal(chunks, RngStream(5, 7).raw64(32))
-
-
-@pytest.mark.parametrize("seed, index", [(5, 7), (0, 0), ((1 << 64) - 1, 3)])
-def test_range_offsets_count_words(seed, index):
-    # _counter_range(c) starts at word c of the stream's own words, the unit
-    # luroth_row_maxima's low range is placed in
-    m = 16
-    stream = RngStream(seed, index)
-    own = RngStream(seed, index).raw64(40 + m)
-    for c in (0, 1, 2, 3, 17, 40):
-        assert np.array_equal(stream._counter_range(c).random_raw(m), own[c:c + m])
-    assert np.array_equal(stream.raw64(m), own[:m])  # opening a range moves no own word
 
 
 def test_stream_validates_key_range():
@@ -210,13 +207,12 @@ def test_digits_of_extreme_raw_words():
 def _fed_row_stream(prefix_words, lows):
     """A stream whose row maxima draw the given words from stubs.
 
-    prefix_words are the stream's own words and lows the low range; opening
-    any other range fails.  Returns the stream and the low range's feed.
+    prefix_words are the stream's own words and lows its child stream's.
+    Returns the stream and the child stream's feed.
     """
     stream = _fed_stream(prefix_words)
-    feeds = {_LOW_RANGE: _RawFeed(lows)}
-    stream._counter_range = feeds.__getitem__
-    return stream, feeds[_LOW_RANGE]
+    stream._lows = _RawFeed(lows)
+    return stream, stream._lows
 
 
 def _pack(lanes):
@@ -229,13 +225,12 @@ def _row_maxima_reference(seed, index, n, k):
     """luroth_row_maxima(n, k) of stream (seed, index), in plain Python on raw words.
 
     Also returns the tie counts c of the rows.  luroth_row_maxima reads each
-    row's c low words as the next c words of the one low range, in row order.
+    row's c low words as the next c words of the stream's child stream, in
+    row order.
     """
-    seq = SeedSequence(seed, spawn_key=(index,))
     q = -(-k // 4)
-    words = PCG64DXSM(seq).random_raw(n * q).tolist()
-    lows = PCG64DXSM(seq)
-    lows.advance(_LOW_RANGE)
+    words = PCG64DXSM(SeedSequence(seed, spawn_key=(index,))).random_raw(n * q).tolist()
+    lows = PCG64DXSM(SeedSequence(seed, spawn_key=(index, 1)))
     maxima, counts = [], []
     for r in range(n):
         lanes = [(w >> (16 * j)) & 0xFFFF for w in words[r * q:(r + 1) * q] for j in range(4)][:k]
@@ -299,26 +294,54 @@ def test_row_maxima_count_ties_past_255():
     assert feed.used == 258
 
 
-def test_row_maxima_open_one_low_range_per_stream(monkeypatch):
-    # k = 1000 ties about 0.75 % of its rows, yet a stream opens its low
-    # range once, also across calls and in each block of mc_max_scaled_cdf
-    real = RngStream._counter_range
+def test_row_maxima_open_one_child_stream_per_stream(monkeypatch):
+    # k = 1000 ties about 0.75 % of its rows, yet a stream opens its child
+    # stream once, also across calls and in each block of mc_max_scaled_cdf;
+    # the spy records the key of every stream and child stream opened
+    real = luroth.rng.SeedSequence
     opened = []
 
-    def spy(stream, offset):
-        opened.append(offset)
-        return real(stream, offset)
+    def spy(seed, spawn_key):
+        opened.append((seed, spawn_key))
+        return real(seed, spawn_key=spawn_key)
 
-    monkeypatch.setattr(RngStream, "_counter_range", spy)
+    monkeypatch.setattr(luroth.rng, "SeedSequence", spy)
     k, n = 1000, 2400
     stream = RngStream(6, k)
     stream.luroth_row_maxima(n // 2, k)
     stream.luroth_row_maxima(n - n // 2, k)
-    assert opened == [_LOW_RANGE]
+    assert opened == [(6, (k,)), (6, (k, 1))]
     assert max(_row_maxima_reference(6, k, 200, k)[1]) > 1
     opened.clear()
     mc_max_scaled_cdf(k, [1.0], 9001, seed=2, workers=2)  # blocks of 4194, 4194 and 613
-    assert opened == [_LOW_RANGE] * 3
+    assert sorted(opened) == [(2, key) for b in range(3) for key in ((b,), (b, 1))]
+
+
+def test_row_maxima_low_words_are_independent_of_own_words():
+    # the i-th own word and the i-th low word the row maxima read: each of
+    # the 64 bits of their XOR is 1 with probability 1/2, within 5 SE at
+    # 2^16 pairs.  At k = 1 a row reads one own word and one low word
+    n = 1 << 16
+    for seed, index in ((5, 7), (0, 0)):
+        own = RngStream(seed, index).raw64(n)
+        stream = RngStream(seed, index)
+        stream.luroth_row_maxima(0, 1)  # opens the child stream
+        child, lows = stream._lows, []
+
+        class Recorder:
+            def random_raw(self, m):
+                out = child.random_raw(m)
+                lows.append(out.copy())
+                return out
+
+        stream._lows = Recorder()
+        stream.luroth_row_maxima(n, 1)
+        low = np.concatenate(lows)
+        assert low.size == n
+        xor = own ^ low
+        freq = np.array([np.count_nonzero((xor >> np.uint64(b)) & np.uint64(1))
+                         for b in range(64)]) / n
+        assert np.abs(freq - 0.5).max() < 5 * 0.5 / math.sqrt(n), (seed, index)
 
 
 def test_row_maxima_match_python_reference():
