@@ -41,7 +41,7 @@ ulp, bounds the CDF error by 4 eps.  Since u >= 2^-53, digits stop at about
 """
 
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -122,29 +122,26 @@ def _median(x: np.ndarray) -> float:
     return float((x[:h].max() + x[h]) / 2)
 
 
-def mc_cf_rho_table(k_max: int, samples: int, seed: int = 0,
-                    workers: Optional[int] = None) -> List[McResult]:
+def mc_cf_rho_table(k_max: int, samples: int, seed: int = 0) -> List[McResult]:
     """P(max(a_1..a_k) is attained once) under the Gauss measure, k = 1..k_max.
 
     Row i is k = i + 1, as in ``mc_rho``; row k depends on (seed, samples, k)
-    only, not on k_max or the worker count (None: one per usable core).
+    only, not on k_max or the worker count.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     _check_samples(samples)
-    return _unique_max_table(samples, seed, workers,
-                             lambda stream, n: _cf_digits(stream, n, k_max))
+    return _unique_max_table(samples, seed, lambda stream, n: _cf_digits(stream, n, k_max))
 
 
-def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0,
-                        workers: Optional[int] = None) -> List[McResult]:
+def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[McResult]:
     """Medians of (a_1 + ... + a_k - max)/(k log k), one result per entry of ks.
 
     One pass to max(ks) serves every k, and the result for k depends on
-    (seed, samples, k) only, not on the worker count (None: one per usable
-    core).  The reported standard error is the per-trial sample std over
-    sqrt(n) (the result contract's definition); for these heavy-tailed
-    statistics it is a dispersion diagnostic, not a median confidence radius.
+    (seed, samples, k) only, not on the worker count.  The reported standard
+    error is the per-trial sample std over sqrt(n) (the result contract's
+    definition); for these heavy-tailed statistics it is a dispersion
+    diagnostic, not a median confidence radius.
     """
     ks = list(ks)
     if not ks or min(ks) < 2:
@@ -152,8 +149,7 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0,
     _check_samples(samples)
     stats = {k: np.empty(samples) for k in ks}
 
-    def one_block(stream: RngStream, n: int) -> None:
-        start = stream.stream_index * _RHO_BLOCK  # block b holds trials b * _RHO_BLOCK on
+    def one_block(stream: RngStream, start: int, n: int) -> None:
         total = np.zeros(n)
         maxa = np.zeros(n)
         for k, a in enumerate(_cf_digits(stream, n, max(ks)), start=1):
@@ -164,9 +160,9 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0,
                 np.subtract(total, maxa, out=out)
                 out /= k * math.log(k)
 
-    _step_blocks(samples, _RHO_BLOCK, seed, workers, one_block)
+    _step_blocks(samples, _RHO_BLOCK, seed, one_block)
     # every std first, one at a time (each holds a temporary the size of x):
     # the medians then reorder each x in place, one k per worker
     ses = {k: float(np.std(x, ddof=1) / math.sqrt(samples)) for k, x in stats.items()}
-    medians = dict(zip(stats, _ordered_map(_median, list(stats.values()), workers)))
+    medians = dict(zip(stats, _ordered_map(_median, list(stats.values()))))
     return [McResult(medians[k], ses[k]) for k in ks]

@@ -47,8 +47,8 @@ class RngStream:
     def __init__(self, seed: int, stream_index: int = 0):
         if not 0 <= seed <= _U64_MAX:
             raise ValueError("seed must fit in 64 bits")
-        if not 0 <= stream_index <= _U64_MAX:
-            raise ValueError("stream_index must fit in 64 bits")
+        if not 0 <= stream_index < 1 << 32:  # one key word: never a child key
+            raise ValueError("stream_index must fit in 32 bits")
         self._seed = seed
         self.stream_index = stream_index
         self._bg = PCG64DXSM(SeedSequence(seed, spawn_key=(stream_index,)))
@@ -104,13 +104,12 @@ class RngStream:
         * its c low parts are the next c words of this stream's child stream,
           shifted right by 16, in row order.
 
-        The child stream is keyed ``spawn_key=(stream_index, 1)``, apart from
-        every stream's own key but one: SeedSequence reads keys in 32-bit
-        words, so for an index i < 2^32 it is the key of stream i + 2^32,
-        far above the block indices the samplers use.  Both streams are read
-        in order, so two calls draw what one call of their total draws.  A
-        row costs ceil(k/4) + c words instead of k; k = 1 costs two words
-        where luroth_digits costs one.  Rows are drawn in chunks of about
+        The child stream is keyed ``spawn_key=(stream_index, 1)``: SeedSequence
+        reads it as two 32-bit words and every own key, as stream_index < 2^32,
+        as one, so it is no stream's own key.  Both streams are read in order,
+        so two calls draw what one call of their total draws.  A row costs
+        ceil(k/4) + c words instead of k; k = 1 costs two words where
+        luroth_digits costs one.  Rows are drawn in chunks of about
         _ROW_CHUNK prefix words, which change no draw.  The tie counts are
         summed in uint8, a cheaper pass, so they are c mod 256; they are exact
         unless their sum falls short of the number of ties, and only then are

@@ -11,7 +11,7 @@ whose trials draw their row maxima from 16-bit word prefixes
 worker count or on the chunks a block is drawn in.  So one pass yields
 every row of a sweep, and each row is bit-identical whether run serially,
 on a thread pool, or alone.
-Every sweep runs one worker per usable core by default; numpy releases the
+Every sweep runs one worker per usable core; numpy releases the
 interpreter lock in its generators and array loops, so the blocks overlap.
 """
 
@@ -49,23 +49,23 @@ def _usable_cpus() -> List[int]:
 
 
 def _usable_cores() -> int:
-    """The default worker count: one per usable CPU."""
+    """The worker count: one per usable CPU."""
     return len(_usable_cpus()) or os.cpu_count() or 1
 
 
-def _ordered_map(fn: Callable[[object], object], items: Sequence[object],
-                 workers: Optional[int] = None) -> List[object]:
+def _ordered_map(fn: Callable[[object], object], items: Sequence[object]) -> List[object]:
     """[fn(x) for x in items], on worker threads when more than one runs.
 
-    workers=None means one per usable core; never more than one per item.
-    Results come back in item order, so the output does not depend on the
-    worker count as long as fn(x) depends on x alone.  Each worker thread is
-    bound to its own usable CPU, in turn: left to the scheduler, two workers
-    were seen sharing one vCPU of a 2-vCPU VM for minutes while the other
-    stayed idle.  If some fn(x) raises, the exception of the first such item
-    is raised here once every worker has stopped, as the serial loop would.
+    One worker runs per usable core, never more than one per item; this is
+    the only place that sets a thread count.  Results come back in item
+    order, so the output does not depend on the worker count as long as
+    fn(x) depends on x alone.  Each worker thread is bound to its own usable
+    CPU, in turn: left to the scheduler, two workers were seen sharing one
+    vCPU of a 2-vCPU VM for minutes while the other stayed idle.  If some
+    fn(x) raises, the exception of the first such item is raised here once
+    every worker has stopped, as the serial loop would.
     """
-    workers = min(_usable_cores() if workers is None else workers, len(items))
+    workers = min(_usable_cores(), len(items))
     if workers <= 1:
         return [fn(x) for x in items]
     mask = _usable_cpus()
@@ -137,20 +137,21 @@ def _binomial(successes: int, n: int) -> McResult:
     return McResult(p, math.sqrt(p * (1.0 - p) / n))
 
 
-def _step_blocks(samples: int, block: int, seed: int, workers: Optional[int],
-                 per_block: Callable[[RngStream, int], object]) -> List[object]:
-    """per_block(stream, n) on blocks of block trials, in block order.
+def _step_blocks(samples: int, block: int, seed: int,
+                 per_block: Callable[[RngStream, int, int], object]) -> List[object]:
+    """per_block(stream, start, n) on blocks of block trials, in block order.
 
-    Block b draws from stream b and holds trials b * block onward, n of them:
-    block, or fewer in the last one.  A per_block that draws one variate per
-    trial and step makes the first k steps of a pass the draws of a k-step
-    pass, so row k of a sweep depends on (seed, samples, k) only.
+    Block b draws from stream b and holds the n trials from start = b * block
+    on: block of them, or fewer in the last one.  A per_block that draws one
+    variate per trial and step makes the first k steps of a pass the draws of
+    a k-step pass, so row k of a sweep depends on (seed, samples, k) only.
     """
-    return _ordered_map(lambda b: per_block(RngStream(seed, b), min(block, samples - b * block)),
-                        range(-(-samples // block)), workers)
+    return _ordered_map(lambda b: per_block(RngStream(seed, b), b * block,
+                                            min(block, samples - b * block)),
+                        range(-(-samples // block)))
 
 
-def _unique_max_table(samples: int, seed: int, workers: Optional[int],
+def _unique_max_table(samples: int, seed: int,
                       digit_steps: Callable[[RngStream, int], Iterable[np.ndarray]]
                       ) -> List[McResult]:
     """Row i: the fraction of trials whose maximum over digits 1..i+1 is unique.
@@ -161,7 +162,7 @@ def _unique_max_table(samples: int, seed: int, workers: Optional[int],
     maximum and runner-up are kept per trial (a tie puts the runner-up at
     the maximum), and the maximum is unique iff runner-up < max.
     """
-    def one_block(stream: RngStream, n: int) -> List[int]:
+    def one_block(stream: RngStream, start: int, n: int) -> List[int]:
         steps = iter(digit_steps(stream, n))
         maxd = next(steps).copy()
         second = np.zeros_like(maxd)  # below every digit
@@ -174,17 +175,16 @@ def _unique_max_table(samples: int, seed: int, workers: Optional[int],
             unique.append(int(np.count_nonzero(second < maxd)))
         return unique
 
-    per_block = _step_blocks(samples, _RHO_BLOCK, seed, workers, one_block)
+    per_block = _step_blocks(samples, _RHO_BLOCK, seed, one_block)
     return [_binomial(sum(row), samples) for row in zip(*per_block)]
 
 
-def mc_rho(k_max: int, samples: int, seed: int = 0,
-           workers: Optional[int] = None) -> List[McResult]:
+def mc_rho(k_max: int, samples: int, seed: int = 0) -> List[McResult]:
     """Fraction of trials whose maximum digit among k draws is unique.
 
     Returns one result per k = 1..k_max; row i is k = i + 1.  Each block
     draws one digit per trial and step, into one buffer, so row k does not
-    depend on k_max.  workers=None runs one worker per usable core.
+    depend on k_max.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -196,11 +196,11 @@ def mc_rho(k_max: int, samples: int, seed: int = 0,
         for _ in range(k_max):
             yield stream.luroth_digits(n, out=d)
 
-    return _unique_max_table(samples, seed, workers, digit_steps)
+    return _unique_max_table(samples, seed, digit_steps)
 
 
-def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
-                      workers: Optional[int] = None) -> List[McResult]:
+def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0
+                      ) -> List[McResult]:
     """Estimates of P(max of k digits < c*k), the scaled-maximum CDF, per c.
 
     The event max/k < c is max <= ceil(c*k) - 1 on integers, so each estimate
@@ -210,8 +210,7 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
     16-bit prefixes, and low parts only for the entries that attain the
     least prefix (``RngStream.luroth_row_maxima``).  ``_step_blocks`` runs
     blocks of max(1, _MATRIX_DRAW_BUDGET // k) trials; block b draws its
-    trials from stream b, in order.  workers=None runs one worker per usable
-    core.
+    trials from stream b, in order.
     """
     cs = list(cs)
     if k < 1:
@@ -220,8 +219,8 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0,
         raise ValueError("c must be positive, with c*k finite")
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    maxes = np.concatenate(_step_blocks(samples, max(1, _MATRIX_DRAW_BUDGET // k), seed, workers,
-                                        lambda stream, n: stream.luroth_row_maxima(n, k)))
+    maxes = np.concatenate(_step_blocks(samples, max(1, _MATRIX_DRAW_BUDGET // k), seed,
+                                        lambda stream, start, n: stream.luroth_row_maxima(n, k)))
     # digits lie in [1, 2^53], so clamping the threshold there changes no
     # count, and a double holds the clamped integer exactly
     thresholds = [float(min(max(math.ceil(c * k) - 1, 0), 1 << 53)) for c in cs]

@@ -9,7 +9,6 @@ import sys
 import pytest
 
 import luroth.cli
-import luroth.simulation
 from luroth.cli import main
 from luroth.trimming import c_k
 
@@ -374,12 +373,10 @@ class TestCoreCount:
         ["rho", "--mode", "mc", "--kmax", "8", "--samples", "70001", "--seed", "2"],
         ["maxdist", "--k", "1000", "--samples", "12500", "--seed", "2"],
     ])
-    def test_stdout_does_not_depend_on_cores(self, argv, monkeypatch, capsys):
+    def test_stdout_does_not_depend_on_cores(self, argv, cores, capsys):
         outs = []
-        for cores in (1, 2, 3):
-            asked = []
-            monkeypatch.setattr(luroth.simulation, "_usable_cores",
-                                lambda: asked.append(cores) or cores)
+        for n in (1, 2, 3):
+            asked = cores(n)
             assert main(argv) == 0
             assert asked
             outs.append(capsys.readouterr().out)

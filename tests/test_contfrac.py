@@ -191,11 +191,13 @@ class TestMcCfRho:
         assert r.estimate == 1.0
         assert r.standard_error == 0.0
 
-    def test_deterministic(self):
+    def test_deterministic(self, cores):
         a = mc_cf_rho_table(8, 10**5, seed=3)
         b = mc_cf_rho_table(8, 10**5, seed=3)
-        c = mc_cf_rho_table(8, 10**5, seed=3, workers=2)
-        d = mc_cf_rho_table(8, 10**5, seed=3, workers=4)
+        cores(2)
+        c = mc_cf_rho_table(8, 10**5, seed=3)
+        cores(4)
+        d = mc_cf_rho_table(8, 10**5, seed=3)
         assert a == b == c == d
 
     def test_rows_do_not_depend_on_k_max(self):
@@ -282,27 +284,31 @@ class TestMcCfTrimmed:
             assert math.isfinite(r.estimate)
             assert r.estimate > 0.0
 
-    def test_deterministic(self):
+    def test_deterministic(self, cores):
         a = mc_cf_trimmed_table([16], 10**4, seed=5)
-        b = mc_cf_trimmed_table([16], 10**4, seed=5, workers=4)
+        cores(4)
+        b = mc_cf_trimmed_table([16], 10**4, seed=5)
         assert a == b
 
-    def test_blocks_fill_their_own_rows_under_fast_thread_switches(self):
+    def test_blocks_fill_their_own_rows_under_fast_thread_switches(self, cores):
         # four blocks on more workers than cores, switching every microsecond
+        cores(4)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = mc_cf_trimmed_table([2, 8, 16], 10**5, seed=4, workers=4)
+            threaded = mc_cf_trimmed_table([2, 8, 16], 10**5, seed=4)
         finally:
             sys.setswitchinterval(old)
-        assert threaded == mc_cf_trimmed_table([2, 8, 16], 10**5, seed=4, workers=1)
+        cores(1)
+        assert threaded == mc_cf_trimmed_table([2, 8, 16], 10**5, seed=4)
 
-    def test_rows_do_not_depend_on_ks(self):
-        both = mc_cf_trimmed_table([16, 2], 10**5, seed=5, workers=2)
-        assert both == [mc_cf_trimmed_table([16], 10**5, seed=5)[0],
-                        mc_cf_trimmed_table([2, 8, 32], 10**5, seed=5)[0]]
+    def test_rows_do_not_depend_on_ks(self, cores):
+        alone = [mc_cf_trimmed_table([16], 10**5, seed=5)[0],
+                 mc_cf_trimmed_table([2, 8, 32], 10**5, seed=5)[0]]
         first, again = mc_cf_trimmed_table([8, 8], 10**4, seed=1)
         assert first == again
+        cores(2)
+        assert mc_cf_trimmed_table([16, 2], 10**5, seed=5) == alone
 
     def test_rejections(self):
         with pytest.raises(ValueError):

@@ -54,7 +54,7 @@ def test_distinct_keys_give_distinct_first_words():
     # SeedSequence mixes seed and stream index apart, so swapping them, as in
     # (0, 1) and (1, 0), gives another stream; each stream's child stream of
     # low words is another stream again
-    keys = [(s, b) for s in (0, 1, 2, 7, (1 << 64) - 1) for b in (0, 1, 2, 7, (1 << 64) - 1)]
+    keys = [(s, b) for s in (0, 1, 2, 7, (1 << 64) - 1) for b in (0, 1, 2, 7, (1 << 32) - 1)]
     firsts = {int(RngStream(s, b).raw64(1)[0]) for s, b in keys}
     firsts |= {_first_low_word(s, b) for s, b in keys}
     assert len(firsts) == 2 * len(keys)
@@ -72,6 +72,8 @@ def test_stream_validates_key_range():
         RngStream(-1, 0)
     with pytest.raises(ValueError):
         RngStream(0, 1 << 64)
+    with pytest.raises(ValueError):  # its own key would be the child key of stream 0
+        RngStream(0, 1 << 32)
 
 
 def test_uniforms_in_half_open_interval():
@@ -294,7 +296,7 @@ def test_row_maxima_count_ties_past_255():
     assert feed.used == 258
 
 
-def test_row_maxima_open_one_child_stream_per_stream(monkeypatch):
+def test_row_maxima_open_one_child_stream_per_stream(monkeypatch, cores):
     # k = 1000 ties about 0.75 % of its rows, yet a stream opens its child
     # stream once, also across calls and in each block of mc_max_scaled_cdf;
     # the spy records the key of every stream and child stream opened
@@ -313,7 +315,8 @@ def test_row_maxima_open_one_child_stream_per_stream(monkeypatch):
     assert opened == [(6, (k,)), (6, (k, 1))]
     assert max(_row_maxima_reference(6, k, 200, k)[1]) > 1
     opened.clear()
-    mc_max_scaled_cdf(k, [1.0], 9001, seed=2, workers=2)  # blocks of 4194, 4194 and 613
+    cores(2)
+    mc_max_scaled_cdf(k, [1.0], 9001, seed=2)  # blocks of 4194, 4194 and 613
     assert sorted(opened) == [(2, key) for b in range(3) for key in ((b,), (b, 1))]
 
 
@@ -402,7 +405,7 @@ def test_max_scaled_cdf_counts_block_row_maxima():
         int((maxima < math.ceil(c * k)).sum()) / (full + 3) for c in (0.5, 1.0, 2.0)]
 
 
-def test_max_scaled_cdf_block_maxima_do_not_depend_on_workers(monkeypatch):
+def test_max_scaled_cdf_block_maxima_do_not_depend_on_workers(monkeypatch, cores):
     # the maxima each block draws, recorded by stream index; two blocks of
     # 4194 trials and a short third
     real = RngStream.luroth_row_maxima
@@ -415,9 +418,10 @@ def test_max_scaled_cdf_block_maxima_do_not_depend_on_workers(monkeypatch):
 
     monkeypatch.setattr(RngStream, "luroth_row_maxima", spy)
     runs = []
-    for workers in (1, 2, 3):
+    for n in (1, 2, 3):
         seen.clear()
-        got = mc_max_scaled_cdf(1000, [0.5, 1.0, 2.0], 9001, seed=2, workers=workers)
+        cores(n)
+        got = mc_max_scaled_cdf(1000, [0.5, 1.0, 2.0], 9001, seed=2)
         runs.append((got, dict(seen)))
     assert sorted(runs[0][1]) == [0, 1, 2]
     assert runs[0] == runs[1] == runs[2]
@@ -450,26 +454,44 @@ def test_digit_chi_square_gof():
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity calls")
-def test_ordered_map_keeps_order_and_binds_only_its_workers():
+def test_ordered_map_keeps_order_and_binds_only_its_workers(cores):
     mask = os.sched_getaffinity(0)
-    got = _ordered_map(lambda x: (x, os.sched_getaffinity(0)), range(40), workers=3)
+    cores(3)
+    got = _ordered_map(lambda x: (x, os.sched_getaffinity(0)), range(40))
     assert [x for x, _ in got] == list(range(40))
     assert all(len(cpus) == 1 and cpus <= mask for _, cpus in got)
     assert os.sched_getaffinity(0) == mask
 
 
-def test_ordered_map_under_fast_thread_switches():
+def test_ordered_map_under_fast_thread_switches(cores):
     # more workers than cores, and a thread switch every microsecond
+    cores(5)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        many = _ordered_map(lambda s: mc_trimmed_trajectory(3000, [3000], seed=s), range(12), 5)
+        many = _ordered_map(lambda s: mc_trimmed_trajectory(3000, [3000], seed=s), range(12))
     finally:
         sys.setswitchinterval(old)
     assert many == [mc_trimmed_trajectory(3000, [3000], seed=s) for s in range(12)]
 
 
-def test_ordered_map_reraises_first_failing_item():
+def test_ordered_map_starts_no_more_threads_than_items(monkeypatch, cores):
+    # 8 cores and 3 items: 3 threads start, and 3 run the items
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    cores(8)
+    idents = _ordered_map(lambda x: threading.get_ident(), range(3))
+    assert len(started) == 3
+    assert len(set(idents)) <= 3
+
+
+def test_ordered_map_reraises_first_failing_item(cores):
     # item 6 fails first in time and item 5 after it; the caller must get
     # item 5's exception, as from the serial loop, with no worker left behind
     six_failed = threading.Event()
@@ -485,10 +507,11 @@ def test_ordered_map_reraises_first_failing_item():
 
     threads_before = threading.active_count()
     outcome = []
+    cores(3)
 
     def call():
         try:
-            outcome.append(_ordered_map(fn, range(20), workers=3))
+            outcome.append(_ordered_map(fn, range(20)))
         except Exception as exc:
             outcome.append(exc)
 
@@ -519,14 +542,15 @@ def test_mc_rho_matches_exact_formula():
         assert abs(r.estimate - exact) <= 4 * r.standard_error
 
 
-def test_mc_rho_deterministic_and_worker_independent():
+def test_mc_rho_deterministic_and_worker_independent(cores):
     a = mc_rho(3, 70000, seed=5)
     b = mc_rho(3, 70000, seed=5)
-    c = mc_rho(3, 70000, seed=5, workers=4)
+    cores(4)
+    c = mc_rho(3, 70000, seed=5)
     assert a == b == c
 
 
-def test_unique_max_table_against_python_count():
+def test_unique_max_table_against_python_count(cores):
     # digits 1..3 tie often; row k counts the trials whose maximum over the
     # first k digits is attained once
     n, depth = 5000, 6
@@ -534,7 +558,8 @@ def test_unique_max_table_against_python_count():
     def steps(stream, size):
         return (stream.luroth_digits(size) % np.uint64(3) + np.uint64(1) for _ in range(depth))
 
-    table = _unique_max_table(n, 4, 1, steps)
+    cores(1)
+    table = _unique_max_table(n, 4, steps)
     rows = np.array([d.tolist() for d in steps(RngStream(4, 0), n)]).T.tolist()
     for k in range(1, depth + 1):
         unique = sum(row[:k].count(max(row[:k])) == 1 for row in rows)
@@ -548,13 +573,15 @@ def test_mc_rho_validates():
         mc_rho(2, 50)
 
 
-def test_mc_rho_rows_do_not_depend_on_k_max():
+def test_mc_rho_rows_do_not_depend_on_k_max(cores):
     # 70001 is not a multiple of the block size, so the short last block
     # is checked too; each row must equal the last row of a run stopped there
-    table = mc_rho(40, 70001, seed=5, workers=3)
+    last = {k: mc_rho(k, 70001, seed=5)[-1] for k in (1, 3, 17, 40)}
+    cores(3)
+    table = mc_rho(40, 70001, seed=5)
     assert len(table) == 40
-    for k in (1, 3, 17, 40):
-        assert table[k - 1] == mc_rho(k, 70001, seed=5)[-1]
+    for k, row in last.items():
+        assert table[k - 1] == row
 
 
 # ------------------------------------------------------------- max scaled
@@ -583,22 +610,24 @@ def test_mc_max_scaled_cdf_tiny_c_zero():
     assert r.estimate == 0.0
 
 
-def test_mc_max_scaled_cdf_deterministic():
+def test_mc_max_scaled_cdf_deterministic(cores):
     # at k = 1000 a block holds 4194 trials: three full blocks and a short one
-    for k, samples in ((50, 30000), (1000, 12599)):
-        a = mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], samples, seed=2)
-        b = mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], samples, seed=2, workers=3)
-        assert a == b
+    sizes = ((50, 30000), (1000, 12599))
+    a = [mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], samples, seed=2) for k, samples in sizes]
+    cores(3)
+    b = [mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], samples, seed=2) for k, samples in sizes]
+    assert a == b
 
 
-def test_mc_max_scaled_cdf_grid_rows_match_single_points():
+def test_mc_max_scaled_cdf_grid_rows_match_single_points(cores):
     # c = 0.1 puts the threshold ceil(0.3) - 1 = 0 below the smallest digit
     cs = [0.1, 1.0, 2.5]
-    grid = mc_max_scaled_cdf(3, cs, 50001, seed=4, workers=2)
+    singles = [mc_max_scaled_cdf(3, [c], 50001, seed=4)[0] for c in cs]
+    cores(2)
+    grid = mc_max_scaled_cdf(3, cs, 50001, seed=4)
     assert len(grid) == 3
     assert grid[0].estimate == 0.0
-    for c, r in zip(cs, grid):
-        assert r == mc_max_scaled_cdf(3, [c], 50001, seed=4)[0]
+    assert grid == singles
 
 
 def test_mc_max_scaled_cdf_validates():
