@@ -25,10 +25,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .contfrac import mc_cf_rho_table, mc_cf_trimmed_table
-from .expansion import expand, max_cdf_exact, reconstruct
+from .expansion import expand, reconstruct
 from .extrema import rho_exact, rho_series
 from .precision import PrecisionError
-from .simulation import _ordered_map, mc_max_scaled_cdf, mc_rho, mc_trimmed_trajectory
+from .simulation import (_finite_product, _ordered_map, mc_max_scaled_cdf, mc_rho,
+                         mc_trimmed_trajectory)
 from .trimming import c_k, j2_partial_sums
 
 __all__ = ["main"]
@@ -163,13 +164,22 @@ def cmd_maxdist(args) -> int:
     _require(args.k >= 1, "--k must be >= 1")
     _require(args.samples >= 100, "--samples must be >= 100")
     c_list = args.c if args.c else [0.5, 1.0, 2.0]
-    _require(all(c > 0 and math.isfinite(c * args.k) for c in c_list),
+    _require(all(c > 0 and _finite_product(c, args.k) for c in c_list),
              "--c values must be positive, with c*k finite")
     sampled = mc_max_scaled_cdf(args.k, c_list, args.samples, seed=args.seed)
     rows = []
     for c, r in zip(c_list, sampled):
-        threshold = math.ceil(c * args.k) - 1
-        exact = float(max_cdf_exact(args.k, threshold)) if threshold >= 1 else 0.0
+        m = math.ceil(c * args.k)
+        # (1 - 1/m)^k = max_cdf_exact(k, m - 1) in floats, for m >= 2.  Let
+        # u = 2^-53 and take libm's log1p and exp faithful (error below 1 ulp,
+        # so below 2u relative).  y = 1.0 / m rounds m and the quotient: 2u.
+        # log1p(-y) has relative condition y / ((1 - y) |log1p(-y)|) <= 1/ln 2
+        # for y <= 1/2, and rounds: 2u/ln 2 + 2u.  float(k) and the product
+        # round once each: x = k log1p(-1/m) is within (2/ln 2 + 4) u < 7u
+        # relative.  exp turns that into 7u|x| relative and rounds: the
+        # column is within (7|x| + 2) u relative of the exact value, to first
+        # order in u, unless exp underflows
+        exact = math.exp(args.k * math.log1p(-1.0 / m)) if m > 1 else 0.0
         rows.append((c, r.estimate, exact, math.exp(-1.0 / c)))
     return _write_csv(args.out, "c,empirical,exact_finite_k,limit_exp",
                       "%.17g,%.17g,%.17g,%.17g", rows)

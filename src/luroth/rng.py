@@ -22,7 +22,6 @@ __all__ = ["RngStream"]
 
 _ULP = 2.0**-53  # the grid step of uniforms
 _U64_MAX = (1 << 64) - 1
-_ROW_CHUNK = 1 << 16  # prefix words per chunk of luroth_row_maxima: 512 KB
 
 
 def _to_digits(u: np.ndarray) -> np.ndarray:
@@ -47,13 +46,11 @@ class RngStream:
     def __init__(self, seed: int, stream_index: int = 0):
         if not 0 <= seed <= _U64_MAX:
             raise ValueError("seed must fit in 64 bits")
-        if not 0 <= stream_index < 1 << 32:  # one key word: never a child key
+        if not 0 <= stream_index < 1 << 32:  # one 32-bit key word: no sampler needs more
             raise ValueError("stream_index must fit in 32 bits")
-        self._seed = seed
         self.stream_index = stream_index
         self._bg = PCG64DXSM(SeedSequence(seed, spawn_key=(stream_index,)))
         self._gen = Generator(self._bg)  # its doubles read the words of _bg
-        self._lows = None  # the child stream of low words, opened by the first row maxima
 
     def raw64(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words of this stream."""
@@ -88,59 +85,30 @@ class RngStream:
     def luroth_row_maxima(self, n: int, k: int) -> np.ndarray:
         """n row maxima, in law luroth_digits(n * k).reshape(n, k).max(axis=1).
 
-        The largest digit of a row is the digit of its smallest raw word, as
-        the word w maps to floor(1/u) for u = ((w >> 11) + 1) 2^-53: u does
-        not decrease as w grows, and floor(1/u) does not increase.  Write a
-        word as w = (h << 48) | l: its top 16 bits h and its low 48 bits l are
-        independent and uniform.  So the smallest of k words is h* << 48 | l*,
-        where h* is the least h of the row and, given all k prefixes, l* is
-        the least of c independent uniform l, one for each of the c entries
-        that attain h*.  Drawing just those c low parts gives exactly the law
-        of the k-word row, its 2^-53 digit bias and its 2^53 cap included:
+        The largest digit of a row is floor(1/t) for t the least of its k
+        uniforms, and the least of k uniforms has a closed inverse CDF
+        (Devroye, Non-Uniform Random Variate Generation, 1986, ch. V): for u
+        uniform on (0, 1], t = 1 - u^(1/k) = -expm1(log(u)/k) has
+        P(t <= x) = P(u >= (1 - x)^k) = 1 - (1 - x)^k on [0, 1].  So a row
+        costs one raw word, whatever k: u = uniforms(n), whose log is finite,
+        gives t, which is snapped up onto the 2^-53 grid of uniforms as
+        max(ceil(t 2^53), 1) 2^-53 and mapped by ``_to_digits``, exactly and
+        with its 2^53 cap.  Two calls draw what one call of their total draws.
 
-        * the k prefixes of row r are the first k 16-bit lanes (lane j of a
-          word is its bits 16j to 16j + 15, on a little-endian host) of the
-          next ceil(k/4) words of this stream; the padding lanes are unused;
-        * its c low parts are the next c words of this stream's child stream,
-          shifted right by 16, in row order.
-
-        The child stream is keyed ``spawn_key=(stream_index, 1)``: SeedSequence
-        reads it as two 32-bit words and every own key, as stream_index < 2^32,
-        as one, so it is no stream's own key.  Both streams are read in order,
-        so two calls draw what one call of their total draws.  A row costs
-        ceil(k/4) + c words instead of k; k = 1 costs two words where
-        luroth_digits costs one.  Rows are drawn in chunks of about
-        _ROW_CHUNK prefix words, which change no draw.  The tie counts are
-        summed in uint8, a cheaper pass, so they are c mod 256; they are exact
-        unless their sum falls short of the number of ties, and only then are
-        the rows counted in full.  A chunk whose rows all have c = 1, as every
-        chunk at k = 1, skips the counts and ORs in its low words directly.
-        The maxima are float64, as from ``luroth_digits``.
+        Bias: u's grid moves P(t <= x) by at most 2^-53.  log, the division and
+        expm1, whose condition number is at most 1 for arguments <= 0, move t
+        by a few ulps relative, and the snap moves it up by less than 2^-53;
+        the density k(1 - x)^(k-1) <= k turns a shift of t by at most 2^-53
+        into at most k 2^-53 of probability, the order of the grid bias of k
+        uniforms drawn one by one.  The maxima are float64, as from
+        ``luroth_digits``.
         """
-        q = -(-k // 4)
-        rows = max(1, _ROW_CHUNK // q)
-        if self._lows is None:
-            self._lows = PCG64DXSM(SeedSequence(self._seed, spawn_key=(self.stream_index, 1)))
-        words = np.empty(n, dtype=np.uint64)
-        for start in range(0, n, rows):
-            m = min(rows, n - start)
-            prefixes = self._bg.random_raw(m * q).view(np.uint16).reshape(m, 4 * q)[:, :k]
-            h = prefixes.min(axis=1)
-            tied = prefixes == h[:, None]
-            total = np.count_nonzero(tied)
-            low = self._lows.random_raw(total)
-            low >>= np.uint64(16)
-            chunk = words[start:start + m]
-            np.left_shift(h, np.uint64(48), out=chunk)
-            if total == m:  # every c is 1: row r's low part is low[r]
-                chunk |= low
-                continue
-            ties = np.add.reduce(tied.view(np.uint8), axis=1, dtype=np.uint8)  # c mod 256
-            if int(ties.sum()) != total:  # some c wrapped
-                ties = np.count_nonzero(tied, axis=1)
-            chunk |= np.minimum.reduceat(low, np.cumsum(ties, dtype=np.intp) - ties)
-        words >>= np.uint64(11)
-        u = words.astype(np.float64)
-        u += 1.0
-        u *= _ULP
-        return _to_digits(u)
+        t = self.uniforms(n)
+        np.log(t, out=t)
+        t /= k
+        np.expm1(t, out=t)
+        t *= -2.0**53  # t 2^53, exactly: a power of 2 scales without rounding
+        np.ceil(t, out=t)
+        np.maximum(t, 1.0, out=t)
+        t *= _ULP
+        return _to_digits(t)

@@ -3,14 +3,13 @@
 Trials are partitioned into fixed-size blocks; block b always draws from
 stream b of the seed, a SeedSequence-keyed PCG64DXSM stream
 (``RngStream``), and partial results are reduced in block order.
-The draws depend only on (seed, samples) for rho (and for the
-continued-fraction sweeps in ``contfrac``, which share its block loop and
-uniqueness counter) and on (seed, samples, k) for the scaled maximum,
-whose trials draw their row maxima from 16-bit word prefixes
-(``RngStream.luroth_row_maxima``), never on k_max, on the c-grid, on the
-worker count or on the chunks a block is drawn in.  So one pass yields
-every row of a sweep, and each row is bit-identical whether run serially,
-on a thread pool, or alone.
+A block holds _RHO_BLOCK trials.  The draws depend only on (seed, samples)
+for rho (and for the continued-fraction sweeps in ``contfrac``, which share
+its block loop and uniqueness counter) and for the scaled maximum, whose
+trials draw one word each, mapped to the maximum of k digits in law
+(``RngStream.luroth_row_maxima``); never on k_max, on the c-grid or on the
+worker count.  So one pass yields every row of a sweep, and each row is
+bit-identical whether run serially, on a thread pool, or alone.
 Every sweep runs one worker per usable core; numpy releases the
 interpreter lock in its generators and array loops, so the blocks overlap.
 """
@@ -32,9 +31,6 @@ __all__ = [
 ]
 
 _RHO_BLOCK = 1 << 15
-# a block of k-digit row maxima holds _MATRIX_DRAW_BUDGET // k trials, which
-# draw about a quarter as many raw words (luroth_row_maxima)
-_MATRIX_DRAW_BUDGET = 1 << 22
 _TRAJ_CHUNK = 1 << 16  # 512 KB of digits: a chunk stays in cache while it is summed
 
 
@@ -199,6 +195,14 @@ def mc_rho(k_max: int, samples: int, seed: int = 0) -> List[McResult]:
     return _unique_max_table(samples, seed, digit_steps)
 
 
+def _finite_product(c: float, k: int) -> bool:
+    """Whether c*k is a finite float; False too for a k no float can hold."""
+    try:
+        return math.isfinite(c * k)
+    except OverflowError:
+        return False
+
+
 def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0
                       ) -> List[McResult]:
     """Estimates of P(max of k digits < c*k), the scaled-maximum CDF, per c.
@@ -206,20 +210,18 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0
     The event max/k < c is max <= ceil(c*k) - 1 on integers, so each estimate
     targets the exact finite-k value (1 - 1/ceil(c*k))^k.  One pass draws
     each trial's maximum once for the whole c-grid, with the law of the
-    largest of k digits but from about k/4 + 1 raw words: the row's k
-    16-bit prefixes, and low parts only for the entries that attain the
-    least prefix (``RngStream.luroth_row_maxima``).  ``_step_blocks`` runs
-    blocks of max(1, _MATRIX_DRAW_BUDGET // k) trials; block b draws its
+    largest of k digits but from one raw word (``RngStream.luroth_row_maxima``).
+    ``_step_blocks`` runs blocks of _RHO_BLOCK trials; block b draws its
     trials from stream b, in order.
     """
     cs = list(cs)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not all(c > 0 and math.isfinite(c * k) for c in cs):
+    if not all(c > 0 and _finite_product(c, k) for c in cs):
         raise ValueError("c must be positive, with c*k finite")
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    maxes = np.concatenate(_step_blocks(samples, max(1, _MATRIX_DRAW_BUDGET // k), seed,
+    maxes = np.concatenate(_step_blocks(samples, _RHO_BLOCK, seed,
                                         lambda stream, start, n: stream.luroth_row_maxima(n, k)))
     # digits lie in [1, 2^53], so clamping the threshold there changes no
     # count, and a double holds the clamped integer exactly

@@ -10,6 +10,7 @@ import pytest
 
 import luroth.cli
 from luroth.cli import main
+from luroth.expansion import max_cdf_exact
 from luroth.trimming import c_k
 
 
@@ -148,6 +149,24 @@ class TestMaxdist:
         assert abs(lim - math.exp(-1.0)) < 1e-15
         assert abs(emp - exact) < 0.02
 
+    def test_exact_column_within_its_error_bound(self, capsys):
+        # against the correctly rounded (1 - 1/m)^k: the bound (7|x| + 2) 2^-53
+        # relative of cmd_maxdist, for x = k log1p(-1/m), plus 2^-53 for
+        # rounding the reference; c runs from 0.02 to 10^4
+        cs = [0.02, 0.05, 0.1, 0.3, 0.5, 0.7, 1, 1.5, 2, 3.3, 10, 77, 1e3, 1e4]
+        for k in (1, 2, 3, 7, 50, 999, 1000, 4999):
+            argv = ["maxdist", "--k", str(k), "--samples", "100"]
+            _, rows = run_cli(argv + [a for c in cs for a in ("--c", repr(c))], capsys)
+            for c, row in zip(cs, rows[1:]):
+                m = math.ceil(c * k)
+                got = float(row[2])
+                if m <= 1:
+                    assert got == 0.0
+                    continue
+                want = float(max_cdf_exact(k, m - 1))
+                x = k * math.log1p(-1.0 / m)
+                assert abs(got - want) <= (7 * abs(x) + 3) * 2.0**-53 * want, (k, c)
+
     def test_default_c_grid(self, capsys):
         _, rows = run_cli(["maxdist", "--k", "20", "--samples", "10000"], capsys)
         assert [r[0] for r in rows[1:]] == ["0.5", "1", "2"]
@@ -214,6 +233,7 @@ class TestInvalidFlags:
         ["maxdist", "--k", "10", "--c", "1", "--c", "inf", "--samples", "1000"],
         ["maxdist", "--k", "10", "--c", "nan", "--samples", "1000"],
         ["maxdist", "--k", "1000", "--c", "1e306", "--samples", "1000"],
+        ["maxdist", "--k", "1" + "0" * 400, "--samples", "1000"],
         ["rho", "--mode", "series", "--kmax", "3", "--tol", "inf"],
         ["rho", "--mode", "series", "--kmax", "3", "--tol", "2"],
         ["rho", "--mode", "series", "--kmax", "3", "--tol", "1e-16"],
@@ -236,8 +256,8 @@ class TestInvalidFlags:
 class TestPinnedSampledTables:
     # the bytes of the sampled tables on PCG64DXSM streams, so a change of
     # generator, block layout or draw order shows.  MAXDIST holds the bytes of
-    # the row maxima drawn from 16-bit word prefixes, with low words from each
-    # block's child stream
+    # the row maxima drawn from one word each, the least of k uniforms by its
+    # inverse CDF, and of the exact column in floats, k log1p(-1/m) under exp
     RHO = (
         "k,method,value,error_bound\n"
         "2,monte-carlo,0.70550000000000002,0.010192392996740265\n"
@@ -248,9 +268,9 @@ class TestPinnedSampledTables:
     )
     MAXDIST = (
         "c,empirical,exact_finite_k,limit_exp\n"
-        "0.5,0.1305,0.12988579352203863,0.1353352832366127\n"
-        "1,0.36899999999999999,0.36416968008711709,0.36787944117144233\n"
-        "2,0.60299999999999998,0.60500606713753668,0.60653065971263342\n"
+        "0.5,0.13600000000000001,0.12988579352203861,0.1353352832366127\n"
+        "1,0.36099999999999999,0.36416968008711709,0.36787944117144233\n"
+        "2,0.60450000000000004,0.60500606713753657,0.60653065971263342\n"
     )
 
     def test_rho_mc(self, capsys):
@@ -363,15 +383,14 @@ class TestPinnedRowFormats:
 
 
 class TestCoreCount:
-    # the sampled tables at 1, 2 and 3 usable cores; 70001 trials make three
-    # blocks and a short fourth, trim has five seeds, and maxdist at k = 1000
-    # makes two blocks of 4194 trials and a short third
+    # the sampled tables at 1, 2 and 3 usable cores; 70001 trials make two
+    # full blocks and a short third, and trim has five seeds
     @pytest.mark.parametrize("argv", [
         ["trim", "--kmax", "100000", "--seeds", "5", "--seed", "3"],
         ["cf", "--statistic", "rho", "--samples", "70001", "--seed", "2"],
         ["cf", "--statistic", "trimmed", "--samples", "70001", "--seed", "2"],
         ["rho", "--mode", "mc", "--kmax", "8", "--samples", "70001", "--seed", "2"],
-        ["maxdist", "--k", "1000", "--samples", "12500", "--seed", "2"],
+        ["maxdist", "--k", "1000", "--samples", "70001", "--seed", "2"],
     ])
     def test_stdout_does_not_depend_on_cores(self, argv, cores, capsys):
         outs = []

@@ -6,10 +6,10 @@ import sys
 import threading
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
-from numpy.random import PCG64DXSM, SeedSequence
 
 from luroth.expansion import digit, max_cdf_exact, pmf
 from luroth.extrema import rho_exact
@@ -17,7 +17,7 @@ import luroth.rng
 import luroth.simulation
 from luroth.rng import RngStream, _to_digits
 from luroth.simulation import (
-    _MATRIX_DRAW_BUDGET,
+    _RHO_BLOCK,
     _exact_sum_u64,
     _ordered_map,
     _sum_and_max,
@@ -43,21 +43,12 @@ def test_streams_differ_by_index_and_seed():
     assert not np.array_equal(base, RngStream(12, 0).raw64(64))
 
 
-def _first_low_word(seed, index):
-    """The first word of the child stream that luroth_row_maxima reads low words from."""
-    stream = RngStream(seed, index)
-    stream.luroth_row_maxima(0, 1)  # opens the child stream and draws nothing
-    return int(stream._lows.random_raw(1)[0])
-
-
 def test_distinct_keys_give_distinct_first_words():
     # SeedSequence mixes seed and stream index apart, so swapping them, as in
-    # (0, 1) and (1, 0), gives another stream; each stream's child stream of
-    # low words is another stream again
+    # (0, 1) and (1, 0), gives another stream
     keys = [(s, b) for s in (0, 1, 2, 7, (1 << 64) - 1) for b in (0, 1, 2, 7, (1 << 32) - 1)]
     firsts = {int(RngStream(s, b).raw64(1)[0]) for s, b in keys}
-    firsts |= {_first_low_word(s, b) for s, b in keys}
-    assert len(firsts) == 2 * len(keys)
+    assert len(firsts) == len(keys)
 
 
 def test_stream_draws_are_position_pure():
@@ -72,7 +63,7 @@ def test_stream_validates_key_range():
         RngStream(-1, 0)
     with pytest.raises(ValueError):
         RngStream(0, 1 << 64)
-    with pytest.raises(ValueError):  # its own key would be the child key of stream 0
+    with pytest.raises(ValueError):  # more than one 32-bit key word
         RngStream(0, 1 << 32)
 
 
@@ -206,159 +197,42 @@ def test_digits_of_extreme_raw_words():
     assert stream._bg.used == len(_EDGE_WORDS)  # one word per digit, no redraw
 
 
-def _fed_row_stream(prefix_words, lows):
-    """A stream whose row maxima draw the given words from stubs.
-
-    prefix_words are the stream's own words and lows its child stream's.
-    Returns the stream and the child stream's feed.
-    """
-    stream = _fed_stream(prefix_words)
-    stream._lows = _RawFeed(lows)
-    return stream, stream._lows
-
-
-def _pack(lanes):
-    """Raw words whose 16-bit lanes, lowest bits first, are the given lanes."""
-    lanes = list(lanes) + [0] * (-len(lanes) % 4)  # padding lanes hold 0
-    return [sum(lanes[i + j] << (16 * j) for j in range(4)) for i in range(0, len(lanes), 4)]
-
-
-def _row_maxima_reference(seed, index, n, k):
-    """luroth_row_maxima(n, k) of stream (seed, index), in plain Python on raw words.
-
-    Also returns the tie counts c of the rows.  luroth_row_maxima reads each
-    row's c low words as the next c words of the stream's child stream, in
-    row order.
-    """
-    q = -(-k // 4)
-    words = PCG64DXSM(SeedSequence(seed, spawn_key=(index,))).random_raw(n * q).tolist()
-    lows = PCG64DXSM(SeedSequence(seed, spawn_key=(index, 1)))
-    maxima, counts = [], []
-    for r in range(n):
-        lanes = [(w >> (16 * j)) & 0xFFFF for w in words[r * q:(r + 1) * q] for j in range(4)][:k]
-        h = min(lanes)
-        c = lanes.count(h)
-        low = lows.random_raw(c).tolist()
-        maxima.append(_digit_of_word((h << 48) | (min(low) >> 16)))
-        counts.append(c)
-    return maxima, counts
-
-
 def test_row_maxima_of_extreme_raw_words():
-    # k = 3: one prefix word per row, its top lane padding.  Row 0 has the
-    # least word 0 (digit 2^53), row 1 ties all three prefixes at 2^16 - 1
-    # with all-ones low words (word 2^64 - 1, digit 1) and a padding lane 0
-    # below them, row 2 joins prefix 7 to low part 5 << 44
-    top = (1 << 64) - 1
-    stream, feed = _fed_row_stream(
-        _pack([5, 0, 9, 0] + [0xFFFF] * 3 + [0] + [7, 8, 8, 0]),
-        [0, top, top, top, 5 << 60])
-    maxima = stream.luroth_row_maxima(3, 3)
-    assert maxima.dtype == np.float64
-    assert maxima.tolist() == [1 << 53, 1, _digit_of_word((7 << 48) | (5 << 44))]
-    assert feed.used == 5
-    assert stream._bg.used == 3
-
-
-def test_row_maxima_tie_counts_and_words_per_row():
-    # k = 5: two prefix words per row, three padding lanes of 0 that must not
-    # count.  Rows 0-3 have c = 1, 2, 3 and 2 (a tie at prefix 0); each row
-    # reads its c low words in turn, the least one not first.  The low words
-    # differ in their top bits, so that each one gives its row another digit
-    k = 5
-    rows = [[9, 4, 7, 8, 6], [3, 8, 3, 9, 5], [2, 2, 7, 2, 9], [0, 5, 0, 1, 1]]
-    lows = [5 << 60, 9 << 60, 4 << 60, 8 << 60, 6 << 60, 3 << 60, 7 << 60, (2 << 60) + 0xFFFF]
-    prefix_words = [w for lanes in rows for w in _pack(lanes)]
-    want = [_digit_of_word((h << 48) | (l << 44)) for h, l in ((4, 5), (3, 4), (2, 3), (0, 2))]
-    stream, feed = _fed_row_stream(prefix_words, lows)
-    assert stream.luroth_row_maxima(4, k).tolist() == want
-    # ceil(k/4) + c words per row
-    assert stream._bg.used == 4 * 2
-    assert feed.used == 1 + 2 + 3 + 2
-    # two calls draw what one call does: the second call goes on from the
-    # low word where the first one stopped
-    stream, feed = _fed_row_stream(prefix_words, lows)
-    assert stream.luroth_row_maxima(2, k).tolist() == want[:2]
-    assert feed.used == 1 + 2
-    assert stream.luroth_row_maxima(2, k).tolist() == want[2:]
-    assert feed.used == len(lows)
-
-
-def test_row_maxima_count_ties_past_255():
-    # k = 300: row 0 ties 257 prefixes at 0, a count that wraps to 1 in uint8,
-    # and must still read 257 low words, the least one last, before row 1's
-    k = 300
-    row0 = [(45 + i) << 40 for i in range(256, -1, -1)]
-    stream, feed = _fed_row_stream(
-        _pack([0] * 257 + [1] * 43) + _pack([4] + [6] * 299), row0 + [3 << 60])
-    assert stream.luroth_row_maxima(2, k).tolist() == [
-        _digit_of_word(45 << 24), _digit_of_word((4 << 48) | (3 << 44))]
-    assert feed.used == 258
-
-
-def test_row_maxima_open_one_child_stream_per_stream(monkeypatch, cores):
-    # k = 1000 ties about 0.75 % of its rows, yet a stream opens its child
-    # stream once, also across calls and in each block of mc_max_scaled_cdf;
-    # the spy records the key of every stream and child stream opened
-    real = luroth.rng.SeedSequence
-    opened = []
-
-    def spy(seed, spawn_key):
-        opened.append((seed, spawn_key))
-        return real(seed, spawn_key=spawn_key)
-
-    monkeypatch.setattr(luroth.rng, "SeedSequence", spy)
-    k, n = 1000, 2400
-    stream = RngStream(6, k)
-    stream.luroth_row_maxima(n // 2, k)
-    stream.luroth_row_maxima(n - n // 2, k)
-    assert opened == [(6, (k,)), (6, (k, 1))]
-    assert max(_row_maxima_reference(6, k, 200, k)[1]) > 1
-    opened.clear()
-    cores(2)
-    mc_max_scaled_cdf(k, [1.0], 9001, seed=2)  # blocks of 4194, 4194 and 613
-    assert sorted(opened) == [(2, key) for b in range(3) for key in ((b,), (b, 1))]
-
-
-def test_row_maxima_low_words_are_independent_of_own_words():
-    # the i-th own word and the i-th low word the row maxima read: each of
-    # the 64 bits of their XOR is 1 with probability 1/2, within 5 SE at
-    # 2^16 pairs.  At k = 1 a row reads one own word and one low word
-    n = 1 << 16
-    for seed, index in ((5, 7), (0, 0)):
-        own = RngStream(seed, index).raw64(n)
-        stream = RngStream(seed, index)
-        stream.luroth_row_maxima(0, 1)  # opens the child stream
-        child, lows = stream._lows, []
-
-        class Recorder:
-            def random_raw(self, m):
-                out = child.random_raw(m)
-                lows.append(out.copy())
-                return out
-
-        stream._lows = Recorder()
-        stream.luroth_row_maxima(n, 1)
-        low = np.concatenate(lows)
-        assert low.size == n
-        xor = own ^ low
-        freq = np.array([np.count_nonzero((xor >> np.uint64(b)) & np.uint64(1))
-                         for b in range(64)]) / n
-        assert np.abs(freq - 0.5).max() < 5 * 0.5 / math.sqrt(n), (seed, index)
+    # u = 1, from the largest words, gives t = 0, snapped up to 2^-53: the
+    # cap 2^53 at every k; u = 2^-53, from the smallest, gives t = 1 at k = 1:
+    # the digit 1.  A larger word never gives a smaller maximum, each row
+    # reads one word, log(u) raises no warning, and two calls draw what one
+    # call does
+    order = sorted(range(len(_EDGE_WORDS)), key=lambda i: _EDGE_WORDS[i])
+    for k in (1, 1000):
+        stream = _fed_stream(_EDGE_WORDS)
+        maxima = stream.luroth_row_maxima(len(_EDGE_WORDS), k)
+        assert maxima.dtype == np.float64
+        assert stream._bg.used == len(_EDGE_WORDS)
+        assert maxima[4] == maxima[5] == 2.0**53
+        assert np.all(np.diff(maxima[order]) >= 0), k
+        assert np.all((maxima >= 1) & (maxima == np.floor(maxima)))
+        stream = _fed_stream(_EDGE_WORDS)
+        split = np.concatenate([stream.luroth_row_maxima(5, k),
+                                stream.luroth_row_maxima(len(_EDGE_WORDS) - 5, k)])
+        assert np.array_equal(split, maxima), k
+        if k == 1:
+            assert maxima[0] == maxima[1] == 1.0
 
 
 def test_row_maxima_match_python_reference():
-    # k = 1000 and 2^18 + 1 have tied rows; at 2^18 + 1 a chunk holds less
-    # than one row.  k = 1 never ties, and k = 2 rarely does, so their
-    # chunks OR in the low words without counting ties
-    for k, n in ((1, 3000), (2, 3000), (3, 3000), (4, 3000), (5, 3000), (1000, 400),
-                 (2**18 + 1, 3)):
-        want, counts = _row_maxima_reference(6, k, n, k)
-        got = RngStream(6, k).luroth_row_maxima(n, k)
-        assert got.dtype == np.float64
-        assert got.tolist() == want
-        if k >= 1000:
-            assert max(counts) > 1
+    # against t = 1 - u^(1/k) of each word's u at 50 digits, snapped up to the
+    # grid index j: log, the division and expm1 move t by a few ulps, each at
+    # most a grid step, so the maximum lies between the digits of j + 8 and
+    # j - 8.  At k = 1000 that band is narrower than one digit
+    for k in (1, 2, 5, 1000, 2**18 + 1):
+        raw = RngStream(6, k).raw64(400).tolist()
+        got = RngStream(6, k).luroth_row_maxima(400, k).tolist()
+        with mpmath.workdps(50):
+            for w, d in zip(raw, got):
+                u = mpmath.mpf((w >> 11) + 1) / 2**53
+                j = max(int(mpmath.ceil((1 - u ** (mpmath.mpf(1) / k)) * 2**53)), 1)
+                assert (1 << 53) // (j + 8) <= d <= (1 << 53) // max(j - 8, 1), (k, w)
 
 
 def test_row_maxima_law_matches_digit_matrix():
@@ -379,35 +253,56 @@ def test_row_maxima_law_matches_digit_matrix():
         assert p > 1e-4, (k, p)
 
 
-def test_row_maxima_do_not_depend_on_chunk_size(monkeypatch):
-    # chunks from less than one row (ceil(1000/4) = 250 words) to several
-    # rows, odd so that the last chunk is short, and one draw split in two
-    for k, n in ((5, 3001), (1000, 1049)):
-        want = RngStream(6, k).luroth_row_maxima(n, k)
-        for chunk in (1, 249, 251, 999, 2**16 + 5):
-            monkeypatch.setattr(luroth.rng, "_ROW_CHUNK", chunk)
-            assert np.array_equal(RngStream(6, k).luroth_row_maxima(n, k), want)
-            stream = RngStream(6, k)
-            split = np.concatenate([stream.luroth_row_maxima(n // 3, k),
-                                    stream.luroth_row_maxima(n - n // 3, k)])
-            assert np.array_equal(split, want)
+def test_row_maxima_law_matches_max_cdf_exact():
+    # 2^18 rows each against P(max <= m) = (m / (m + 1))^k at about its 0.1,
+    # 0.3, 0.5, 0.7 and 0.9 quantiles, within 4.5 SE at this fixed seed; k up
+    # to 10^4, far past the digit matrices
+    n = 1 << 18
+    for k in (2, 50, 10**4):
+        maxima = RngStream(9, k).luroth_row_maxima(n, k)
+        for q in (0.1, 0.3, 0.5, 0.7, 0.9):
+            m = math.ceil(1 / (1 - q ** (1 / k)))
+            p = float(max_cdf_exact(k, m))
+            z = (np.count_nonzero(maxima <= m) / n - p) / math.sqrt(p * (1 - p) / n)
+            assert abs(z) < 4.5, (k, m, z)
 
 
 def test_max_scaled_cdf_counts_block_row_maxima():
-    # one full block and a short last one of 3 trials, each drawn from its
-    # own stream
-    k = 1000
-    full = _MATRIX_DRAW_BUDGET // k
+    # two full blocks and a short last one, each drawn from its own stream
+    k, samples = 1000, 70001
+    sizes = (_RHO_BLOCK, _RHO_BLOCK, samples - 2 * _RHO_BLOCK)
     maxima = np.concatenate([RngStream(6, b).luroth_row_maxima(n, k)
-                             for b, n in enumerate((full, 3))])
-    got = mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], full + 3, seed=6)
+                             for b, n in enumerate(sizes)])
+    got = mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], samples, seed=6)
     assert [r.estimate for r in got] == [
-        int((maxima < math.ceil(c * k)).sum()) / (full + 3) for c in (0.5, 1.0, 2.0)]
+        int((maxima < math.ceil(c * k)).sum()) / samples for c in (0.5, 1.0, 2.0)]
+
+
+def test_row_maxima_open_no_child_stream(monkeypatch, cores):
+    # a stream's row maxima read its own words only, also across calls, and
+    # each block of mc_max_scaled_cdf opens its own stream and no other; the
+    # spy records the key of every stream opened
+    real = luroth.rng.SeedSequence
+    opened = []
+
+    def spy(seed, spawn_key):
+        opened.append((seed, spawn_key))
+        return real(seed, spawn_key=spawn_key)
+
+    monkeypatch.setattr(luroth.rng, "SeedSequence", spy)
+    stream = RngStream(6, 1000)
+    stream.luroth_row_maxima(1200, 1000)
+    stream.luroth_row_maxima(1200, 1000)
+    assert opened == [(6, (1000,))]
+    opened.clear()
+    cores(2)
+    mc_max_scaled_cdf(1000, [1.0], 70001, seed=2)
+    assert sorted(opened) == [(2, (b,)) for b in range(3)]
 
 
 def test_max_scaled_cdf_block_maxima_do_not_depend_on_workers(monkeypatch, cores):
     # the maxima each block draws, recorded by stream index; two blocks of
-    # 4194 trials and a short third
+    # _RHO_BLOCK trials and a short third
     real = RngStream.luroth_row_maxima
     seen = {}
 
@@ -421,7 +316,7 @@ def test_max_scaled_cdf_block_maxima_do_not_depend_on_workers(monkeypatch, cores
     for n in (1, 2, 3):
         seen.clear()
         cores(n)
-        got = mc_max_scaled_cdf(1000, [0.5, 1.0, 2.0], 9001, seed=2)
+        got = mc_max_scaled_cdf(1000, [0.5, 1.0, 2.0], 70001, seed=2)
         runs.append((got, dict(seen)))
     assert sorted(runs[0][1]) == [0, 1, 2]
     assert runs[0] == runs[1] == runs[2]
@@ -611,8 +506,8 @@ def test_mc_max_scaled_cdf_tiny_c_zero():
 
 
 def test_mc_max_scaled_cdf_deterministic(cores):
-    # at k = 1000 a block holds 4194 trials: three full blocks and a short one
-    sizes = ((50, 30000), (1000, 12599))
+    # 70001 trials: two full blocks of _RHO_BLOCK and a short third
+    sizes = ((50, 70001), (1000, 70001))
     a = [mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], samples, seed=2) for k, samples in sizes]
     cores(3)
     b = [mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], samples, seed=2) for k, samples in sizes]
@@ -634,6 +529,8 @@ def test_mc_max_scaled_cdf_validates():
     for bad_c in (0.0, -1.0, math.inf, math.nan, 1e308):
         with pytest.raises(ValueError):
             mc_max_scaled_cdf(10, [1.0, bad_c], 1000)
+    with pytest.raises(ValueError):  # k converts to no float
+        mc_max_scaled_cdf(10**400, [1.0], 1000)
     with pytest.raises(ValueError):
         mc_max_scaled_cdf(0, [1.0], 1000)
     with pytest.raises(ValueError):
