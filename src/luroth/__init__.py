@@ -18,7 +18,6 @@ from .expansion import (
 from .precision import (
     HighPrecisionReal,
     PrecisionError,
-    bernoulli_number,
     bernoulli_triangle,
     lambert_w0,
     zeta_int,

@@ -7,11 +7,9 @@ would shed roughly log2(digit) bits per step).
 """
 
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Tuple
 
-from .precision import _to_fraction
-
-Real = Union[int, float, Fraction]
+from .precision import Real, _to_fraction
 
 __all__ = [
     "digit",

@@ -1,14 +1,15 @@
 """Exact and error-bounded numeric kernels.
 
-Arbitrary-size integer and rational arithmetic (partial binomial-row sums,
-Bernoulli numbers) plus two certified real-valued kernels.
+Exact integer arithmetic (the Bernoulli triangles, partial sums of binomial
+rows) plus two certified real-valued kernels.
 
-Riemann zeta at integer arguments comes from Euler-Maclaurin summation in
-fixed-point integers; its payload is an integer numerator over 2**s with a
-certified count of ulps (one per rounded term plus the remainder rounded up).
-The cutoff and the Euler-Maclaurin order are chosen per argument, for the
-fewest terms, by a float estimate; the remainder is still certified by an
-integer check on the first omitted term.
+Riemann zeta at integer arguments comes from Borwein's Chebyshev-weighted
+alternating sum for eta(j) in fixed-point integers, then
+zeta(j) = eta(j) 2**(j-1) / (2**(j-1) - 1).  One integer weight table per
+64-bit accuracy bucket serves every argument.  Its size n makes
+T_n(3) >= 2**(s+1), so the truncation stays under half an ulp.  The payload
+is an integer numerator over 2**s with a certified count of ulps: one per
+summed term, plus five for the truncation, the tail and the final division.
 
 The principal branch of Lambert W comes from a float seed refined by Newton
 steps in fixed-point integers, certified by a bracket from an integer exp
@@ -24,6 +25,7 @@ them in their own integer or rational arithmetic, stating their own bounds.
 Exact quantities are returned as plain ``Fraction`` values instead.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -36,7 +38,6 @@ Real = Union[int, float, Fraction]
 __all__ = [
     "HighPrecisionReal",
     "PrecisionError",
-    "bernoulli_number",
     "bernoulli_triangle",
     "lambert_w0",
     "zeta_int",
@@ -100,108 +101,40 @@ def _row_sums(l: int):
         c = c * (l - i) // (i + 1)
 
 
-# Bernoulli numbers B_m (B_1 = -1/2 convention).  A larger index rebinds the
-# global to a new tuple at least twice as long.  Tuples never change, so
-# callers share them without a lock, and each caller indexes the tuple it read
-# or built, never the global again: a concurrent rebind may be shorter.
-_BERNOULLI = (Fraction(1), Fraction(-1, 2))
-
-
-def _bernoulli_upto(m: int) -> Tuple[Fraction, ...]:
-    """(B_0, B_1, ..., B_m, ...): a shared table that holds index m."""
-    global _BERNOULLI
-    table = _BERNOULLI
-    if len(table) <= m:
-        n = max(m // 2, len(table))
-        # tangent numbers T_1..T_n in integers (Brent and Harvey, "Fast
-        # computation of Bernoulli, tangent and secant numbers", 2011);
-        # then |B_2k| = 2k T_k / (4^k (4^k - 1)), of sign (-1)^(k+1)
-        t = [0, 1] + [0] * (n - 1)
-        for k in range(2, n + 1):
-            t[k] = (k - 1) * t[k - 1]
-        for k in range(2, n + 1):
-            for i in range(k, n + 1):
-                t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
-        grown = [Fraction(1), Fraction(-1, 2)]
-        for k in range(1, n + 1):
-            b = Fraction(2 * k * t[k], 4**k * (4**k - 1))
-            grown += [b if k % 2 else -b, Fraction(0)]
-        table = _BERNOULLI = tuple(grown)
-    return table
-
-
-def bernoulli_number(m: int) -> Fraction:
-    """Bernoulli number B_m as an exact rational."""
-    if m < 0:
-        raise ValueError("index must be nonnegative")
-    return _bernoulli_upto(m)[m]
-
-
-def _zeta_em_remainder(j: int, q: int) -> Tuple[int, int, int]:
-    """The first omitted Euler-Maclaurin term at cutoff n, as a / (b * n**p).
-
-    That term is |B_{2q+2}| (j)_{2q+1} / ((2q+2)! n^(j+2q+1)); for a real
-    exponent j >= 2 its magnitude bounds the truncation error of the sum in
-    ``_zeta_fixed``.  Kept as integers so that comparisons and roundings
-    against a dyadic grid need no rational normalisation.
-    """
-    b = bernoulli_number(2 * q + 2)
-    return (
-        abs(b.numerator) * math.perm(j + 2 * q, 2 * q + 1),
-        b.denominator * math.factorial(2 * q + 2),
-        j + 2 * q + 1,
-    )
-
-
-# log2(e), log2(2 pi), and log2 zeta(4), which bounds log2 zeta(2q+2) for q >= 1
-_LOG2_E = 1.0 / math.log(2.0)
-_LOG2_2PI = math.log2(2.0 * math.pi)
-_LOG2_ZETA4 = math.log2(math.pi**4 / 90.0)
-
-
-def _zeta_em_params(j: int, bits: int) -> Tuple[int, int]:
-    """Choose cutoff n and correction order q so the remainder is below 2**-bits.
-
-    ``_zeta_fixed`` pays about one big-integer division for each of its n
-    power terms and q Bernoulli terms, so each argument gets the pair with
-    the fewest terms n + q: the trade between cutoff and order of Borwein,
-    Bradley and Crandall ("Computational strategies for the Riemann zeta
-    function", J. Comput. Appl. Math. 121, 2000).  Large j needs few power
-    terms and q = 1; small j many of both.  A float estimate ranks the pairs:
-    |B_2m| = 2 (2m)! zeta(2m) / (2 pi)^2m and zeta(2q+2) <= zeta(4) put the
-    first omitted term below 2 zeta(4) (j)_{2q+1} / ((2 pi)^(2q+2) n^(j+2q+1)),
-    which gives each q its smallest n; n + q falls and then rises with q, so
-    the search stops at the first rise.  The estimate never enters the
-    certificate: n is raised until the integer check a * 2**bits <= b * n**p
-    on the exact term of ``_zeta_em_remainder`` holds.
-    """
-    best = math.inf
-    # log2 of 2 zeta(4) 2**bits / ((2 pi)^2 (j-1)!), the part of the bound free of q
-    c = bits + 1 + _LOG2_ZETA4 - 2 * _LOG2_2PI - math.lgamma(j) * _LOG2_E
-    for q in range(1, bits + 1):
-        p = j + 2 * q + 1
-        e = (c + math.lgamma(p) * _LOG2_E - 2 * q * _LOG2_2PI) / p  # log2 of the n needed
-        if e > 26:
-            continue  # n past 2**26: far from the fewest terms
-        cost = (2.0**e if e > 1.0 else 2.0) + q
-        if cost >= best:
-            break  # the cost has passed its minimum
-        best, best_q, best_e = cost, q, e
-    if best == math.inf:
-        raise PrecisionError("zeta parameter search diverged")
-    n, q = max(2, math.ceil(2.0**best_e)), best_q
-    a, b, p = _zeta_em_remainder(j, q)
-    a <<= bits  # remainder <= 2**-bits  <=>  a * 2**bits <= b * n**p
-    while a > b * n**p:
-        n += 1
-    return n, q
-
-
 # zeta(j) for a given 64-bit accuracy bucket is carried at scale 2**-(bucket
-# + _ZETA_GUARD): enough guard bits that the per-term floor errors stay far
-# below the Euler-Maclaurin remainder, which is held at 2**-(bucket + 8).
+# + _ZETA_GUARD); the guard bits hold the few hundred ulps of rounding that
+# ``_zeta_fixed`` certifies well inside 2**-bucket.
 _ZETA_GUARD = 32
 _ZETA_CACHE = {}
+_LOG2_T3 = math.log2(3.0 + math.sqrt(8.0))  # T_n(3) ~ (3 + sqrt 8)**n / 2
+
+
+@functools.cache
+def _borwein_weights(bucket: int) -> Tuple[int, ...]:
+    """Weights c_k = floor(2**s (d_n - d_k) / d_n), k < n, at s = bucket + _ZETA_GUARD.
+
+    d_k = n sum_{i<=k} (n+i-1)! 4**i / ((n-i)! (2i)!) are the partial sums of
+    the coefficients a_i of the shifted Chebyshev polynomial
+    P_n(x) = T_n(1 - 2x) = sum_i a_i (-x)**i, so d_n = P_n(-1) = T_n(3)
+    (Borwein, "An efficient algorithm for the Riemann zeta function", 2000,
+    Algorithm 2).  The a_i come in integers from a_0 = 1 and
+    a_{i+1} = 4 a_i (n+i)(n-i) / ((2i+1)(2i+2)).  n is the least with
+    d_n >= 2**(s+1), checked in integers: the float guess starts below it,
+    since T_n(3) < ((3 + sqrt 8)**n + 1) / 2 <= 2**s + 1/2 there.  One table
+    serves every argument j of the bucket.
+    """
+    s = bucket + _ZETA_GUARD
+    n = int((s + 1) / _LOG2_T3) - 1
+    while True:
+        a = 1
+        d = [a]
+        for i in range(n):
+            a = 4 * a * (n + i) * (n - i) // ((2 * i + 1) * (2 * i + 2))
+            d.append(d[-1] + a)
+        if d[n] >> (s + 1):
+            break
+        n += 1
+    return tuple(((d[n] - dk) << s) // d[n] for dk in d[:n])
 
 
 def _zeta_fixed(j: int, bits: int) -> Tuple[int, int, int]:
@@ -211,6 +144,29 @@ def _zeta_fixed(j: int, bits: int) -> Tuple[int, int, int]:
     cached per 64-bit accuracy bucket, so sweeps over many k reuse one
     evaluation per argument, and every argument in a bucket shares the one
     scale s.
+
+    Certificate, in ulps of 2**-s.  For real j >= 2, as 1/(1+x) is the sum
+    of (-x)**k and x**k (log 1/x)**(j-1) integrates to Gamma(j) / (k+1)**j,
+        eta(j) = sum_k (-1)**k / (k+1)**j
+               = Gamma(j)**-1 int_0^1 (log 1/x)**(j-1) / (1+x) dx.
+    Split d_n = (d_n - P_n(x)) + P_n(x) under the integral.  The first part
+    over 1+x is the polynomial sum_{k<n} (d_n - d_k) (-x)**k, so with
+    x_k = 2**s (d_n - d_k) / d_n
+        2**s eta(j) = sum_{k<n} (-1)**k x_k / (k+1)**j + 2**s e,
+    where e is the same integral with P_n(x) / d_n in place of 1.  The
+    weight is positive and |P_n| <= 1 on [0, 1], so |e| <= eta(j) / d_n,
+    under half an ulp as eta(j) < 1 and d_n >= 2**(s+1).  The code sums
+    (-1)**k floor(c_k / (k+1)**j) with c_k = floor(x_k); for an integer m,
+    floor(floor(x) / m) = floor(x / m), so each of the K summed terms is
+    floored once, by less than 1 ulp, and as the signs alternate the K
+    errors sum to less than ceil(K/2) ulps.  x_k / (k+1)**j falls with k,
+    so the alternating terms from the first with c_k < (k+1)**j, where the
+    sum stops, total less than that term, itself below 1 ulp as
+    x_k < c_k + 1 <= (k+1)**j.  The integer sum is thus within
+    ceil(K/2) + 3/2 ulps of 2**s eta(j).  The factor 2**(j-1) / (2**(j-1) - 1)
+    to zeta(j) is at most 2, and its floor division costs under 1 ulp:
+    err_ulps = K + 5 >= 2 ceil(K/2) + 4.  K <= n < s/2, so err_ulps stays
+    within the 2**_ZETA_GUARD ulps of 2**-bucket below 2**32-bit buckets.
     """
     bucket = ((bits + 63) // 64) * 64
     key = (j, bucket)
@@ -218,39 +174,16 @@ def _zeta_fixed(j: int, bits: int) -> Tuple[int, int, int]:
     # same key store equal entries, so the cache takes no lock
     hit = _ZETA_CACHE.get(key)
     if hit is None:
-        s = bucket + _ZETA_GUARD
-        n, q = _zeta_em_params(j, bucket + 8)
-        one = 1 << s
-        # Euler-Maclaurin at cutoff n:
-        #   zeta(j) = sum_{m<=n} m^-j + n^(1-j)/(j-1) - n^-j/2
-        #             + sum_{i<=q} B_2i (j)_{2i-1} / ((2i)! n^(j+2i-1)) + R.
-        # Each of the n power terms, the integral term, the half term and the
-        # q Bernoulli terms is one exact rational times 2**s, reduced to an
-        # integer by one floor division of its magnitude, the sign applied
-        # afterwards; each such step is off by less than 1 ulp = 2**-s, so the
-        # integer sum is within n + q + 2 ulps of the exact truncated sum.
-        # |R| is at most the first omitted term (``_zeta_em_remainder``), here
-        # <= 2**-(bucket+8), and is counted rounded up to whole ulps.  The
-        # certified bound is the sum of the two, required to be <= 2**-bucket.
-        num = sum(one // m**j for m in range(1, n + 1))
-        num += one // ((j - 1) * n ** (j - 1))
-        num -= one // (2 * n**j)
-        npow = n ** (j + 1)
-        rising = j  # (j)_{2i-1}
-        fact = 2  # (2i)!
-        table = _bernoulli_upto(2 * q)
-        for i in range(1, q + 1):
-            bern = table[2 * i]
-            term = (abs(bern.numerator) * rising << s) // (bern.denominator * fact * npow)
-            num += term if bern.numerator > 0 else -term
-            rising *= (j + 2 * i - 1) * (j + 2 * i)
-            fact *= (2 * i + 1) * (2 * i + 2)
-            npow *= n * n
-        a, b, p = _zeta_em_remainder(j, q)
-        ulps = n + q + 2 - (-(a << s) // (b * n**p))
-        if ulps > 1 << _ZETA_GUARD:
-            raise PrecisionError("zeta(%d) could not certify 2^-%d" % (j, bucket))
-        hit = (num, ulps, s)
+        eta = 0
+        terms = 0
+        for k, c in enumerate(_borwein_weights(bucket)):
+            m = (k + 1) ** j
+            if m > c:
+                break
+            eta += -(c // m) if k & 1 else c // m
+            terms += 1
+        half = 1 << (j - 1)
+        hit = ((eta * half) // (half - 1), terms + 5, bucket + _ZETA_GUARD)
         _ZETA_CACHE[key] = hit
     return hit
 
@@ -258,9 +191,10 @@ def _zeta_fixed(j: int, bits: int) -> Tuple[int, int, int]:
 def zeta_int(j: int, precision_bits: int = 128) -> HighPrecisionReal:
     """Riemann zeta at an integer argument j >= 2 with |error| <= 2**-precision_bits.
 
-    Euler-Maclaurin summation in fixed-point integers; the returned bound
-    counts one ulp per rounded term plus the first-omitted-term remainder
-    rounded up to whole ulps, so it is certified rather than heuristic.
+    Borwein's Chebyshev-weighted alternating sum in fixed-point integers
+    (``_zeta_fixed``); the returned bound counts one ulp per floored term
+    plus the truncation, which the shifted Chebyshev polynomial holds below
+    eta(j) / T_n(3) <= half an ulp, so it is certified rather than heuristic.
     """
     if not isinstance(j, int) or isinstance(j, bool):
         raise TypeError("argument must be an integer")

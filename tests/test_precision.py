@@ -2,15 +2,16 @@
 
 Expected values come from independent oracles built in this file: a Pascal
 recurrence table for binomial coefficients, direct summation for the partial
-row sums, high-precision pi (via mpmath) for zeta at even arguments, and a
-bisection solver for Lambert W.  No expected value is copied from the
+row sums, high-precision pi (via mpmath) for zeta at even arguments, the
+three-term recurrence of T_n(3) for the zeta weights, and a bisection solver
+for Lambert W.  No expected value is copied from the
 implementation under test.
 """
 
+import itertools
 import math
 import random
 import sys
-import threading
 from fractions import Fraction
 
 import mpmath
@@ -20,10 +21,8 @@ import pytest
 from luroth import precision
 from luroth.precision import (
     HighPrecisionReal,
-    PrecisionError,
     _exp_bracket,
     _lambert_w_float,
-    bernoulli_number,
     bernoulli_triangle,
     lambert_w0,
     zeta_int,
@@ -98,64 +97,6 @@ def test_triangle_rejects_out_of_row():
         bernoulli_triangle(-1, 0)
 
 
-# -------------------------------------------------------- bernoulli numbers
-
-
-def test_bernoulli_small_values():
-    assert bernoulli_number(0) == 1
-    assert bernoulli_number(1) == Fraction(-1, 2)
-    assert bernoulli_number(2) == Fraction(1, 6)
-    assert bernoulli_number(3) == 0
-    assert bernoulli_number(4) == Fraction(-1, 30)
-    assert bernoulli_number(12) == Fraction(-691, 2730)
-
-
-def test_bernoulli_sum_identity():
-    # sum_{j<m} C(m+1, j) B_j = 0 for m >= 1 is the defining recurrence;
-    # check it holds including the computed top term, past B_136, the
-    # largest index zeta_int uses at 384 bits
-    for m in range(2, 160):
-        total = sum(math.comb(m + 1, j) * bernoulli_number(j) for j in range(m + 1))
-        assert total == 0
-
-
-def test_bernoulli_table_is_shared_until_it_grows():
-    table = precision._bernoulli_upto(10)
-    assert precision._bernoulli_upto(10) is table
-    assert precision._bernoulli_upto(len(table) - 1) is table
-
-
-def test_bernoulli_table_grows_safely_across_threads(monkeypatch):
-    # each caller grows from whatever table it read, so a concurrent rebind to
-    # a shorter table must not leave any caller short of its own index
-    fresh = (Fraction(1), Fraction(-1, 2))
-    monkeypatch.setattr(precision, "_BERNOULLI", fresh)
-    serial = precision._bernoulli_upto(250)  # longer than any table grown below
-    monkeypatch.setattr(precision, "_BERNOULLI", fresh)
-    ms = [3, 120, 7, 64, 40, 2, 96, 18, 120, 33]
-    got = [None] * len(ms)
-    barrier = threading.Barrier(len(ms))
-
-    def grow(i):
-        barrier.wait(timeout=30)
-        got[i] = precision._bernoulli_upto(ms[i])
-
-    threads = [threading.Thread(target=grow, args=(i,)) for i in range(len(ms))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for m, table in zip(ms, got):
-        assert len(table) > m
-        assert table == serial[:len(table)]
-
-
 # -------------------------------------------------------------------- zeta
 
 
@@ -190,31 +131,33 @@ def test_zeta_against_mpmath(j, bits):
         assert bound <= mpmath.mpf(2) ** -bits
 
 
-def test_zeta_params_pass_the_remainder_check():
-    # the float estimate only picks (n, q): the integer check on the first
-    # omitted term must hold at every argument and bucket rho_exact can ask for
-    for bucket in range(64, 449, 64):
-        bits = bucket + 8
-        for j in range(2, 301):
-            n, q = precision._zeta_em_params(j, bits)
-            a, b, p = precision._zeta_em_remainder(j, q)
-            assert n >= 2 and q >= 1
-            assert a << bits <= b * n**p
+BUCKETS = range(64, 449, 64)  # the accuracy buckets up to 448 bits, the largest tested above
 
 
-def test_zeta_params_cut_the_sweep_terms():
-    # rho_exact(k, 128) for k = 2..120 asks zeta(j), j <= k, at the bucket of
-    # 192 + k bits: 182 keys, which take 15118 terms n + q at the fixed order
-    # q = bits//6 + 2
-    keys = {(j, -(-(192 + k) // 64) * 64) for k in range(2, 121) for j in range(2, k + 1)}
-    assert len(keys) == 182
-    total = sum(sum(precision._zeta_em_params(j, bucket + 8)) for j, bucket in keys)
-    assert 3 * total <= 2 * 15118
+def test_zeta_weights_rest_on_chebyshev_t3():
+    # d_n from Borwein's factorial formula must equal T_n(3) from the
+    # three-term recurrence, and n must be the least with T_n(3) >= 2^(s+1),
+    # which keeps the truncation below half an ulp at scale 2^-s
+    t = [1, 3]
+    for bucket in BUCKETS:
+        s = bucket + precision._ZETA_GUARD
+        weights = precision._borwein_weights(bucket)
+        n = len(weights)
+        while len(t) <= n:
+            t.append(6 * t[-1] - t[-2])
+        d = list(itertools.accumulate(
+            n * math.factorial(n + i - 1) * 4**i
+            // (math.factorial(n - i) * math.factorial(2 * i)) for i in range(n + 1)))
+        assert d[n] == t[n]
+        assert t[n] >= 2 << s > t[n - 1]
+        assert weights == tuple(((d[n] - dk) << s) // d[n] for dk in d[:n])
 
 
-# the first two open the sweep's 256- and 320-bit buckets; at (2, 448) the
-# pair takes the most power and Bernoulli terms, at (300, 448) q = 1
-@pytest.mark.parametrize("j,bits", [(64, 256), (65, 320), (2, 448), (300, 448)])
+# every bucket at j = 64 and 65 (which open the exact rho sweep's 256- and
+# 320-bit buckets) and at the ends of the alternating sum: j = 2 runs through
+# all n weights, j = 300 stops after at most 3
+@pytest.mark.parametrize("j,bits", [(j, bucket) for bucket in BUCKETS
+                                    for j in (2, 3, 63, 64, 65, 300)])
 def test_zeta_per_argument_params_against_mpmath(j, bits):
     got = zeta_int(j, bits)
     with mpmath.workprec(bits + 80):
@@ -238,14 +181,6 @@ def test_zeta_precision_consistency():
     for a in vals:
         for b in vals:
             assert abs(a.value - b.value) <= a.error_bound + b.error_bound
-
-
-def test_zeta_uncertifiable_raises(monkeypatch):
-    # a cutoff far too small for the bucket leaves a remainder above 2^-bucket
-    monkeypatch.setattr(precision, "_ZETA_CACHE", {})
-    monkeypatch.setattr(precision, "_zeta_em_params", lambda j, bits: (2, 1))
-    with pytest.raises(PrecisionError):
-        zeta_int(3, 128)
 
 
 def test_zeta_rejects_bad_arguments():
