@@ -41,7 +41,7 @@ ulp, bounds the CDF error by 4 eps.  Since u >= 2^-53, digits stop at about
 """
 
 import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +58,7 @@ __all__ = [
 LN2 = math.log(2.0)
 
 _MIN_SAMPLES = 10**4
+_Y_CAP = 2**32 - 1  # the largest S_k - M_k the trimmed table stores
 
 
 def expand_cf(x: float, k: int) -> Tuple[int, ...]:
@@ -108,18 +109,26 @@ def _cf_digits(stream: RngStream, n: int, depth: int) -> Iterator[np.ndarray]:
         yield a
 
 
-def _median(x: np.ndarray) -> float:
-    """np.median(x) of a float64 array with no NaN, bit for bit; reorders x.
+def _median(y: np.ndarray, scale: float) -> float:
+    """np.median(y / scale) in float64, bit for bit, for y with no NaN; reorders y.
 
-    One pivot: after x.partition(h), x[h] is the middle order statistic and
-    x[:h] holds the ones below it, so an even size's lower middle is their
-    maximum, and the mean of the two is np.median's (lo + hi) / 2.
+    One pivot: after y.partition(h), y[h] is the middle order statistic and
+    y[:h] holds the ones below it, so an even size's lower middle is their
+    maximum.  The result is hi/scale, or (lo/scale + hi/scale)/2, np.median's
+    mean of the two middle quotients.  That is exact for any scale > 0:
+    correctly rounded division by a positive constant is monotone (x <= x'
+    gives x/scale <= x'/scale, and rounding keeps the order), so the order
+    statistics of the rounded quotients are the rounded quotients of the
+    order statistics of y.  uint32 values convert to float64 exactly, so a
+    lattice of integers gives the very quotients a float64 array of y/scale
+    would hold; a float array is read at scale 1.0.
     """
-    h = x.size // 2
-    x.partition(h)
-    if x.size % 2:
-        return float(x[h])
-    return float((x[:h].max() + x[h]) / 2)
+    h = y.size // 2
+    y.partition(h)
+    hi = float(y[h]) / scale
+    if y.size % 2:
+        return hi
+    return (float(y[:h].max()) / scale + hi) / 2
 
 
 def mc_cf_rho_table(k_max: int, samples: int, seed: int = 0) -> List[McResult]:
@@ -142,27 +151,57 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[
     error is the per-trial sample std over sqrt(n) (the result contract's
     definition); for these heavy-tailed statistics it is a dispersion
     diagnostic, not a median confidence radius.
+
+    Storage is 4 bytes per trial and k.  The float64 y = total - max is
+    integer-valued (a rounded sum or difference of integers is an integer)
+    and nonnegative; it is kept as uint32, clipped at _Y_CAP, and the median
+    is that of y/(k log k) by ``_median``, the value a float64 array of the
+    quotients gives.  A middle order statistic at the cap is no value of y,
+    so it raises RuntimeError.  The spread never sees the clip: each block
+    returns (n_b, mean_b, M2_b) of its float64 quotients, and the blocks
+    merge by the within/between decomposition, mean = sum n_b mean_b / N and
+    M2 = sum (M2_b + n_b (mean_b - mean)^2), each sum a ``math.fsum`` over
+    the blocks in block order; the std is sqrt(M2/(N - 1)).
     """
     ks = list(ks)
     if not ks or min(ks) < 2:
         raise ValueError("need at least one k, and every k must be >= 2")
     _check_samples(samples)
-    stats = {k: np.empty(samples) for k in ks}
+    lattice = {k: np.empty(samples, dtype=np.uint32) for k in ks}
 
-    def one_block(stream: RngStream, start: int, n: int) -> None:
+    def one_block(stream: RngStream, start: int, n: int) -> Dict[int, Tuple[int, float, float]]:
         total = np.zeros(n)
         maxa = np.zeros(n)
+        y = np.empty(n)
+        moments = {}
         for k, a in enumerate(_cf_digits(stream, n, max(ks)), start=1):
             total += a
             np.maximum(maxa, a, out=maxa)
-            if k in stats:
-                out = stats[k][start:start + n]
-                np.subtract(total, maxa, out=out)
-                out /= k * math.log(k)
+            if k in lattice:
+                np.subtract(total, maxa, out=y)
+                np.minimum(y, _Y_CAP, out=lattice[k][start:start + n], casting="unsafe")
+                y /= k * math.log(k)
+                mean = float(y.mean())
+                y -= mean
+                np.square(y, out=y)
+                moments[k] = (n, mean, float(y.sum()))
+        return moments
 
-    _step_blocks(samples, _RHO_BLOCK, seed, one_block)
-    # every std first, one at a time (each holds a temporary the size of x):
-    # the medians then reorder each x in place, one k per worker
-    ses = {k: float(np.std(x, ddof=1) / math.sqrt(samples)) for k, x in stats.items()}
-    medians = dict(zip(stats, _ordered_map(_median, list(stats.values()))))
-    return [McResult(medians[k], ses[k]) for k in ks]
+    per_block = _step_blocks(samples, _RHO_BLOCK, seed, one_block)
+
+    def median(k: int) -> float:
+        y = lattice[k]
+        m = _median(y, k * math.log(k))
+        if y[samples // 2] >= _Y_CAP:  # the middle order statistic, left there by _median
+            raise RuntimeError("k = %d: the median of S_k - M_k reaches the uint32 "
+                               "lattice cap %d" % (k, _Y_CAP))
+        return m
+
+    def se(k: int) -> float:
+        blocks = [moments[k] for moments in per_block]
+        mean = math.fsum(n * m for n, m, _ in blocks) / samples
+        m2 = math.fsum(m2 + n * (m - mean) ** 2 for n, m, m2 in blocks)
+        return math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+
+    medians = dict(zip(lattice, _ordered_map(median, list(lattice))))
+    return [McResult(medians[k], se(k)) for k in ks]

@@ -212,7 +212,9 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0
     each trial's maximum once for the whole c-grid, with the law of the
     largest of k digits but from one raw word (``RngStream.luroth_row_maxima``).
     ``_step_blocks`` runs blocks of _RHO_BLOCK trials; block b draws its
-    trials from stream b, in order.
+    trials from stream b, in order, and returns its integer counts per
+    threshold, which are summed in block order.  So no more than a block of
+    maxima per worker is held at once, whatever the sample count.
     """
     cs = list(cs)
     if k < 1:
@@ -221,12 +223,16 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0
         raise ValueError("c must be positive, with c*k finite")
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    maxes = np.concatenate(_step_blocks(samples, _RHO_BLOCK, seed,
-                                        lambda stream, start, n: stream.luroth_row_maxima(n, k)))
     # digits lie in [1, 2^53], so clamping the threshold there changes no
     # count, and a double holds the clamped integer exactly
     thresholds = [float(min(max(math.ceil(c * k) - 1, 0), 1 << 53)) for c in cs]
-    return [_binomial(int((maxes <= t).sum()), samples) for t in thresholds]
+
+    def one_block(stream: RngStream, start: int, n: int) -> List[int]:
+        maxima = stream.luroth_row_maxima(n, k)
+        return [int(np.count_nonzero(maxima <= t)) for t in thresholds]
+
+    per_block = _step_blocks(samples, _RHO_BLOCK, seed, one_block)
+    return [_binomial(sum(counts), samples) for counts in zip(*per_block)]
 
 
 def mc_trimmed_trajectory(

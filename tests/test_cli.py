@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import luroth.cli
+import luroth.contfrac
 from luroth.cli import main
 from luroth.expansion import max_cdf_exact
 from luroth.trimming import c_k
@@ -207,6 +208,16 @@ class TestCf:
                                 "--samples", "10000"], capsys)
             assert [r[0] for r in rows[1:]] == ["16", "2"]
             assert rows[2] == alone[1]
+
+    def test_lattice_cap_exits_1_without_csv(self, monkeypatch, capsys):
+        # a cap of 40 on S_k - M_k: its median is near 51 at k = 16, so the
+        # middle order statistic is clipped, and no clipped median is printed
+        monkeypatch.setattr(luroth.contfrac, "_Y_CAP", 40)
+        assert main(["cf", "--statistic", "trimmed", "--k", "2", "--k", "16",
+                     "--samples", "10000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k = 16" in captured.err
 
     def test_rejections(self, capsys):
         assert main(["cf", "--k", "0"]) == 2

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from luroth.contfrac import (
     mc_cf_trimmed_table,
 )
 from luroth.rng import RngStream
+from luroth.simulation import _RHO_BLOCK, _step_blocks
 
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -234,13 +236,51 @@ class TestMcCfRho:
             mc_cf_rho_table(8, 9999)
 
 
+def _float64_trimmed_stats(ks, samples, seed):
+    """The float64 path: one array of (S_k - M_k)/(k log k) per k, as sampled."""
+    stats = {k: np.empty(samples) for k in ks}
+
+    def one_block(stream, start, n):
+        total = np.zeros(n)
+        maxa = np.zeros(n)
+        for k, a in enumerate(_cf_digits(stream, n, max(ks)), start=1):
+            total += a
+            np.maximum(maxa, a, out=maxa)
+            if k in stats:
+                out = stats[k][start:start + n]
+                np.subtract(total, maxa, out=out)
+                out /= k * math.log(k)
+
+    _step_blocks(samples, _RHO_BLOCK, seed, one_block)
+    return stats
+
+
+def assert_matches_float64_path(ks, samples, seed):
+    # medians bit for bit, and se within 1e-12 of np.std(ddof=1) / sqrt(n)
+    table = mc_cf_trimmed_table(ks, samples, seed=seed)
+    stats = _float64_trimmed_stats(ks, samples, seed)
+    for k, r in zip(ks, table):
+        x = stats[k]
+        assert np.float64(r.estimate).tobytes() == np.median(x).tobytes(), k
+        se = float(np.std(x, ddof=1) / math.sqrt(samples))
+        assert abs(r.standard_error - se) <= 1e-12 * se, (k, r.standard_error, se)
+
+
 class TestMedian:
     @staticmethod
     def check(x):
         want = np.median(x)
         y = x.copy()
-        assert np.float64(_median(y)).tobytes() == want.tobytes()
+        assert np.float64(_median(y, 1.0)).tobytes() == want.tobytes()
         assert sorted(y.tolist()) == sorted(x.tolist())  # reordered, not changed
+
+    @staticmethod
+    def check_lattice(y, scale):
+        # the uint32 lattice against np.median of its float64 quotients
+        want = np.median(y.astype(np.float64) / scale)
+        got = y.copy()
+        assert np.float64(_median(got, scale)).tobytes() == want.tobytes(), (y.size, scale)
+        assert sorted(got.tolist()) == sorted(y.tolist())
 
     def test_odd_and_even_sizes(self):
         rng = np.random.default_rng(3)
@@ -254,23 +294,22 @@ class TestMedian:
             self.check(rng.integers(0, 3, n).astype(np.float64) / 7.0)
             self.check(np.full(n, 0.1))
 
-    def test_default_trimmed_table_arrays(self, monkeypatch):
-        # the four arrays `cf --statistic trimmed` takes the medians of at
-        # its defaults: k = 2, 8, 16, 32, 10^6 samples, seed 0
-        seen = []
+    def test_uint32_lattice_with_scale(self):
+        rng = np.random.default_rng(5)
+        scales = [k * math.log(k) for k in (2, 3, 8, 16, 32, 40, 1000)] + [0.1, 3.0, 1e-290]
+        for n in (1, 2, 3, 4, 101, 4096, 4097):
+            for scale in scales:
+                self.check_lattice(rng.integers(0, 2**32, n, dtype=np.uint32), scale)
+                self.check_lattice(rng.integers(0, 40, n, dtype=np.uint32), scale)
+                self.check_lattice(np.full(n, 2**32 - 1, dtype=np.uint32), scale)
 
-        def spy(x):
-            want = np.median(x)
-            got = _median(x)
-            seen.append((np.float64(got).tobytes(), want.tobytes()))
-            return got
+    def test_default_trimmed_table_arrays(self):
+        # `cf --statistic trimmed` at its defaults against the float64 path
+        assert_matches_float64_path([2, 8, 16, 32], 10**6, seed=0)
 
-        monkeypatch.setattr(luroth.contfrac, "_median", spy)
-        table = mc_cf_trimmed_table([2, 8, 16, 32], 10**6, seed=0)
-        assert len(seen) == 4
-        assert all(got == want for got, want in seen)
-        # the workers take the medians in any order
-        assert sorted(np.float64(r.estimate).tobytes() for r in table) == sorted(w for _, w in seen)
+    def test_short_last_block_against_float64_path(self):
+        # 123457 trials: three full blocks and a last one of 25153
+        assert_matches_float64_path([2, 5, 40], 123457, seed=9)
 
 
 class TestMcCfTrimmed:
@@ -319,3 +358,31 @@ class TestMcCfTrimmed:
             mc_cf_trimmed_table([], 10**4)
         with pytest.raises(ValueError):
             mc_cf_trimmed_table([16], 100)
+
+    def test_spread_reads_unclipped_values(self, monkeypatch):
+        # at k = 8 the median of S_k - M_k is near 18, so a cap of 40 leaves
+        # it alone but clips the tail: the table must not move
+        ks, samples = [2, 8], 10**5
+        want = mc_cf_trimmed_table(ks, samples, seed=6)
+        y8 = np.rint(_float64_trimmed_stats(ks, samples, 6)[8] * (8 * math.log(8)))
+        clipped = np.minimum(y8, 40.0) / (8 * math.log(8))
+        assert np.count_nonzero(y8 > 40) > samples // 20
+        assert float(np.std(clipped, ddof=1)) < 0.5 * float(np.std(y8 / (8 * math.log(8)), ddof=1))
+        monkeypatch.setattr(luroth.contfrac, "_Y_CAP", 40)
+        assert mc_cf_trimmed_table(ks, samples, seed=6) == want
+
+    def test_memory_is_the_lattice_and_the_block_buffers(self, cores):
+        # 4 bytes per trial and k, plus per worker a block's seven float64
+        # arrays (four in _cf_digits, the running sum and maximum, and y), one
+        # numpy cast buffer of getbufsize() doubles, and 256 KB for the rest
+        cores(2)
+        ks, samples = [2, 8, 16, 32], 2 * 10**5
+        mc_cf_trimmed_table(ks, samples)
+        tracemalloc.start()
+        try:
+            mc_cf_trimmed_table(ks, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = 7 * 8 * _RHO_BLOCK + 8 * np.getbufsize()
+        assert peak < 4 * len(ks) * samples + 2 * buffers + (256 << 10), peak

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -276,6 +277,19 @@ def test_max_scaled_cdf_counts_block_row_maxima():
     got = mc_max_scaled_cdf(k, [0.5, 1.0, 2.0], samples, seed=6)
     assert [r.estimate for r in got] == [
         int((maxima < math.ceil(c * k)).sum()) / samples for c in (0.5, 1.0, 2.0)]
+
+
+def test_max_scaled_cdf_holds_a_block_of_maxima(cores):
+    # each worker holds one block's maxima and its comparison, not all 10^6
+    cores(2)
+    mc_max_scaled_cdf(1000, [0.5, 1.0, 2.0], 10**6)
+    tracemalloc.start()
+    try:
+        mc_max_scaled_cdf(1000, [0.5, 1.0, 2.0], 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def test_row_maxima_open_no_child_stream(monkeypatch, cores):
