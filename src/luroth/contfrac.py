@@ -47,7 +47,7 @@ import numpy as np
 
 from .precision import _to_fraction
 from .rng import RngStream
-from .simulation import _RHO_BLOCK, McResult, _ordered_map, _step_blocks, _unique_max_table
+from .simulation import McResult, _ordered_map, _step_blocks, _unique_max_table
 
 __all__ = [
     "expand_cf",
@@ -187,7 +187,7 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[
                 moments[k] = (n, mean, float(y.sum()))
         return moments
 
-    per_block = _step_blocks(samples, _RHO_BLOCK, seed, one_block)
+    per_block = _step_blocks(samples, seed, one_block)
 
     def median(k: int) -> float:
         y = lattice[k]

@@ -100,51 +100,23 @@ def _ordered_map(fn: Callable[[object], object], items: Sequence[object]) -> Lis
     return results
 
 
-def _exact_sum_u64(a: np.ndarray) -> int:
-    """Exact sum of a uint64 array of at most 2^32 entries, any values.
-
-    Split 32/32: each half is below 2^32, so each half-sum of at most 2^32
-    of them stays below 2^64 and cannot wrap in uint64.
-    """
-    hi = int(np.sum(a >> np.uint64(32)))
-    lo = int(np.sum(a & np.uint64(0xFFFFFFFF)))
-    return (hi << 32) + lo
-
-
-def _sum_and_max(d: np.ndarray) -> Tuple[int, int]:
-    """Exact sum and maximum of at most 2^32 float64 digits, integers in [1, 2^53].
-
-    The entries are nonnegative integers, so every partial sum of the float
-    sum, in whatever order numpy adds them, is an integer between 0 and the
-    total, which is at most m * n for maximum m over n entries: when
-    m * n <= 2^53 a double holds every partial sum and the one pass is exact.
-    Otherwise the digits go to uint64, exactly, and the split sum is exact.
-    For a chunk of 2^16 digits the split runs only when some digit exceeds
-    2^37, about 2^-21 per chunk.
-    """
-    m = int(d.max())
-    if m * d.size <= 1 << 53:
-        return int(d.sum()), m
-    return _exact_sum_u64(d.astype(np.uint64)), m
-
-
 def _binomial(successes: int, n: int) -> McResult:
     p = successes / n
     return McResult(p, math.sqrt(p * (1.0 - p) / n))
 
 
-def _step_blocks(samples: int, block: int, seed: int,
+def _step_blocks(samples: int, seed: int,
                  per_block: Callable[[RngStream, int, int], object]) -> List[object]:
-    """per_block(stream, start, n) on blocks of block trials, in block order.
+    """per_block(stream, start, n) on blocks of _RHO_BLOCK trials, in block order.
 
-    Block b draws from stream b and holds the n trials from start = b * block
-    on: block of them, or fewer in the last one.  A per_block that draws one
+    Block b draws from stream b and holds the n trials from b * _RHO_BLOCK on:
+    a full block, or fewer in the last one.  A per_block that draws one
     variate per trial and step makes the first k steps of a pass the draws of
     a k-step pass, so row k of a sweep depends on (seed, samples, k) only.
     """
-    return _ordered_map(lambda b: per_block(RngStream(seed, b), b * block,
-                                            min(block, samples - b * block)),
-                        range(-(-samples // block)))
+    return _ordered_map(lambda b: per_block(RngStream(seed, b), b * _RHO_BLOCK,
+                                            min(_RHO_BLOCK, samples - b * _RHO_BLOCK)),
+                        range(-(-samples // _RHO_BLOCK)))
 
 
 def _unique_max_table(samples: int, seed: int,
@@ -171,7 +143,7 @@ def _unique_max_table(samples: int, seed: int,
             unique.append(int(np.count_nonzero(second < maxd)))
         return unique
 
-    per_block = _step_blocks(samples, _RHO_BLOCK, seed, one_block)
+    per_block = _step_blocks(samples, seed, one_block)
     return [_binomial(sum(row), samples) for row in zip(*per_block)]
 
 
@@ -231,7 +203,7 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0
         maxima = stream.luroth_row_maxima(n, k)
         return [int(np.count_nonzero(maxima <= t)) for t in thresholds]
 
-    per_block = _step_blocks(samples, _RHO_BLOCK, seed, one_block)
+    per_block = _step_blocks(samples, seed, one_block)
     return [_binomial(sum(counts), samples) for counts in zip(*per_block)]
 
 
@@ -241,9 +213,15 @@ def mc_trimmed_trajectory(
     """One digit path X_1..X_kmax; reports (S_k - M_k)/(k log k) at checkpoints.
 
     The digits are drawn in chunks of _TRAJ_CHUNK into one buffer.  The
-    running sum and maximum are kept as exact Python integers (unbounded,
-    so no overflow for any digit magnitude or path length); the statistic is
+    running sum and maximum are exact Python integers, and the statistic is
     formed in floating point only at each checkpoint.  Natural logarithm.
+
+    A chunk's float sum s is exact when s < 2^53: its digits are nonnegative
+    integers, so if their total is below 2^53, every partial sum that numpy
+    forms, in any order, is an integer that a double holds; and if the total
+    is at least 2^53, so is s, by induction over the summation tree, since
+    rounding is monotone and 2^53 is a double.  Such a chunk is summed again
+    in Python integers.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
@@ -256,18 +234,15 @@ def mc_trimmed_trajectory(
         raise ValueError("checkpoints must lie in [2, k_max]")
     stream = RngStream(seed)
     buf = np.empty(min(k_max, _TRAJ_CHUNK))
-    total = 0
-    biggest = 0
-    pos = 0
+    total = biggest = start = 0
     out = []
     for cp in cps:
-        need = cp - pos
-        while need > 0:
-            n = min(need, _TRAJ_CHUNK)
-            s, m = _sum_and_max(stream.luroth_digits(n, out=buf[:n]))
-            total += s
-            biggest = max(biggest, m)
-            need -= n
-        pos = cp
+        while start < cp:
+            n = min(_TRAJ_CHUNK, cp - start)
+            d = stream.luroth_digits(n, out=buf[:n])
+            s = d.sum()
+            total += int(s) if s < 1 << 53 else sum(map(int, d.tolist()))
+            biggest = max(biggest, int(d.max()))
+            start += n
         out.append((cp, float(total - biggest) / (cp * math.log(cp))))
     return out

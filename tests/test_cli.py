@@ -387,7 +387,22 @@ class TestPinnedRowFormats:
          "0,100,0.85121718453037354,1.2429757029375137\n"
          "1,10,0.39086503371292658,1.2579999846183172\n"
          "1,100,0.70138558827375164,1.2429757029375137\n"),
-    ], ids=["j2", "expand", "reconstruct", "rho-series", "trim"])
+        # 10^4..10^5 and 10^5..2*10^5 each span two 2^16-digit chunks
+        (["trim", "--kmax", "200000", "--seeds", "2", "--seed", "7"],
+         "seed,k,statistic,c_k\n"
+         "7,10,0.56458282647422731,1.2579999846183172\n"
+         "7,100,0.76001534333069065,1.2429757029375137\n"
+         "7,1000,0.81227544598638202,1.218766714481897\n"
+         "7,10000,0.78817934048211657,1.1951799627956328\n"
+         "7,100000,0.95976735310416361,1.1755156508296338\n"
+         "7,200000,0.9473620496789803,1.1703377949982383\n"
+         "8,10,0.95544786018715389,1.2579999846183172\n"
+         "8,100,0.77738712260682075,1.2429757029375137\n"
+         "8,1000,0.9810712346194459,1.218766714481897\n"
+         "8,10000,0.85798132108601666,1.1951799627956328\n"
+         "8,100000,0.89294506694060172,1.1755156508296338\n"
+         "8,200000,0.87546668861693067,1.1703377949982383\n"),
+    ], ids=["j2", "expand", "reconstruct", "rho-series", "trim", "trim-chunks"])
     def test_stdout(self, argv, want, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == want

@@ -251,7 +251,7 @@ def _float64_trimmed_stats(ks, samples, seed):
                 np.subtract(total, maxa, out=out)
                 out /= k * math.log(k)
 
-    _step_blocks(samples, _RHO_BLOCK, seed, one_block)
+    _step_blocks(samples, seed, one_block)
     return stats
 
 

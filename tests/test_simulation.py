@@ -19,9 +19,7 @@ import luroth.simulation
 from luroth.rng import RngStream, _to_digits
 from luroth.simulation import (
     _RHO_BLOCK,
-    _exact_sum_u64,
     _ordered_map,
-    _sum_and_max,
     _unique_max_table,
     mc_max_scaled_cdf,
     mc_rho,
@@ -628,57 +626,83 @@ def test_trajectory_validates_checkpoints():
         mc_trimmed_trajectory(100, [1], seed=0)
 
 
-def test_exact_sum_helper_against_python_sum():
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, 1 << 63, size=5000, dtype=np.uint64)
-    a[0] = np.uint64(1 << 63)
-    a[1] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    assert _exact_sum_u64(a) == sum(int(v) for v in a.tolist())
+def _word_of_digit(d):
+    # the raw word whose digit is d, for d = 2^53 // j, j >= 1, or d <= 2^26
+    w = ((1 << 53) // d - 1) << 11
+    assert _digit_of_word(w) == d
+    return w
 
 
-def test_sum_and_max_guard_branches(monkeypatch):
-    split_calls = []
+@pytest.mark.parametrize("digits", [
+    [1 << 52, (1 << 53) // 3, (1 << 53) // 6],  # 2^53 - 1: summed in floats, exactly
+    [1 << 52, 1 << 52],                         # 2^53
+    [1 << 53, 1],                               # 2^53 + 1: its float sum rounds to 2^53
+    [1, 1 << 53],
+    [1 << 53, 1 << 53, 7],
+], ids=["2^53-1", "2^53", "2^53+1", "1+2^53", "2^54+7"])
+def test_trajectory_sum_at_the_float_guard(digits, monkeypatch):
+    # one chunk whose total is near 2^53, against Python integers; at
+    # 2^53 + 1, S_k - M_k is 1, so a float sum's rounding shows in the statistic
+    feed = _RawFeed([_word_of_digit(d) for d in digits])
+    _feed_new_streams(monkeypatch, feed)
+    k = len(digits)
+    got = mc_trimmed_trajectory(k, [k], seed=0)
+    assert got == [(k, float(sum(digits) - max(digits)) / (k * math.log(k)))]
+    assert feed.used == k
 
-    def counted(a):
-        split_calls.append(len(a))
-        return _exact_sum_u64(a)
 
-    monkeypatch.setattr(luroth.simulation, "_exact_sum_u64", counted)
-    cases = [
-        ([(1 << 51) - 1] * 4, False),  # max * n = 2^53 - 4
-        ([1 << 52] * 2, False),        # max * n = 2^53: every partial sum a double
-        ([1 << 53], False),
-        ([(1 << 52) + 1] * 2, True),   # max * n = 2^53 + 2
-        ([1 << 53, 1], True),          # the largest digit: a float sum rounds to 2^53
-        ([(1 << 53) - 1, 2], True),    # 2^53 + 1 rounds to 2^53 in floats too
-        ([1 << 53, 1 << 53, 7], True),
-    ]
-    for values, split in cases:
-        split_calls.clear()
-        total, top = _sum_and_max(np.array(values, dtype=np.float64))
-        assert (total, top) == (sum(values), max(values))
-        assert bool(split_calls) == split
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000, 1 << 16])
+def test_float_sum_is_exact_below_two_to_53(n):
+    # the argument behind mc_trimmed_trajectory's guard, against this numpy's
+    # summation order (an 8-way unroll inside pairwise blocks of 128): for
+    # nonnegative integers, a float sum below 2^53 is the exact total, and a
+    # total of at least 2^53 gives a float sum of at least 2^53
+    rng = np.random.default_rng(n)
+    top = 1 << 53
+    offsets = (1, 2, 3, n, 7 * n + 1)
+    totals = [top - d for d in offsets] + [top + d for d in (0,) + offsets]
+    totals += [int(top * f) for f in rng.uniform(0.5, 2.0, size=4)]
+    sides = set()
+    for total in totals:
+        total = min(total, n * top)  # n digits of at most 2^53
+        base = total // n
+        # a near-even split
+        even = base + rng.integers(-(base // 4), base // 4 + 1, size=n)
+        rest = total - int(even.sum())
+        even += rest // n
+        even[:rest % n] += 1
+        # small digits, with the rest carried by as few digits of at most 2^53
+        digits = rng.integers(1, 1 << 20, size=n)
+        rest = total - int(digits.sum())
+        for i in range(n):
+            if not rest:
+                break
+            add = min(rest, top - int(digits[i]))
+            digits[i] += add
+            rest -= add
+        for v in (even, digits):
+            assert int(v.sum()) == total and v.min() >= 0 and v.max() <= top
+            s = rng.permutation(v).astype(np.float64).sum()
+            if s < top:
+                assert int(s) == total
+            if total >= top:
+                assert s >= top
+            sides.add(s < top)
+    assert sides == {False, True}
 
 
 def test_trajectory_against_python_reference(monkeypatch):
     # raw words 0 and 1 give the digit 2^53; they fall in the last chunk of
-    # seven digits, whose sum exceeds 2^53 and so takes the exact uint64
-    # sum, while the chunks before are small and summed in floats
+    # seven digits, whose float sum is 3 short of the total, so only the
+    # Python integer sum matches the reference, while the chunks before are
+    # small and summed in floats
     words = [10 << 11, 7 << 11, 1000 << 11, 5 << 11, 6 << 11, 77 << 11, 0, 19 << 11, 1, 2**40,
              2**64 - 5, 12 << 11]
     feed = _RawFeed(words)
     _feed_new_streams(monkeypatch, feed)
-    split_calls = []
-
-    def counted(a):
-        split_calls.append(len(a))
-        return _exact_sum_u64(a)
-
-    monkeypatch.setattr(luroth.simulation, "_exact_sum_u64", counted)
     got = mc_trimmed_trajectory(12, [2, 5, 12], seed=0)
     digits = [_digit_of_word(w) for w in words]
     want = [(k, float(sum(digits[:k]) - max(digits[:k])) / (k * math.log(k)))
             for k in (2, 5, 12)]
     assert got == want
     assert feed.used == len(words)
-    assert split_calls == [7]
