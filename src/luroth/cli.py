@@ -154,8 +154,7 @@ def cmd_trim(args) -> int:
     targets = {k: c_k(k) for k in checkpoints}
     seeds = range(args.seed, args.seed + args.seeds)
     # one path per seed, one worker per usable core, rows in seed order
-    paths = _ordered_map(lambda seed: mc_trimmed_trajectory(args.kmax, checkpoints, seed=seed),
-                         seeds)
+    paths = _ordered_map(lambda seed: mc_trimmed_trajectory(checkpoints, seed=seed), seeds)
     rows = [(seed, k, stat, targets[k]) for seed, path in zip(seeds, paths) for k, stat in path]
     return _write_csv(args.out, "seed,k,statistic,c_k", "%d,%d,%.17g,%.17g", rows)
 

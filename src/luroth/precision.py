@@ -105,7 +105,6 @@ def _row_sums(l: int):
 # + _ZETA_GUARD); the guard bits hold the few hundred ulps of rounding that
 # ``_zeta_fixed`` certifies well inside 2**-bucket.
 _ZETA_GUARD = 32
-_ZETA_CACHE = {}
 _LOG2_T3 = math.log2(3.0 + math.sqrt(8.0))  # T_n(3) ~ (3 + sqrt 8)**n / 2
 
 
@@ -168,24 +167,22 @@ def _zeta_fixed(j: int, bits: int) -> Tuple[int, int, int]:
     err_ulps = K + 5 >= 2 ceil(K/2) + 4.  K <= n < s/2, so err_ulps stays
     within the 2**_ZETA_GUARD ulps of 2**-bucket below 2**32-bit buckets.
     """
-    bucket = ((bits + 63) // 64) * 64
-    key = (j, bucket)
-    # a dict read and a dict store are atomic, and two threads that miss the
-    # same key store equal entries, so the cache takes no lock
-    hit = _ZETA_CACHE.get(key)
-    if hit is None:
-        eta = 0
-        terms = 0
-        for k, c in enumerate(_borwein_weights(bucket)):
-            m = (k + 1) ** j
-            if m > c:
-                break
-            eta += -(c // m) if k & 1 else c // m
-            terms += 1
-        half = 1 << (j - 1)
-        hit = ((eta * half) // (half - 1), terms + 5, bucket + _ZETA_GUARD)
-        _ZETA_CACHE[key] = hit
-    return hit
+    return _zeta_bucket(j, ((bits + 63) // 64) * 64)
+
+
+@functools.cache
+def _zeta_bucket(j: int, bucket: int) -> Tuple[int, int, int]:
+    """``_zeta_fixed`` at the bucket's scale s = bucket + _ZETA_GUARD."""
+    eta = 0
+    terms = 0
+    for k, c in enumerate(_borwein_weights(bucket)):
+        m = (k + 1) ** j
+        if m > c:
+            break
+        eta += -(c // m) if k & 1 else c // m
+        terms += 1
+    half = 1 << (j - 1)
+    return (eta * half) // (half - 1), terms + 5, bucket + _ZETA_GUARD
 
 
 def zeta_int(j: int, precision_bits: int = 128) -> HighPrecisionReal:

@@ -14,10 +14,11 @@ Every sweep runs one worker per usable core; numpy releases the
 interpreter lock in its generators and array loops, so the blocks overlap.
 """
 
+import contextlib
 import math
 import os
 import threading
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -53,50 +54,45 @@ def _ordered_map(fn: Callable[[object], object], items: Sequence[object]) -> Lis
     """[fn(x) for x in items], on worker threads when more than one runs.
 
     One worker runs per usable core, never more than one per item; this is
-    the only place that sets a thread count.  Results come back in item
-    order, so the output does not depend on the worker count as long as
-    fn(x) depends on x alone.  Each worker thread is bound to its own usable
-    CPU, in turn: left to the scheduler, two workers were seen sharing one
-    vCPU of a 2-vCPU VM for minutes while the other stayed idle.  If some
-    fn(x) raises, the exception of the first such item is raised here once
-    every worker has stopped, as the serial loop would.
+    the only place that sets a thread count.  Of W workers, worker w runs
+    items w, w + W, w + 2W, ... into the items' own result slots, so the
+    output does not depend on W as long as fn(x) depends on x alone.  Every
+    caller passes items of equal cost (blocks of _RHO_BLOCK trials, the last
+    shorter; one trim path per seed; one cf median per k), so this fixed
+    deal splits the work as a queue would among workers of equal speed.
+    Each worker is bound to its own usable CPU, in turn: the scheduler was
+    seen to keep two workers on one vCPU of a 2-vCPU VM for minutes.  A
+    worker stops at its first failing item, and the least one seen is raised
+    once all have stopped.  That is the first item i* to fail in the serial
+    loop: every item below i* succeeds, so i*'s worker reaches it, and any
+    other failure seen is a failing item, so it lies above i*.
     """
     workers = min(_usable_cores(), len(items))
     if workers <= 1:
         return [fn(x) for x in items]
     mask = _usable_cpus()
     results = [None] * len(items)
-    failures = {}  # item index -> exception
-    lock = threading.Lock()
-    pending = iter(range(len(items)))
+    failed = [None] * workers  # worker -> (item index, exception)
 
-    def work(cpu: Optional[int]):
-        if cpu is not None:
-            try:
-                os.sched_setaffinity(0, {cpu})  # this thread only
-            except OSError:  # the CPU left the mask meanwhile: run unbound
-                pass
-        while True:
-            # items go out in order, so once one has failed every item
-            # before it is already taken and no later one is needed
-            with lock:
-                i = None if failures else next(pending, None)
-            if i is None:
-                return
+    def work(w: int):
+        if mask:  # bind this thread only; if the CPU left the mask meanwhile, run unbound
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {mask[w % len(mask)]})
+        for i in range(w, len(items), workers):
             try:
                 results[i] = fn(items[i])
             except BaseException as exc:
-                with lock:
-                    failures[i] = exc
+                failed[w] = (i, exc)
+                return
 
-    threads = [threading.Thread(target=work, args=(mask[w % len(mask)] if mask else None,))
-               for w in range(workers)]
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    if failures:
-        raise failures[min(failures)]
+    first = min((f for f in failed if f is not None), default=None)  # indices differ
+    if first is not None:
+        raise first[1]
     return results
 
 
@@ -207,10 +203,8 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0
     return [_binomial(sum(counts), samples) for counts in zip(*per_block)]
 
 
-def mc_trimmed_trajectory(
-    k_max: int, checkpoints: Sequence[int], seed: int = 0
-) -> List[Tuple[int, float]]:
-    """One digit path X_1..X_kmax; reports (S_k - M_k)/(k log k) at checkpoints.
+def mc_trimmed_trajectory(checkpoints: Sequence[int], seed: int = 0) -> List[Tuple[int, float]]:
+    """One digit path to the last checkpoint; (S_k - M_k)/(k log k) at each checkpoint k.
 
     The digits are drawn in chunks of _TRAJ_CHUNK into one buffer.  The
     running sum and maximum are exact Python integers, and the statistic is
@@ -223,17 +217,15 @@ def mc_trimmed_trajectory(
     rounding is monotone and 2^53 is a double.  Such a chunk is summed again
     in Python integers.
     """
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
     cps = list(checkpoints)
     if not cps:
         raise ValueError("need at least one checkpoint")
     if cps != sorted(set(cps)):
         raise ValueError("checkpoints must be strictly increasing")
-    if cps[0] < 2 or cps[-1] > k_max:
-        raise ValueError("checkpoints must lie in [2, k_max]")
+    if cps[0] < 2:
+        raise ValueError("checkpoints must be >= 2")
     stream = RngStream(seed)
-    buf = np.empty(min(k_max, _TRAJ_CHUNK))
+    buf = np.empty(min(cps[-1], _TRAJ_CHUNK))
     total = biggest = start = 0
     out = []
     for cp in cps:

@@ -189,7 +189,7 @@ def test_criterion_07_trimmed_sum_centering():
     checkpoints = [10**3, 10**6]
     at3, at6 = [], []
     for seed in range(32):
-        traj = dict(mc_trimmed_trajectory(10**6, checkpoints, seed=seed))
+        traj = dict(mc_trimmed_trajectory(checkpoints, seed=seed))
         at3.append(traj[10**3])
         at6.append(traj[10**6])
     dt = time.perf_counter() - t0

@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from luroth import extrema
+from luroth import extrema, precision
 from luroth.expansion import pmf, tail
 from luroth.extrema import (
     coeff_c,
@@ -190,6 +190,19 @@ def test_rho_exact_uncertifiable_raises(monkeypatch):
     monkeypatch.setattr(extrema, "_zeta_fixed", inflated)
     with pytest.raises(PrecisionError):
         rho_exact(10, 96)
+
+
+def test_rho_exact_evaluates_zeta_once_per_bucket():
+    # rho_exact(k, 128) asks for 192 + k bits: k <= 64 reads the 256-bit
+    # bucket (j = 2..64) and k >= 65 the 320-bit one (j = 2..120)
+    cache = precision._zeta_bucket
+    cache.cache_clear()
+    for k in range(2, 121):
+        rho_exact(k, 128)
+    assert cache.cache_info().misses == 63 + 119
+    for k in range(2, 121):
+        rho_exact(k, 128)
+    assert cache.cache_info().misses == 63 + 119
 
 
 def test_rho_exact_rejects_bad_k():

@@ -376,10 +376,10 @@ def test_ordered_map_under_fast_thread_switches(cores):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        many = _ordered_map(lambda s: mc_trimmed_trajectory(3000, [3000], seed=s), range(12))
+        many = _ordered_map(lambda s: mc_trimmed_trajectory([3000], seed=s), range(12))
     finally:
         sys.setswitchinterval(old)
-    assert many == [mc_trimmed_trajectory(3000, [3000], seed=s) for s in range(12)]
+    assert many == [mc_trimmed_trajectory([3000], seed=s) for s in range(12)]
 
 
 def test_ordered_map_starts_no_more_threads_than_items(monkeypatch, cores):
@@ -556,20 +556,20 @@ def test_trajectory_k2_lower_bound():
     # (S_2 - M_2)/(2 log 2) = min(X1, X2)/(2 log 2) >= 1/(2 log 2)
     bound = 1.0 / (2 * math.log(2))
     for seed in range(20):
-        (k, stat), = mc_trimmed_trajectory(2, [2], seed=seed)
+        (k, stat), = mc_trimmed_trajectory([2], seed=seed)
         assert stat >= bound - 1e-15
 
 
 def test_trajectory_deterministic():
-    a = mc_trimmed_trajectory(10**4, [100, 10**4], seed=3)
-    b = mc_trimmed_trajectory(10**4, [100, 10**4], seed=3)
+    a = mc_trimmed_trajectory([100, 10**4], seed=3)
+    b = mc_trimmed_trajectory([100, 10**4], seed=3)
     assert a == b
 
 
 def test_trajectory_checkpoints_are_prefix_consistent():
     # a checkpoint's statistic does not depend on later checkpoints
-    full = mc_trimmed_trajectory(10**4, [500, 10**4], seed=1)
-    short = mc_trimmed_trajectory(500, [500], seed=1)
+    full = mc_trimmed_trajectory([500, 10**4], seed=1)
+    short = mc_trimmed_trajectory([500], seed=1)
     assert full[0] == short[0]
 
 
@@ -578,7 +578,7 @@ def test_trajectory_does_not_depend_on_chunk_size(monkeypatch):
     runs = []
     for chunk in (2**10, 2**16, 2**19):
         monkeypatch.setattr(luroth.simulation, "_TRAJ_CHUNK", chunk)
-        runs.append(mc_trimmed_trajectory(6 * 10**5, cps, seed=9))
+        runs.append(mc_trimmed_trajectory(cps, seed=9))
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -595,7 +595,7 @@ def test_trajectory_with_extreme_words_does_not_depend_on_chunk_size(monkeypatch
         feed = _RawFeed(words)
         _feed_new_streams(monkeypatch, feed)
         monkeypatch.setattr(luroth.simulation, "_TRAJ_CHUNK", chunk)
-        runs.append(mc_trimmed_trajectory(n, cps, seed=9))
+        runs.append(mc_trimmed_trajectory(cps, seed=9))
         assert feed.used == n
     assert runs[0] == runs[1] == runs[2]
     digits = [_digit_of_word(w) for w in words.tolist()]
@@ -609,7 +609,7 @@ def test_trajectory_against_exact_python_sums(monkeypatch):
     # as Python integers
     monkeypatch.setattr(luroth.simulation, "_TRAJ_CHUNK", 2**10)
     cps = [2, 1023, 1024, 1025, 5000]
-    got = mc_trimmed_trajectory(5000, cps, seed=12)
+    got = mc_trimmed_trajectory(cps, seed=12)
     digits = [int(d) for d in RngStream(12).luroth_digits(5000)]
     assert got == [(k, float(sum(digits[:k]) - max(digits[:k])) / (k * math.log(k)))
                    for k in cps]
@@ -617,13 +617,11 @@ def test_trajectory_against_exact_python_sums(monkeypatch):
 
 def test_trajectory_validates_checkpoints():
     with pytest.raises(ValueError):
-        mc_trimmed_trajectory(100, [], seed=0)
+        mc_trimmed_trajectory([], seed=0)
     with pytest.raises(ValueError):
-        mc_trimmed_trajectory(100, [3, 2], seed=0)
+        mc_trimmed_trajectory([3, 2], seed=0)
     with pytest.raises(ValueError):
-        mc_trimmed_trajectory(100, [2, 200], seed=0)
-    with pytest.raises(ValueError):
-        mc_trimmed_trajectory(100, [1], seed=0)
+        mc_trimmed_trajectory([1], seed=0)
 
 
 def _word_of_digit(d):
@@ -646,7 +644,7 @@ def test_trajectory_sum_at_the_float_guard(digits, monkeypatch):
     feed = _RawFeed([_word_of_digit(d) for d in digits])
     _feed_new_streams(monkeypatch, feed)
     k = len(digits)
-    got = mc_trimmed_trajectory(k, [k], seed=0)
+    got = mc_trimmed_trajectory([k], seed=0)
     assert got == [(k, float(sum(digits) - max(digits)) / (k * math.log(k)))]
     assert feed.used == k
 
@@ -700,7 +698,7 @@ def test_trajectory_against_python_reference(monkeypatch):
              2**64 - 5, 12 << 11]
     feed = _RawFeed(words)
     _feed_new_streams(monkeypatch, feed)
-    got = mc_trimmed_trajectory(12, [2, 5, 12], seed=0)
+    got = mc_trimmed_trajectory([2, 5, 12], seed=0)
     digits = [_digit_of_word(w) for w in words]
     want = [(k, float(sum(digits[:k]) - max(digits[:k])) / (k * math.log(k)))
             for k in (2, 5, 12)]
