@@ -4,14 +4,14 @@ Conventions shared by all subcommands:
 
 * every CSV starts with a header row and uses "\n" line endings; no field
   holds a comma, a quote or a line break, so none is quoted;
-* a table is written only once all its rows are computed;
+* a table is written only once all its rows are computed and its first chunk formatted;
 * each table has one row format, applied with one ``%`` operation per row:
   floating values as ``%.17g`` (17 significant digits, round-trippable),
   integers as ``%d``, labels and exact rationals ("p/q") as ``%s``;
 * the same invocation with the same seed produces byte-identical output;
 * exit status 0 means every computation certified its error bound (or, for
-  Monte Carlo, completed within its sampling contract), 1 means a
-  computation failed at runtime, 2 means the invocation itself was invalid.
+  Monte Carlo, completed within its sampling contract), 1 a runtime failure
+  (never a ValueError), 2 an argument outside a domain the CLI or library states.
 """
 
 import argparse
@@ -28,15 +28,10 @@ from .contfrac import mc_cf_rho_table, mc_cf_trimmed_table
 from .expansion import expand, reconstruct
 from .extrema import rho_exact, rho_series
 from .precision import PrecisionError
-from .simulation import (_finite_product, _ordered_map, mc_max_scaled_cdf, mc_rho,
-                         mc_trimmed_trajectory)
+from .simulation import _ordered_map, mc_max_scaled_cdf, mc_rho, mc_trimmed_trajectory
 from .trimming import c_k, j2_partial_sums
 
 __all__ = ["main"]
-
-
-class _UsageError(Exception):
-    """Invalid flag value caught before any computation starts."""
 
 
 # rows per write: a few writes per table even when stdout is unbuffered,
@@ -58,16 +53,18 @@ def _write_csv(path: Optional[str], header: str, fmt: str,
     """
     line = (fmt + "\n").__mod__
     rows = iter(rows)
+    chunk = header + "\n" + "".join(map(line, itertools.islice(rows, _CHUNK_ROWS)))
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        while chunk := "".join(map(line, itertools.islice(rows, _CHUNK_ROWS))):
+        while chunk:
             fh.write(chunk)
+            chunk = "".join(map(line, itertools.islice(rows, _CHUNK_ROWS)))
     return 0
 
 
 def _require(cond: bool, message: str):
+    # for domains no library call states: main exits 2 on any ValueError
     if not cond:
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _rho_rows(k_max: int, mode: str, precision_bits: int, tol: float,
@@ -91,6 +88,7 @@ def _rho_rows(k_max: int, mode: str, precision_bits: int, tol: float,
 
 
 def cmd_rho(args) -> int:
+    # rows start at k = 2, and each flag is checked whatever --mode calls
     _require(args.kmax >= 2, "--kmax must be >= 2")
     _require(args.precision_bits >= 8, "--precision-bits must be >= 8")
     # a bound of 1 says nothing about a probability; below 2^-52 rounding rules
@@ -105,9 +103,7 @@ def cmd_expand(args) -> int:
     try:
         x = Fraction(args.value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"cannot parse {args.value!r} as a rational: {exc}")
-    _require(0 < x <= 1, "value must lie in (0, 1]")
-    _require(args.count >= 1, "--count must be >= 1")
+        raise ValueError(f"cannot parse {args.value!r} as a rational: {exc}")
     digits, remainder = expand(x, args.count)
     rows = list(enumerate(digits, start=1)) + [("remainder", remainder)]
     return _write_csv(args.out, "index,digit", "%s,%s", rows)
@@ -117,9 +113,7 @@ def cmd_reconstruct(args) -> int:
     try:
         digits = tuple(int(part) for part in args.digits.split(","))
     except ValueError:
-        raise _UsageError(f"cannot parse {args.digits!r} as comma-separated integers")
-    _require(len(digits) >= 1, "at least one digit is required")
-    _require(all(d >= 1 for d in digits), "digits must be >= 1")
+        raise ValueError(f"cannot parse {args.digits!r} as comma-separated integers")
     value = reconstruct(digits)
     return _write_csv(args.out, "field,value", "%s,%s",
                       [("exact", value), ("approx", "%.17g" % value)])
@@ -133,7 +127,6 @@ def _j2_rows(n_max: int) -> Iterator[Tuple[int, float]]:
 
 
 def cmd_j2(args) -> int:
-    _require(args.nmax >= 3, "--nmax must be >= 3")
     return _write_csv(args.out, *_J2_TABLE, _j2_rows(args.nmax))
 
 
@@ -148,7 +141,7 @@ def _decade_checkpoints(k_max: int) -> List[int]:
 
 
 def cmd_trim(args) -> int:
-    _require(args.kmax >= 2, "--kmax must be >= 2")
+    # no seeds would print a header and no rows
     _require(args.seeds >= 1, "--seeds must be >= 1")
     checkpoints = _decade_checkpoints(args.kmax)
     targets = {k: c_k(k) for k in checkpoints}
@@ -160,11 +153,7 @@ def cmd_trim(args) -> int:
 
 
 def cmd_maxdist(args) -> int:
-    _require(args.k >= 1, "--k must be >= 1")
-    _require(args.samples >= 100, "--samples must be >= 100")
     c_list = args.c if args.c else [0.5, 1.0, 2.0]
-    _require(all(c > 0 and _finite_product(c, args.k) for c in c_list),
-             "--c values must be positive, with c*k finite")
     sampled = mc_max_scaled_cdf(args.k, c_list, args.samples, seed=args.seed)
     rows = []
     for c, r in zip(c_list, sampled):
@@ -186,10 +175,8 @@ def cmd_maxdist(args) -> int:
 
 def cmd_cf(args) -> int:
     k_list = args.k if args.k else [2, 8, 16, 32]
+    # mc_cf_rho_table sees only max(k): at k = 0, table[k - 1] is the last row
     _require(min(k_list) >= 1, "--k values must be >= 1")
-    _require(args.samples >= 10**4, "--samples must be >= 10000")
-    _require(args.statistic == "rho" or min(k_list) >= 2,
-             "--k values must be >= 2 for the trimmed statistic")
     if args.statistic == "rho":
         table = mc_cf_rho_table(max(k_list), args.samples, seed=args.seed)
         rows = [(k, table[k - 1].estimate, table[k - 1].standard_error) for k in k_list]
@@ -298,21 +285,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # took about 2 ms, more than a whole `rho --mode series` table)
     gc.freeze()
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        try:
-            # seeds seed..seed+seeds-1 each key a family of PCG64DXSM streams
-            first = getattr(args, "seed", 0)
-            _require(0 <= first and first + getattr(args, "seeds", 1) <= 1 << 64,
-                     "every seed used must lie in [0, 2^64)")
-            return _DISPATCH[args.command](args)
-        except _UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
-        except (PrecisionError, ValueError, RuntimeError, OSError) as exc:
-            # OSError: an --out path that cannot be written
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        args = _build_parser().parse_args(argv)
+        # seeds seed..seed+seeds-1 key PCG64DXSM streams; checked whatever is drawn
+        first = getattr(args, "seed", 0)
+        _require(0 <= first and first + getattr(args, "seeds", 1) <= 1 << 64,
+                 "every seed used must lie in [0, 2^64)")
+        return _DISPATCH[args.command](args)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except (PrecisionError, RuntimeError, OSError) as exc:
+        # OSError: an --out path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         gc.unfreeze()
 

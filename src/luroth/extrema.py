@@ -41,7 +41,7 @@ __all__ = [
 def _probability(value: Fraction, bound: Fraction) -> HighPrecisionReal:
     """rho_k as a certified real, rejected if outside (0, 1] by more than its bound."""
     if not 0 < value <= 1 + bound:
-        raise ValueError("rho estimate outside (0, 1] by more than its bound")
+        raise PrecisionError("rho estimate outside (0, 1] by more than its bound")
     return HighPrecisionReal(value, bound)
 
 

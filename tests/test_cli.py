@@ -10,6 +10,7 @@ import pytest
 
 import luroth.cli
 import luroth.contfrac
+import luroth.extrema
 from luroth.cli import main
 from luroth.expansion import max_cdf_exact
 from luroth.trimming import c_k
@@ -52,6 +53,16 @@ class TestRho:
         with pytest.raises(SystemExit) as exc:
             main(["rho", "--mode", "bogus"])
         assert exc.value.code == 2
+
+    def test_failed_certificate_exits_1(self, monkeypatch, capsys):
+        # rho_3 computed from zeta values read as 0 lies far above 1
+        real = luroth.extrema._zeta_fixed
+        monkeypatch.setattr(luroth.extrema, "_zeta_fixed",
+                            lambda j, bits: (0, 1, real(j, bits)[2]))
+        assert main(["rho", "--kmax", "3", "--mode", "exact"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_series_at_tight_tol(self, capsys):
         code, rows = run_cli(["rho", "--mode", "series", "--kmax", "40",
@@ -248,6 +259,23 @@ class TestInvalidFlags:
         ["rho", "--mode", "series", "--kmax", "3", "--tol", "inf"],
         ["rho", "--mode", "series", "--kmax", "3", "--tol", "2"],
         ["rho", "--mode", "series", "--kmax", "3", "--tol", "1e-16"],
+        # checked by the library call alone
+        ["expand", "1/2", "--count", "0"],
+        ["expand", "3/2"],
+        ["reconstruct", "0,3"],
+        ["j2", "--nmax", "2"],
+        ["trim", "--kmax", "1"],
+        ["maxdist", "--k", "0"],
+        ["maxdist", "--samples", "99"],
+        ["cf", "--samples", "9999"],
+        # a digit of 5001 decimal digits exceeds Python's int-to-str limit
+        ["expand", "1e-5000", "--count", "1"],
+        # checked by the CLI alone: no library call sees these values
+        ["cf", "--k", "0", "--k", "5", "--samples", "10000"],
+        ["rho", "--mode", "exact", "--kmax", "3", "--samples", "5"],
+        ["rho", "--mode", "series", "--kmax", "3", "--precision-bits", "4"],
+        ["trim", "--kmax", "10", "--seeds", "0"],
+        ["rho", "--mode", "exact", "--kmax", "3", "--seed", "-1"],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a))

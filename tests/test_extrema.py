@@ -192,6 +192,15 @@ def test_rho_exact_uncertifiable_raises(monkeypatch):
         rho_exact(10, 96)
 
 
+def test_rho_exact_outside_unit_interval_raises(monkeypatch):
+    # every zeta value read as 0 gives rho_3 = 3 * 2^2 within a small bound:
+    # a value outside (0, 1] by more than its bound is a failed certificate
+    real = extrema._zeta_fixed
+    monkeypatch.setattr(extrema, "_zeta_fixed", lambda j, bits: (0, 1, real(j, bits)[2]))
+    with pytest.raises(PrecisionError):
+        rho_exact(3)
+
+
 def test_rho_exact_evaluates_zeta_once_per_bucket():
     # rho_exact(k, 128) asks for 192 + k bits: k <= 64 reads the 256-bit
     # bucket (j = 2..64) and k >= 65 the 320-bit one (j = 2..120)
