@@ -4,7 +4,8 @@ Conventions shared by all subcommands:
 
 * every CSV starts with a header row and uses "\n" line endings; no field
   holds a comma, a quote or a line break, so none is quoted;
-* a table is written only once all its rows are computed and its first chunk formatted;
+* a table is written in one write, only once all its rows are computed and
+  formatted, so no failure leaves a partial table;
 * each table has one row format, applied with one ``%`` operation per row:
   floating values as ``%.17g`` (17 significant digits, round-trippable),
   integers as ``%d``, labels and exact rationals ("p/q") as ``%s``;
@@ -16,9 +17,9 @@ Conventions shared by all subcommands:
 
 import argparse
 import gc
-import itertools
 import math
 import os
+import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -34,10 +35,6 @@ from .trimming import c_k, j2_partial_sums
 __all__ = ["main"]
 
 
-# rows per write: a few writes per table even when stdout is unbuffered,
-# without ever holding the whole table as one string
-_CHUNK_ROWS = 4096
-
 # (header, row format) of the two tables `figures` writes as well
 _RHO_TABLE = ("k,method,value,error_bound", "%d,%s,%.17g,%.17g")
 _J2_TABLE = ("N,partial_sum", "%d,%.17g")
@@ -45,19 +42,15 @@ _J2_TABLE = ("N,partial_sum", "%d,%.17g")
 
 def _write_csv(path: Optional[str], header: str, fmt: str,
                rows: Iterable[tuple]) -> int:
-    """Write one table, to path or to stdout; callers compute its values first.
+    """Format one table whole, then write it to path or to stdout at once.
 
-    Each row is a tuple of plain values, formatted as ``fmt % row``.  rows
-    may be an iterator over values already computed, such as ``enumerate``
-    of a list, so that a long table is never held as tuples all at once.
+    Each row is a tuple of plain values, formatted as ``fmt % row``; callers
+    compute the values first, and may pass them as an iterator, such as
+    ``enumerate`` of a list, so that no long table is held as tuples.
     """
-    line = (fmt + "\n").__mod__
-    rows = iter(rows)
-    chunk = header + "\n" + "".join(map(line, itertools.islice(rows, _CHUNK_ROWS)))
+    text = header + "\n" + "".join(map((fmt + "\n").__mod__, rows))
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
-        while chunk:
-            fh.write(chunk)
-            chunk = "".join(map(line, itertools.islice(rows, _CHUNK_ROWS)))
+        fh.write(text)
     return 0
 
 
@@ -100,7 +93,13 @@ def cmd_rho(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    # Fraction builds 10^|e| for an exponent e; past twice the int-to-str limit
+    # the value is 0, above 1 or has a first digit too long to print
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        exp = re.search(r"e([-+]?[0-9_]+)\s*$", args.value, re.IGNORECASE)
+        if limit and exp and abs(int(exp.group(1))) > 2 * limit:
+            raise ValueError("exponent beyond +-%d, twice the int-to-str limit" % (2 * limit))
         x = Fraction(args.value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse {args.value!r} as a rational: {exc}")
@@ -294,9 +293,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (PrecisionError, RuntimeError, OSError) as exc:
-        # OSError: an --out path that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
+    except (PrecisionError, RuntimeError, OSError, MemoryError) as exc:
+        # OSError: an --out path that cannot be written; a MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     finally:
         gc.unfreeze()

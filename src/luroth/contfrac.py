@@ -47,7 +47,7 @@ import numpy as np
 
 from .precision import _to_fraction
 from .rng import RngStream
-from .simulation import McResult, _ordered_map, _step_blocks, _unique_max_table
+from .simulation import McResult, _check_samples, _ordered_map, _step_blocks, _unique_max_table
 
 __all__ = [
     "expand_cf",
@@ -57,7 +57,6 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
-_MIN_SAMPLES = 10**4
 _Y_CAP = 2**32 - 1  # the largest S_k - M_k the trimmed table stores
 
 
@@ -79,11 +78,6 @@ def expand_cf(x: float, k: int) -> Tuple[int, ...]:
         digits.append(a)
         num, den = rem, num
     return tuple(digits)
-
-
-def _check_samples(samples: int):
-    if samples < _MIN_SAMPLES:
-        raise ValueError("samples must be >= %d" % _MIN_SAMPLES)
 
 
 def _cf_digits(stream: RngStream, n: int, depth: int) -> Iterator[np.ndarray]:
@@ -139,7 +133,7 @@ def mc_cf_rho_table(k_max: int, samples: int, seed: int = 0) -> List[McResult]:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    _check_samples(samples)
+    _check_samples(samples, 10**4)
     return _unique_max_table(samples, seed, lambda stream, n: _cf_digits(stream, n, k_max))
 
 
@@ -166,7 +160,7 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[
     ks = list(ks)
     if not ks or min(ks) < 2:
         raise ValueError("need at least one k, and every k must be >= 2")
-    _check_samples(samples)
+    _check_samples(samples, 10**4)
     lattice = {k: np.empty(samples, dtype=np.uint32) for k in ks}
 
     def one_block(stream: RngStream, start: int, n: int) -> Dict[int, Tuple[int, float, float]]:

@@ -101,6 +101,14 @@ def _binomial(successes: int, n: int) -> McResult:
     return McResult(p, math.sqrt(p * (1.0 - p) / n))
 
 
+def _check_samples(samples: int, least: int):
+    # _step_blocks keys one stream per block, and RngStream takes indices below 2^32
+    if samples < least:
+        raise ValueError("samples must be >= %d" % least)
+    if samples > _RHO_BLOCK << 32:
+        raise ValueError("samples must be <= 2^47")
+
+
 def _step_blocks(samples: int, seed: int,
                  per_block: Callable[[RngStream, int, int], object]) -> List[object]:
     """per_block(stream, start, n) on blocks of _RHO_BLOCK trials, in block order.
@@ -152,8 +160,7 @@ def mc_rho(k_max: int, samples: int, seed: int = 0) -> List[McResult]:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
+    _check_samples(samples, 100)
 
     def digit_steps(stream: RngStream, n: int) -> Iterator[np.ndarray]:
         d = np.empty(n)
@@ -189,8 +196,7 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0
         raise ValueError("k must be >= 1")
     if not all(c > 0 and _finite_product(c, k) for c in cs):
         raise ValueError("c must be positive, with c*k finite")
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
+    _check_samples(samples, 100)
     # digits lie in [1, 2^53], so clamping the threshold there changes no
     # count, and a double holds the clamped integer exactly
     thresholds = [float(min(max(math.ceil(c * k) - 1, 0), 1 << 53)) for c in cs]

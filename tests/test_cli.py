@@ -4,11 +4,14 @@ import csv
 import gc
 import io
 import math
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
-import luroth.cli
 import luroth.contfrac
 import luroth.extrema
 from luroth.cli import main
@@ -101,6 +104,25 @@ class TestExpand:
                     ["expand", "1/0"], ["expand", "1/2", "--count", "0"]):
             assert main(bad) == 2
             capsys.readouterr()
+
+    def test_no_partial_table(self, capsys):
+        # the digits print, but the remainder's denominator has more decimal
+        # digits than Python's int-to-str limit: no row may go out before it
+        argv = ["expand", "7" + "3" * 4200 + "e-7000", "--count", "4200"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
+
+    @pytest.mark.parametrize("value", ["1e-999999999", "0e999999999"])
+    def test_huge_exponent_refused_at_once(self, value, capsys):
+        # Fraction would build 10^999999999 before any other check
+        start = time.perf_counter()
+        assert main(["expand", value]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
 
 
 class TestReconstruct:
@@ -270,6 +292,11 @@ class TestInvalidFlags:
         ["cf", "--samples", "9999"],
         # a digit of 5001 decimal digits exceeds Python's int-to-str limit
         ["expand", "1e-5000", "--count", "1"],
+        # beyond 2^47 trials: more blocks than stream indices
+        ["rho", "--mode", "mc", "--kmax", "2", "--samples", "1" + "0" * 20],
+        ["maxdist", "--samples", "1" + "0" * 20],
+        ["cf", "--samples", "1" + "0" * 20],
+        ["cf", "--statistic", "trimmed", "--samples", "1" + "0" * 20],
         # checked by the CLI alone: no library call sees these values
         ["cf", "--k", "0", "--k", "5", "--samples", "10000"],
         ["rho", "--mode", "exact", "--kmax", "3", "--samples", "5"],
@@ -553,9 +580,9 @@ class TestCsvFormat:
 
 
 class TestWriteCount:
-    def test_j2_table_goes_out_in_chunks(self, monkeypatch):
+    def test_j2_table_goes_out_in_one_write(self, monkeypatch):
         # each write reaches the file descriptor when stdout is unbuffered
-        # (PYTHONUNBUFFERED=1), so the table must not go out row by row
+        # (PYTHONUNBUFFERED=1); the table is formatted whole, then written once
         class CountingStdout:
             def __init__(self):
                 self.parts = []
@@ -570,11 +597,34 @@ class TestWriteCount:
         stub = CountingStdout()
         monkeypatch.setattr(sys, "stdout", stub)
         assert main(["j2", "--nmax", "20000"]) == 0
-        assert len(stub.parts) <= 1 + math.ceil(19998 / luroth.cli._CHUNK_ROWS)
-        lines = "".join(stub.parts).split("\n")
+        assert len(stub.parts) == 1
+        lines = stub.parts[0].split("\n")
         assert lines[0] == "N,partial_sum"
         assert lines[-2].startswith("20000,") and lines[-1] == ""
         assert len(lines) == 1 + 19998 + 1
+
+
+class TestRuntimeFailure:
+    def test_memory_error_exits_1(self, cores, capsys):
+        # 2^62 seeds: the result list of the worker pool cannot be allocated.
+        # Two cores only: on one, the serial loop would start 2^62 paths
+        cores(2)
+        assert main(["trim", "--kmax", "10", "--seeds", str(1 << 62)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+class TestEntryPoint:
+    def test_module_run_prints_the_table_main_returns(self, capsys):
+        assert main(["rho", "--kmax", "3"]) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "luroth.cli", "rho", "--kmax", "3"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout == expected
 
 
 class TestGcState:

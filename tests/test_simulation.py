@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from luroth.contfrac import mc_cf_rho_table, mc_cf_trimmed_table
 from luroth.expansion import digit, max_cdf_exact, pmf
 from luroth.extrema import rho_exact
 import luroth.rng
@@ -478,6 +479,16 @@ def test_mc_rho_validates():
         mc_rho(0, 1000)
     with pytest.raises(ValueError):
         mc_rho(2, 50)
+
+
+def test_samples_beyond_the_stream_keys_are_refused():
+    # one stream per block and 2^32 stream indices serve 2^47 trials at most
+    assert _RHO_BLOCK << 32 == 1 << 47
+    luroth.simulation._check_samples(1 << 47, 100)
+    for sampler in (lambda n: mc_rho(2, n), lambda n: mc_max_scaled_cdf(10, [1.0], n),
+                    lambda n: mc_cf_rho_table(2, n), lambda n: mc_cf_trimmed_table([2], n)):
+        with pytest.raises(ValueError, match=r"samples must be <= 2\^47"):
+            sampler((1 << 47) + 1)
 
 
 def test_mc_rho_rows_do_not_depend_on_k_max(cores):
