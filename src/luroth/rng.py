@@ -10,10 +10,13 @@ many workers ran it.
 Uniforms and digits are float64 on one grid: the word w gives
 u = ((w >> 11) + 1) 2^-53 in (0, 1], and the digit floor(1/u), computed
 exactly (``_to_digits``).  Both take an ``out=`` buffer, so a kernel that
-draws block after block can reuse one array.
+draws block after block can reuse one array.  Two samplers draw a statistic of
+many digits in law instead of the digits: the maximum of a row
+(``luroth_row_maxima``) and the sum and maximum of a stretch
+(``luroth_sum_max``).
 """
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
@@ -22,6 +25,9 @@ __all__ = ["RngStream"]
 
 _ULP = 2.0**-53  # the grid step of uniforms
 _U64_MAX = (1 << 64) - 1
+_TAIL_BITS = 10  # luroth_sum_max's largest L: 2^(53 + L) must be a uint64
+_TAIL_CHUNK = 1 << 16  # tail words drawn at once: 512 KB
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def _to_digits(u: np.ndarray) -> np.ndarray:
@@ -112,3 +118,60 @@ class RngStream:
         np.maximum(t, 1.0, out=t)
         t *= _ULP
         return _to_digits(t)
+
+    def luroth_sum_max(self, n: int) -> Tuple[int, int]:
+        """(S, M), the sum and the largest of n digits, in law; 1 <= n <= 2^52.
+
+        The counts of the values 1..V and of the tail {d > V}, of masses
+        1/(v(v+1)) and 1/(V + 1), are one ``Generator.multinomial`` draw, for
+        V = 2^L - 1 with L = n.bit_length() // 2 held to [1, 10]: V near
+        sqrt(n) balances V categories against about n/V tail digits.  Each
+        tail digit takes one raw word, _TAIL_CHUNK words at a time, so memory
+        does not grow with n.  S = sum v c_v plus the tail digits, and M is
+        the largest tail digit, or else the largest v with c_v > 0; both are
+        exact.  sum v c_v is exact in int64, since V n < 2^62; a tail digit is
+        below 2^63, so a chunk is summed as its 32-bit halves, each sum below
+        2^48 in uint64.
+
+        Multinomial bias.  numpy draws c_j ~ Binomial(n - c_1 - ... - c_{j-1},
+        p_j/r_j) in category order, p_j = fl(1/(j(j+1))) and r_j = 1 - p_1 -
+        ... - p_{j-1} accumulated in floats, and the tail takes what is left
+        (a test pins this).  Exactly, r_j = 1/j and p_j/r_j = q_j = 1/(j+1).
+        Each p_i is within 2^-53 relative and each subtraction rounds by at
+        most 2^-53 r_{i+1}, so fl(r_j) is within 2^-53 (ln j + 2) of 1/j, and
+        the computed ratio is q_j (1 + e_j), |e_j| <= j 2^-53 (ln j + 3).  By
+        the chain rule for the Kullback-Leibler divergence and KL(Bern(a) ||
+        Bern(b)) <= (a - b)^2/(b(1 - b)), with about n/j trials at step j,
+        KL <= sum_j (n/j) e_j^2 q_j/(1 - q_j) = sum_j n e_j^2/j^2 <= n V
+        2^-106 (ln V + 3)^2; by Pinsker the counts are within total variation
+        2^-53 (ln V + 3) sqrt(n V/2) of exact: 2.5e-8 at n = 10^12, V = 1023.
+        The bound grows with V, one reason L stops at 10 (_TAIL_BITS).  Digits
+        drawn one by one would carry up to n 2^-53 (1.1e-4 at 10^12).  numpy's
+        binomial (inversion below a mean of 30, BTPE above: Kachitvichyanukul
+        and Schmeiser, Commun. ACM 31, 1988) is taken as exact.
+
+        Tail map.  Given d > V, P(d >= j) = (V + 1)/j for j > V, so by
+        inversion d = floor((V + 1)/u) = floor(2^(53 + L)/(i + 1)) for u =
+        (i + 1) 2^-53, i = w >> 11.  With L <= 10 the numerator 2^(53 + L) is
+        a uint64 and integer floor division is exact: P(d >= j) =
+        floor(2^(53 + L)/j) 2^-53, within 2^-53 of (V + 1)/j, d >= V + 1, and
+        d is capped at 2^(53 + L).  ``_to_digits``' float argument does not
+        carry over: 2^L fl(2^53/(i + 1)) carries 2^L times the quotient's
+        rounding error, which can cross an integer that the exact value does
+        not.
+        """
+        bits = min(_TAIL_BITS, max(1, n.bit_length() // 2))
+        v = np.arange(1, 1 << bits)
+        counts = self._gen.multinomial(n, np.append(1.0 / (v * (v + 1.0)), 2.0**-bits))
+        total = int(counts[:-1] @ v)
+        seen = np.flatnonzero(counts[:-1])
+        biggest = int(seen[-1]) + 1 if seen.size else 0
+        top = np.uint64(1 << (53 + bits))
+        for left in range(int(counts[-1]), 0, -_TAIL_CHUNK):
+            d = self.raw64(min(left, _TAIL_CHUNK))
+            d >>= np.uint64(11)
+            d += np.uint64(1)
+            np.floor_divide(top, d, out=d)
+            total += (int((d >> np.uint64(32)).sum()) << 32) + int((d & _LOW32).sum())
+            biggest = max(biggest, int(d.max()))
+        return total, biggest

@@ -10,6 +10,8 @@ trials draw one word each, mapped to the maximum of k digits in law
 (``RngStream.luroth_row_maxima``); never on k_max, on the c-grid or on the
 worker count.  So one pass yields every row of a sweep, and each row is
 bit-identical whether run serially, on a thread pool, or alone.
+A trimmed-sum path draws the sum and the maximum of each stretch of digits in
+law, never the digits (``RngStream.luroth_sum_max``).
 Every sweep runs one worker per usable core; numpy releases the
 interpreter lock in its generators and array loops, so the blocks overlap.
 """
@@ -32,7 +34,6 @@ __all__ = [
 ]
 
 _RHO_BLOCK = 1 << 15
-_TRAJ_CHUNK = 1 << 16  # 512 KB of digits: a chunk stays in cache while it is summed
 
 
 class McResult(NamedTuple):
@@ -102,11 +103,15 @@ def _binomial(successes: int, n: int) -> McResult:
 
 
 def _check_samples(samples: int, least: int):
-    # _step_blocks keys one stream per block, and RngStream takes indices below 2^32
+    # _ordered_map sets aside one result slot per block before any block runs:
+    # 2^32 trials make 2^17 blocks of 2^15, a 1 MiB list of slots, where
+    # 2^47 made 2^32 slots (32 GiB).  Each block's result, a few counts per
+    # row, is held until the last block is done.  2^17 blocks also stay far
+    # below the 2^32 stream indices RngStream takes.
     if samples < least:
         raise ValueError("samples must be >= %d" % least)
-    if samples > _RHO_BLOCK << 32:
-        raise ValueError("samples must be <= 2^47")
+    if samples > 1 << 32:
+        raise ValueError("samples must be <= 2^32")
 
 
 def _step_blocks(samples: int, seed: int,
@@ -210,18 +215,18 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0
 
 
 def mc_trimmed_trajectory(checkpoints: Sequence[int], seed: int = 0) -> List[Tuple[int, float]]:
-    """One digit path to the last checkpoint; (S_k - M_k)/(k log k) at each checkpoint k.
+    """(S_k - M_k)/(k log k) at each checkpoint k of one path, in law; natural log.
 
-    The digits are drawn in chunks of _TRAJ_CHUNK into one buffer.  The
-    running sum and maximum are exact Python integers, and the statistic is
-    formed in floating point only at each checkpoint.  Natural logarithm.
+    S_k is the sum and M_k the largest of k i.i.d. digits.  The path draws
+    the (S, M) of each stretch between two checkpoints, in checkpoint order,
+    on stream 0 of the seed (``RngStream.luroth_sum_max``, which gives the
+    bias and tail-map arguments), and adds them up in Python integers; so a
+    checkpoint's value does not depend on later checkpoints.  No digit is
+    reported.  The statistic is formed in floating point at each checkpoint.
 
-    A chunk's float sum s is exact when s < 2^53: its digits are nonnegative
-    integers, so if their total is below 2^53, every partial sum that numpy
-    forms, in any order, is an integer that a double holds; and if the total
-    is at least 2^53, so is s, by induction over the summation tree, since
-    rounding is monotone and 2^53 is a double.  Such a chunk is summed again
-    in Python integers.
+    The last checkpoint may be at most 10^12.  The sampler's arithmetic holds
+    to 2^52, but a path draws about k/2^10 tail words, some 10 s at 10^12 on
+    a 2-core VM.
     """
     cps = list(checkpoints)
     if not cps:
@@ -230,17 +235,15 @@ def mc_trimmed_trajectory(checkpoints: Sequence[int], seed: int = 0) -> List[Tup
         raise ValueError("checkpoints must be strictly increasing")
     if cps[0] < 2:
         raise ValueError("checkpoints must be >= 2")
+    if cps[-1] > 10**12:
+        raise ValueError("checkpoints must be <= 10^12")
     stream = RngStream(seed)
-    buf = np.empty(min(cps[-1], _TRAJ_CHUNK))
     total = biggest = start = 0
     out = []
     for cp in cps:
-        while start < cp:
-            n = min(_TRAJ_CHUNK, cp - start)
-            d = stream.luroth_digits(n, out=buf[:n])
-            s = d.sum()
-            total += int(s) if s < 1 << 53 else sum(map(int, d.tolist()))
-            biggest = max(biggest, int(d.max()))
-            start += n
+        s, m = stream.luroth_sum_max(cp - start)
+        total += s
+        biggest = max(biggest, m)
+        start = cp
         out.append((cp, float(total - biggest) / (cp * math.log(cp))))
     return out

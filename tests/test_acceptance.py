@@ -18,6 +18,7 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
+import scipy.stats
 from scipy.optimize import brentq
 from scipy.special import sici
 
@@ -32,7 +33,7 @@ from luroth.extrema import (
     rho_sum_over_k,
 )
 from luroth.precision import lambert_w0
-from luroth.simulation import mc_max_scaled_cdf, mc_rho, mc_trimmed_trajectory
+from luroth.simulation import _ordered_map, mc_max_scaled_cdf, mc_rho, mc_trimmed_trajectory
 from luroth.trimming import c_k, j2_partial_sums
 
 
@@ -228,6 +229,113 @@ def test_trimmed_limit_oracle_against_independent_simulation():
     print(f"[oracle 07] median(1e4)={med:.4f} vs {target:.4f}+-{se:.4f}, {dt:.2f}s")
     assert abs(med - target) <= 4.0 * se
     assert dt < 2.0
+
+
+def _trimmed_exact_cdf(k: int, y_max: int, exact: bool = False) -> np.ndarray:
+    """P(S_k - M_k <= y) for y = 0..y_max: the exact law at finite k.
+
+    With G_m(z) = P(X_1..X_k <= m, S_k <= z), {M_k = m} is {all <= m} less
+    {all <= m - 1}; and a maximum m > y leaves k - 1 digits summing to at
+    most y < m, so it is attained once, and P(X > y) = 1/(y + 1).  So
+
+        P(S_k - M_k <= y) = sum_{m=1}^{y} [G_m(y + m) - G_{m-1}(y + m)]
+                            + k P(S_{k-1} <= y)/(y + 1).
+
+    Each difference is formed without cancellation, by the number j >= 1 of
+    digits equal to m: it is sum_j C(k, j) p_m^j H_{m-1}^{k-j}(y - (j-1) m),
+    with p_m = 1/(m(m+1)) and H_m^n(s) = P(S_n <= s, all n digits <= m).
+    The table h[n, s] = P(S_n = s, all n digits <= m), for n < k and
+    s <= y_max, goes from level m - 1 to m the same way: h_m^n(s) =
+    sum_{j>=0} C(n, j) p_m^j h_{m-1}^{n-j}(s - j m).  After level y_max it
+    no longer moves on s <= y_max, and h[k - 1] is the law of S_{k-1} there.
+
+    ``exact=True`` runs the same steps in Fractions.  In floats every value
+    is a sum of products of nonnegative numbers, so its relative error is at
+    most N 2^-53/(1 - N 2^-53), N the roundings along its longest chain
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3).
+    Level m has J_m <= y_max/m + 1 terms, and a chain takes at most 2 J_m + 4
+    roundings there for h (the power p^j, the coefficient, the two products,
+    the sums) and J_m more for the sums into the result; the two prefix sums
+    take y_max each.  Summed, N <= y_max (3 ln y_max + 12) + 4: below 3e-12
+    relative at y_max = 700, far below any sampled gate.
+    """
+    dtype = object if exact else float
+    one = Fraction(1) if exact else 1.0
+    comb = np.array([[math.comb(n, j) for j in range(k + 1)] for n in range(k + 1)], dtype=dtype)
+    h = np.zeros((k, y_max + 1), dtype=dtype)
+    h[0, 0] = one
+    cdf = np.zeros(y_max + 1, dtype=dtype)
+    for m in range(1, y_max + 1):
+        p = one / (m * (m + 1))
+        below = np.cumsum(h, axis=1)
+        old = h.copy()
+        pj = one
+        for j in range(1, min(k, y_max // m + 1) + 1):
+            pj = pj * p
+            lo = max(1, j - 1) * m  # the least y >= m with y - (j - 1) m >= 0
+            cdf[lo:] += comb[k, j] * pj * below[k - j, lo - (j - 1) * m:y_max + 1 - (j - 1) * m]
+            if j * m <= y_max:
+                h[j:, j * m:] += (comb[j:k, j] * pj)[:, None] * old[:k - j, :y_max + 1 - j * m]
+    cdf += one * k * np.cumsum(h[k - 1]) / np.arange(1, y_max + 2)
+    return cdf
+
+
+def test_trimmed_exact_law_oracle():
+    # k = 2: S_2 - M_2 = min(X_1, X_2), so P(<= y) = 1 - 1/(y + 1)^2; k = 10:
+    # the float table within its rounding bound of the Fraction one
+    assert list(_trimmed_exact_cdf(2, 30, exact=True)) == [1 - Fraction(1, (y + 1) ** 2)
+                                                           for y in range(31)]
+    y_max = 45
+    exact = _trimmed_exact_cdf(10, y_max, exact=True)
+    approx = _trimmed_exact_cdf(10, y_max)
+    bound = 2 * (y_max * (3 * math.log(y_max) + 12) + 4) * 2.0**-53
+    assert exact[-1] > Fraction(9, 10)
+    assert all(abs(Fraction(a) - e) <= bound * e for a, e in zip(approx, exact))
+
+
+def test_trimmed_paths_against_exact_law():
+    # mc_trimmed_trajectory at k = 10 and 100, 4000 paths, against the exact
+    # law, on its lattice: the statistic times k log k, rounded, is the
+    # integer S_k - M_k.  A chi-square test in 10 bins cut at the exact
+    # deciles, gate significance 1e-4 at these fixed seeds.  The verdict
+    # gives the limit law's error at each k.
+    t0 = time.perf_counter()
+    paths = [dict(mc_trimmed_trajectory([10, 100], seed=s)) for s in range(4000)]
+    notes, worst = [], 1.0
+    for k, y_max in ((10, 45), (100, 700)):
+        scale = k * math.log(k)
+        y = np.rint([path[k] * scale for path in paths])
+        cdf = _trimmed_exact_cdf(k, y_max)
+        edges = np.unique(np.searchsorted(cdf, np.linspace(0.1, 0.9, 9)))  # least y, F(y) >= q
+        probs = np.diff(np.concatenate([[0.0], cdf[edges], [1.0]]))
+        counts = np.bincount(np.searchsorted(edges, y, side="left"), minlength=len(edges) + 1)
+        p = scipy.stats.chisquare(counts, probs * len(y)).pvalue
+        median = np.searchsorted(cdf, 0.5) / scale
+        limit = _trimmed_oracle(k, 1)[0]
+        notes.append(f"k={k}: chi2 p={p:.3g}, exact median {median:.4f}, limit law "
+                     f"{limit:.4f} (error {limit - median:+.4f})")
+        worst = min(worst, p)
+    dt = time.perf_counter() - t0
+    print(f"[oracle 07] exact law: {'; '.join(notes)}; {dt:.2f}s")
+    assert worst > 1e-4
+    assert dt < 10.0
+
+
+def test_trimmed_paths_at_1e9_against_limit_law():
+    # criterion 07's oracle far past its k: the median of 200 paths at
+    # k = 10^9, within 4 SE.  The limit law's own error at finite k fell from
+    # 0.065 at k = 10 to 0.006 at k = 100 (the exact-law test above).
+    t0 = time.perf_counter()
+    k, paths = 10**9, 200
+    stats = _ordered_map(lambda s: mc_trimmed_trajectory([k], seed=s)[0][1], range(paths))
+    med = float(np.median(stats))
+    target, se = _trimmed_oracle(k, paths)
+    dev = abs(med - target) / se
+    dt = time.perf_counter() - t0
+    print(f"[oracle 07] median(1e9)={med:.5f} vs {target:.5f}+-{se:.5f} "
+          f"({dev:.2f} SE, gate 4), {dt:.2f}s")
+    assert dev <= 4.0
+    assert dt < 10.0
 
 
 def test_criterion_08_w_ratio_series_ingredients():

@@ -287,12 +287,13 @@ class TestInvalidFlags:
         ["reconstruct", "0,3"],
         ["j2", "--nmax", "2"],
         ["trim", "--kmax", "1"],
+        ["trim", "--kmax", "1000000000001"],
         ["maxdist", "--k", "0"],
         ["maxdist", "--samples", "99"],
         ["cf", "--samples", "9999"],
         # a digit of 5001 decimal digits exceeds Python's int-to-str limit
         ["expand", "1e-5000", "--count", "1"],
-        # beyond 2^47 trials: more blocks than stream indices
+        # beyond 2^32 trials: more blocks than the worker pool sets aside slots for
         ["rho", "--mode", "mc", "--kmax", "2", "--samples", "1" + "0" * 20],
         ["maxdist", "--samples", "1" + "0" * 20],
         ["cf", "--samples", "1" + "0" * 20],
@@ -404,7 +405,7 @@ class TestPinnedExactTables:
 class TestPinnedRowFormats:
     # the bytes these tables had when every cell was formatted on its own;
     # each table now has one row format, and the bytes must not move (the trim
-    # bytes are those of the PCG64DXSM streams)
+    # bytes are those of luroth_sum_max on the PCG64DXSM streams)
     @pytest.mark.parametrize("argv, want", [
         (["j2", "--nmax", "12"],
          "N,partial_sum\n"
@@ -438,25 +439,31 @@ class TestPinnedRowFormats:
          "4,series,0.84546335823867724,8.7840527035634907e-07\n"),
         (["trim", "--kmax", "100", "--seeds", "2"],
          "seed,k,statistic,c_k\n"
-         "0,10,0.6948711710452028,1.2579999846183172\n"
-         "0,100,0.85121718453037354,1.2429757029375137\n"
-         "1,10,0.39086503371292658,1.2579999846183172\n"
-         "1,100,0.70138558827375164,1.2429757029375137\n"),
-        # 10^4..10^5 and 10^5..2*10^5 each span two 2^16-digit chunks
-        (["trim", "--kmax", "200000", "--seeds", "2", "--seed", "7"],
+         "0,10,1.0857362047581294,1.2579999846183172\n"
+         "0,100,0.97064816705376777,1.2429757029375137\n"
+         "1,10,0.86858896380650352,1.2579999846183172\n"
+         "1,100,0.47120951286502821,1.2429757029375137\n"),
+        # the stretch 10^8..2*10^8 has about 98000 tail digits: two 2^16-word chunks
+        (["trim", "--kmax", "200000000", "--seeds", "2", "--seed", "7"],
          "seed,k,statistic,c_k\n"
-         "7,10,0.56458282647422731,1.2579999846183172\n"
-         "7,100,0.76001534333069065,1.2429757029375137\n"
-         "7,1000,0.81227544598638202,1.218766714481897\n"
-         "7,10000,0.78817934048211657,1.1951799627956328\n"
-         "7,100000,0.95976735310416361,1.1755156508296338\n"
-         "7,200000,0.9473620496789803,1.1703377949982383\n"
-         "8,10,0.95544786018715389,1.2579999846183172\n"
-         "8,100,0.77738712260682075,1.2429757029375137\n"
-         "8,1000,0.9810712346194459,1.218766714481897\n"
-         "8,10000,0.85798132108601666,1.1951799627956328\n"
-         "8,100000,0.89294506694060172,1.1755156508296338\n"
-         "8,200000,0.87546668861693067,1.1703377949982383\n"),
+         "7,10,0.91201841199682865,1.2579999846183172\n"
+         "7,100,1.2160245493291051,1.2429757029375137\n"
+         "7,1000,0.70717618136579508,1.218766714481897\n"
+         "7,10000,1.0302225126088465,1.1951799627956328\n"
+         "7,100000,0.96443775596255121,1.1755156508296338\n"
+         "7,1000000,0.93484080416808579,1.1594590947457559\n"
+         "7,10000000,0.87092942640313531,1.14624298248495\n"
+         "7,100000000,0.96162234426735493,1.1352115971392038\n"
+         "7,200000000,0.92249578340022076,1.1322407907466772\n"
+         "8,10,0.43429448190325176,1.2579999846183172\n"
+         "8,100,1.1704236287292635,1.2429757029375137\n"
+         "8,1000,1.3157675153395521,1.218766714481897\n"
+         "8,10000,0.92594840750387564,1.1951799627956328\n"
+         "8,100000,1.0617527262895043,1.1755156508296338\n"
+         "8,1000000,0.86151669531595021,1.1594590947457559\n"
+         "8,10000000,0.87970646824874499,1.14624298248495\n"
+         "8,100000000,0.93899559958872314,1.1352115971392038\n"
+         "8,200000000,0.90543063604783236,1.1322407907466772\n"),
     ], ids=["j2", "expand", "reconstruct", "rho-series", "trim", "trim-chunks"])
     def test_stdout(self, argv, want, capsys):
         assert main(argv) == 0

@@ -77,12 +77,20 @@ class _RawFeed:
     """Stands in for the stream generators: serves fixed raw words in order.
 
     ``random`` maps them to doubles as numpy's generators do, (w >> 11) 2^-53,
-    so a stream fed through it reads the words as the real one would.
+    so a stream fed through it reads the words as the real one would;
+    ``multinomial`` serves preset counts.
     """
 
-    def __init__(self, words):
+    def __init__(self, words, counts=()):
         self.words = np.array(words, dtype=np.uint64)
         self.used = 0
+        self.counts = list(counts)
+
+    def multinomial(self, n, pvals):
+        # serves the next preset counts, which must fit the call
+        counts = self.counts.pop(0)
+        assert len(counts) == len(pvals) and sum(counts) == n
+        return np.array(counts, dtype=np.int64)
 
     def random_raw(self, n):
         assert self.used + n <= len(self.words), "stub ran out of words"
@@ -482,13 +490,14 @@ def test_mc_rho_validates():
 
 
 def test_samples_beyond_the_stream_keys_are_refused():
-    # one stream per block and 2^32 stream indices serve 2^47 trials at most
-    assert _RHO_BLOCK << 32 == 1 << 47
-    luroth.simulation._check_samples(1 << 47, 100)
+    # 2^32 trials, 2^17 blocks, are the most the worker pool sets aside result
+    # slots for; the bound itself passes the check, which allocates nothing,
+    # and every sampler refuses one more trial before it allocates
+    luroth.simulation._check_samples(1 << 32, 100)
     for sampler in (lambda n: mc_rho(2, n), lambda n: mc_max_scaled_cdf(10, [1.0], n),
                     lambda n: mc_cf_rho_table(2, n), lambda n: mc_cf_trimmed_table([2], n)):
-        with pytest.raises(ValueError, match=r"samples must be <= 2\^47"):
-            sampler((1 << 47) + 1)
+        with pytest.raises(ValueError, match=r"samples must be <= 2\^32"):
+            sampler((1 << 32) + 1)
 
 
 def test_mc_rho_rows_do_not_depend_on_k_max(cores):
@@ -584,46 +593,83 @@ def test_trajectory_checkpoints_are_prefix_consistent():
     assert full[0] == short[0]
 
 
+def _tail_bits(n):
+    # L of a stretch of n digits, as luroth_sum_max chooses it
+    return min(10, max(1, n.bit_length() // 2))
+
+
+def _tail_digit(w, bits):
+    # the tail digit floor((V + 1)/u) of the raw word w, V + 1 = 2^bits
+    return (1 << (53 + bits)) // ((w >> 11) + 1)
+
+
+def _tail_word(d, bits):
+    # a raw word whose tail digit is d
+    j = (1 << (53 + bits)) // d
+    assert _tail_digit((j - 1) << 11, bits) == d
+    return (j - 1) << 11
+
+
+def _python_path(stretches, checkpoints):
+    """The statistic at each checkpoint from (counts, tail words) per stretch,
+    in Python integers: counts[v - 1] digits equal v, one more digit per word."""
+    total = top = start = 0
+    out = []
+    for k, (counts, words) in zip(checkpoints, stretches):
+        bits = _tail_bits(k - start)
+        assert len(counts) == (1 << bits) - 1 and sum(counts) + len(words) == k - start
+        tail = [_tail_digit(w, bits) for w in words]
+        total += sum(v * c for v, c in enumerate(counts, 1)) + sum(tail)
+        top = max([top] + tail + [v for v, c in enumerate(counts, 1) if c])
+        start = k
+        out.append((k, float(total - top) / (k * math.log(k))))
+    return out
+
+
+def test_trajectory_against_exact_python_sums():
+    # against a twin of stream 0 of the seed: one multinomial over 1..V and
+    # the tail per stretch, then the tail words, summed as Python integers;
+    # V runs from 1 to 1023, and the last tail spans two chunks
+    cps = [2, 3, 1023, 1024, 1025, 5000, 2**22, 2**27]
+    gen = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(12, spawn_key=(0,))))
+    stretches, start = [], 0
+    for k in cps:
+        bits = _tail_bits(k - start)
+        pvals = [1 / (v * (v + 1)) for v in range(1, 1 << bits)] + [2.0**-bits]
+        counts = gen.multinomial(k - start, pvals).tolist()
+        stretches.append((counts[:-1], gen.bit_generator.random_raw(counts[-1]).tolist()))
+        start = k
+    assert len(stretches[-1][1]) > luroth.rng._TAIL_CHUNK
+    assert mc_trimmed_trajectory(cps, seed=12) == _python_path(stretches, cps)
+
+
 def test_trajectory_does_not_depend_on_chunk_size(monkeypatch):
-    cps = [10, 1000, 2**19 - 1, 2**19 + 3, 6 * 10**5]
+    # tail words are drawn _TAIL_CHUNK at a time, never more; a stretch of
+    # 2^28 digits has about 2^18 tail digits
+    cps = [10, 1000, 2**21, 2**28]
+    sizes = []
+    real = RngStream.raw64
+    monkeypatch.setattr(RngStream, "raw64", lambda stream, n: sizes.append(n) or real(stream, n))
     runs = []
-    for chunk in (2**10, 2**16, 2**19):
-        monkeypatch.setattr(luroth.simulation, "_TRAJ_CHUNK", chunk)
+    for chunk in (2**10, 2**16):
+        monkeypatch.setattr(luroth.rng, "_TAIL_CHUNK", chunk)
+        sizes.clear()
         runs.append(mc_trimmed_trajectory(cps, seed=9))
-    assert runs[0] == runs[1] == runs[2]
+        assert max(sizes) <= chunk and sum(sizes) > 2 * chunk
+    assert runs[0] == runs[1]
 
 
-def test_trajectory_with_extreme_words_does_not_depend_on_chunk_size(monkeypatch):
-    # raw words 0 and 1 (the digit 2^53) inside chunks and at chunk edges
-    # shift no later digit, so every chunk size reads the same path
-    n = 6 * 10**5
-    words = RngStream(9).raw64(n)
-    for i, w in ((1500, 0), (2**16, 1), (2**16 + 7, 0), (2**19 - 1, 1), (5 * 10**5, 0)):
-        words[i] = w
-    cps = [10, 1000, 2**19 - 1, 2**19 + 3, n]
-    runs = []
-    for chunk in (2**10, 2**16, 2**19):
-        feed = _RawFeed(words)
-        _feed_new_streams(monkeypatch, feed)
-        monkeypatch.setattr(luroth.simulation, "_TRAJ_CHUNK", chunk)
-        runs.append(mc_trimmed_trajectory(cps, seed=9))
-        assert feed.used == n
-    assert runs[0] == runs[1] == runs[2]
-    digits = [_digit_of_word(w) for w in words.tolist()]
-    total, top = sum(digits), max(digits)
-    assert top == 1 << 53
-    assert runs[0][-1] == (n, float(total - top) / (n * math.log(n)))
-
-
-def test_trajectory_against_exact_python_sums(monkeypatch):
-    # several 2^10-digit chunks against one draw of the whole path, summed
-    # as Python integers
-    monkeypatch.setattr(luroth.simulation, "_TRAJ_CHUNK", 2**10)
-    cps = [2, 1023, 1024, 1025, 5000]
-    got = mc_trimmed_trajectory(cps, seed=12)
-    digits = [int(d) for d in RngStream(12).luroth_digits(5000)]
-    assert got == [(k, float(sum(digits[:k]) - max(digits[:k])) / (k * math.log(k)))
-                   for k in cps]
+def test_stretch_tail_memory_is_one_chunk():
+    # 2^28 digits have about 2^18 tail digits, 2 MiB of words if drawn at
+    # once; a chunk of 2^16 words and its two 32-bit halves take 1.5 MiB
+    mc_trimmed_trajectory([2**28], seed=4)
+    tracemalloc.start()
+    try:
+        mc_trimmed_trajectory([2**28], seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * luroth.rng._TAIL_CHUNK + (256 << 10), peak
 
 
 def test_trajectory_validates_checkpoints():
@@ -633,85 +679,110 @@ def test_trajectory_validates_checkpoints():
         mc_trimmed_trajectory([3, 2], seed=0)
     with pytest.raises(ValueError):
         mc_trimmed_trajectory([1], seed=0)
+    with pytest.raises(ValueError, match=r"<= 10\^12"):
+        mc_trimmed_trajectory([10, 10**12 + 1], seed=0)
 
 
-def _word_of_digit(d):
-    # the raw word whose digit is d, for d = 2^53 // j, j >= 1, or d <= 2^26
-    w = ((1 << 53) // d - 1) << 11
-    assert _digit_of_word(w) == d
-    return w
+def _fed_path(monkeypatch, stretches, checkpoints):
+    # the path with each stretch's counts and tail words served by _RawFeed
+    counts = [c + [len(w)] for c, w in stretches]
+    feed = _RawFeed([w for _, words in stretches for w in words], counts)
+    _feed_new_streams(monkeypatch, feed)
+    got = mc_trimmed_trajectory(checkpoints, seed=0)
+    assert feed.used == len(feed.words) and not feed.counts
+    return got
+
+
+def test_trajectory_with_extreme_words_does_not_depend_on_chunk_size(monkeypatch):
+    # raw words below 2^11 give the largest tail digit 2^63 at V = 1023, and
+    # 2^64 - 1 the least, 1024; four of the former make a total above 2^64.
+    # Placed at the edges of 16-word chunks, they give the same path at every
+    # chunk size, and its Python-integer sums
+    n = 1 << 20
+    words = RngStream(9).raw64(40).tolist()
+    for i, w in ((0, 0), (15, 1), (16, (1 << 64) - 1), (31, 2047), (32, 5), (39, (1 << 64) - 1)):
+        words[i] = w
+    counts = [0] * 1023
+    counts[0], counts[1022] = n - 45, 5
+    want = _python_path([(counts, words)], [n])
+    runs = []
+    for chunk in (16, 17, 2**16):
+        monkeypatch.setattr(luroth.rng, "_TAIL_CHUNK", chunk)
+        runs.append(_fed_path(monkeypatch, [(counts, words)], [n]))
+    assert runs[0] == runs[1] == runs[2] == want
+    assert sum(_tail_digit(w, 10) for w in words) > 1 << 64
 
 
 @pytest.mark.parametrize("digits", [
-    [1 << 52, (1 << 53) // 3, (1 << 53) // 6],  # 2^53 - 1: summed in floats, exactly
+    [1 << 52, (1 << 53) // 3, (1 << 53) // 6],  # 2^53 - 1
     [1 << 52, 1 << 52],                         # 2^53
-    [1 << 53, 1],                               # 2^53 + 1: its float sum rounds to 2^53
+    [1 << 53, 1],                               # 2^53 + 1: a float sum rounds to 2^53
     [1, 1 << 53],
     [1 << 53, 1 << 53, 7],
 ], ids=["2^53-1", "2^53", "2^53+1", "1+2^53", "2^54+7"])
 def test_trajectory_sum_at_the_float_guard(digits, monkeypatch):
-    # one chunk whose total is near 2^53, against Python integers; at
-    # 2^53 + 1, S_k - M_k is 1, so a float sum's rounding shows in the statistic
-    feed = _RawFeed([_word_of_digit(d) for d in digits])
-    _feed_new_streams(monkeypatch, feed)
+    # one stretch whose total is near 2^53, where float sums stop being
+    # exact, against Python integers; at 2^53 + 1, S_k - M_k is 1, so a float
+    # sum's rounding would show in the statistic.  With k <= 3, V = 1: the
+    # digits 1 are counted and the others are tail digits, in their order
     k = len(digits)
-    got = mc_trimmed_trajectory([k], seed=0)
+    stretch = ([digits.count(1)], [_tail_word(d, 1) for d in digits if d > 1])
+    got = _fed_path(monkeypatch, [stretch], [k])
     assert got == [(k, float(sum(digits) - max(digits)) / (k * math.log(k)))]
-    assert feed.used == k
-
-
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000, 1 << 16])
-def test_float_sum_is_exact_below_two_to_53(n):
-    # the argument behind mc_trimmed_trajectory's guard, against this numpy's
-    # summation order (an 8-way unroll inside pairwise blocks of 128): for
-    # nonnegative integers, a float sum below 2^53 is the exact total, and a
-    # total of at least 2^53 gives a float sum of at least 2^53
-    rng = np.random.default_rng(n)
-    top = 1 << 53
-    offsets = (1, 2, 3, n, 7 * n + 1)
-    totals = [top - d for d in offsets] + [top + d for d in (0,) + offsets]
-    totals += [int(top * f) for f in rng.uniform(0.5, 2.0, size=4)]
-    sides = set()
-    for total in totals:
-        total = min(total, n * top)  # n digits of at most 2^53
-        base = total // n
-        # a near-even split
-        even = base + rng.integers(-(base // 4), base // 4 + 1, size=n)
-        rest = total - int(even.sum())
-        even += rest // n
-        even[:rest % n] += 1
-        # small digits, with the rest carried by as few digits of at most 2^53
-        digits = rng.integers(1, 1 << 20, size=n)
-        rest = total - int(digits.sum())
-        for i in range(n):
-            if not rest:
-                break
-            add = min(rest, top - int(digits[i]))
-            digits[i] += add
-            rest -= add
-        for v in (even, digits):
-            assert int(v.sum()) == total and v.min() >= 0 and v.max() <= top
-            s = rng.permutation(v).astype(np.float64).sum()
-            if s < top:
-                assert int(s) == total
-            if total >= top:
-                assert s >= top
-            sides.add(s < top)
-    assert sides == {False, True}
+    assert got == _python_path([stretch], [k])
 
 
 def test_trajectory_against_python_reference(monkeypatch):
-    # raw words 0 and 1 give the digit 2^53; they fall in the last chunk of
-    # seven digits, whose float sum is 3 short of the total, so only the
-    # Python integer sum matches the reference, while the chunks before are
-    # small and summed in floats
-    words = [10 << 11, 7 << 11, 1000 << 11, 5 << 11, 6 << 11, 77 << 11, 0, 19 << 11, 1, 2**40,
-             2**64 - 5, 12 << 11]
-    feed = _RawFeed(words)
-    _feed_new_streams(monkeypatch, feed)
-    got = mc_trimmed_trajectory([2, 5, 12], seed=0)
-    digits = [_digit_of_word(w) for w in words]
-    want = [(k, float(sum(digits[:k]) - max(digits[:k])) / (k * math.log(k)))
-            for k in (2, 5, 12)]
-    assert got == want
-    assert feed.used == len(words)
+    # three stretches, at V = 7, 1 and 15: the first with no tail, so M comes
+    # from the counts, the second of tail digits only, from the raw words 0
+    # and 2^64 - 5, the third mixed; each against Python integers
+    cps = [38, 40, 300]
+    mixed = [100, 50, 30, 20, 10, 5, 3, 2, 1, 0, 0, 1, 0, 0, 1]
+    stretches = [([30, 5, 2, 0, 1, 0, 0], []),
+                 ([0], [0, (1 << 64) - 5]),
+                 ([260 - 2 - sum(mixed[1:])] + mixed[1:], [2**40, 12 << 11])]
+    assert _fed_path(monkeypatch, stretches, cps) == _python_path(stretches, cps)
+
+
+def test_multinomial_draws_sequential_binomials():
+    # luroth_sum_max's bias argument reads Generator.multinomial as
+    # c_j ~ Binomial(n - c_1 - ... - c_{j-1}, p_j / r_j), with r_j = 1 - p_1
+    # - ... - p_{j-1} accumulated in floats, stopping once no trial is left,
+    # the last category taking the rest; the counts and the generator's
+    # state after the draw must match that loop on a twin generator
+    def loop(gen, n, pvals):
+        out = [0] * len(pvals)
+        remaining, left = 1.0, n
+        for j, p in enumerate(pvals[:-1]):
+            out[j] = int(gen.binomial(left, p / remaining))
+            left -= out[j]
+            if left <= 0:
+                break
+            remaining -= p
+        out[-1] += left
+        return out
+
+    for bits in (1, 3, 10):
+        v = np.arange(1, 1 << bits)
+        pvals = np.append(1.0 / (v * (v + 1.0)), 2.0**-bits)
+        for n in (1, 2, 10, 1000, 10**6, 10**12):
+            a, b = (np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(n + bits)))
+                    for _ in range(2))
+            assert a.multinomial(n, pvals).tolist() == loop(b, n, pvals), (bits, n)
+            assert a.bit_generator.state == b.bit_generator.state, (bits, n)
+
+
+def test_trajectory_law_matches_direct_draws():
+    # S_k - M_k at k = 1000 from 4000 paths against 4000 rows of 1000 digits
+    # drawn one by one: a chi-square test of homogeneity in 10 bins at the
+    # pooled deciles; the gate is significance 1e-4 at these fixed seeds
+    k, n = 1000, 4000
+    scale = k * math.log(k)
+    fast = np.rint([mc_trimmed_trajectory([k], seed=s)[0][1] * scale for s in range(n)])
+    d = RngStream(1, 1).luroth_digits(n * k).reshape(n, k)
+    slow = d.sum(axis=1) - d.max(axis=1)
+    edges = np.unique(np.quantile(np.concatenate([fast, slow]), np.linspace(0.1, 0.9, 9)))
+    table = [np.bincount(np.searchsorted(edges, x, side="left"), minlength=len(edges) + 1)
+             for x in (fast, slow)]
+    _, p, _, _ = scipy.stats.chi2_contingency(table)
+    assert p > 1e-4, (p, table)
