@@ -130,13 +130,7 @@ def cmd_j2(args) -> int:
 
 
 def _decade_checkpoints(k_max: int) -> List[int]:
-    cps = []
-    p = 10
-    while p < k_max:
-        cps.append(p)
-        p *= 10
-    cps.append(k_max)
-    return cps
+    return [10**e for e in range(1, len(str(k_max))) if 10**e < k_max] + [k_max]
 
 
 def cmd_trim(args) -> int:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .precision import _to_fraction
 from .rng import RngStream
-from .simulation import McResult, _check_samples, _ordered_map, _step_blocks, _unique_max_table
+from .simulation import McResult, _check_samples, _step_blocks, _unique_max_table
 
 __all__ = [
     "expand_cf",
@@ -56,8 +56,6 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-
-_Y_CAP = 2**32 - 1  # the largest S_k - M_k the trimmed table stores
 
 
 def expand_cf(x: float, k: int) -> Tuple[int, ...]:
@@ -103,26 +101,34 @@ def _cf_digits(stream: RngStream, n: int, depth: int) -> Iterator[np.ndarray]:
         yield a
 
 
-def _median(y: np.ndarray, scale: float) -> float:
-    """np.median(y / scale) in float64, bit for bit, for y with no NaN; reorders y.
+def _overflow_bin(k: int) -> int:
+    """H_k, the last bin of a block's histogram of S_k - M_k: it counts every y >= H_k.
 
-    One pivot: after y.partition(h), y[h] is the middle order statistic and
-    y[:h] holds the ones below it, so an even size's lower middle is their
-    maximum.  The result is hi/scale, or (lo/scale + hi/scale)/2, np.median's
-    mean of the two middle quotients.  That is exact for any scale > 0:
-    correctly rounded division by a positive constant is monotone (x <= x'
-    gives x/scale <= x'/scale, and rounding keeps the order), so the order
-    statistics of the rounded quotients are the rounded quotients of the
-    order statistics of y.  uint32 values convert to float64 exactly, so a
-    lattice of integers gives the very quotients a float64 array of y/scale
-    would hold; a float array is read at scale 1.0.
+    (S_k - M_k)/(k ln k) tends to 1/ln 2 (Diamond and Vaaler 1986), so H_k
+    is near 2.8 times the median at large k; the 64 serves small k.
     """
-    h = y.size // 2
-    y.partition(h)
-    hi = float(y[h]) / scale
-    if y.size % 2:
-        return hi
-    return (float(y[:h].max()) / scale + hi) / 2
+    return math.ceil(4 * k * math.log(k)) + 64
+
+
+def _counts_median(counts: np.ndarray, scale: float) -> float:
+    """np.median(y / scale) in float64, bit for bit, where counts[v] of the integers y equal v.
+
+    The last bin holds every y at or above its index, so a middle order
+    statistic there is no value of y: it raises RuntimeError.  Order
+    statistic i is the first v whose running count exceeds i.  The result is
+    hi/scale at i = N//2, or (lo/scale + hi/scale)/2 with lo at N//2 - 1,
+    np.median's mean of the two middle quotients.  That is exact for any
+    scale > 0: correctly rounded division by a positive constant is monotone
+    (x <= x' gives x/scale <= x'/scale, and rounding keeps the order), so the
+    order statistics of the rounded quotients are the rounded quotients of
+    the order statistics of y, and integers below 2^53 are float64 values.
+    """
+    cum = np.cumsum(counts)
+    h = int(cum[-1]) // 2
+    lo, hi = np.searchsorted(cum, [h - 1, h], side="right")
+    if hi == counts.size - 1:
+        raise RuntimeError("the median of S_k - M_k lies in the overflow bin %d" % hi)
+    return float(hi) / scale if cum[-1] % 2 else (float(lo) / scale + float(hi) / scale) / 2
 
 
 def mc_cf_rho_table(k_max: int, samples: int, seed: int = 0) -> List[McResult]:
@@ -146,56 +152,55 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[
     definition); for these heavy-tailed statistics it is a dispersion
     diagnostic, not a median confidence radius.
 
-    Storage is 4 bytes per trial and k.  The float64 y = total - max is
-    integer-valued (a rounded sum or difference of integers is an integer)
-    and nonnegative; it is kept as uint32, clipped at _Y_CAP, and the median
-    is that of y/(k log k) by ``_median``, the value a float64 array of the
-    quotients gives.  A middle order statistic at the cap is no value of y,
-    so it raises RuntimeError.  The spread never sees the clip: each block
-    returns (n_b, mean_b, M2_b) of its float64 quotients, and the blocks
-    merge by the within/between decomposition, mean = sum n_b mean_b / N and
-    M2 = sum (M2_b + n_b (mean_b - mean)^2), each sum a ``math.fsum`` over
-    the blocks in block order; the std is sqrt(M2/(N - 1)).
+    The float64 y = total - max is a nonnegative integer (a rounded sum or
+    difference of integers is an integer).  Each block returns, per k, the
+    uint16 histogram of min(y, H_k) (``_overflow_bin``; a block has at most
+    2^15 trials) and the moments (n_b, mean_b, M2_b) of its float64
+    y/(k log k).  The histograms add up in integers, in any order; a median
+    in the overflow bin raises RuntimeError.  The moments merge by the
+    within/between decomposition, mean = sum n_b mean_b / N and M2 = sum
+    (M2_b + n_b (mean_b - mean)^2), each sum a ``math.fsum`` over the blocks
+    in block order; the std is sqrt(M2/(N - 1)).
     """
     ks = list(ks)
     if not ks or min(ks) < 2:
         raise ValueError("need at least one k, and every k must be >= 2")
     _check_samples(samples, 10**4)
-    lattice = {k: np.empty(samples, dtype=np.uint32) for k in ks}
+    # held to the end: blocks x sum_k (H_k + 1) x 2 bytes, 60 KB at the defaults
+    # and 250 MB at 2^32 trials; at k = 10^5 one block's histogram is 9 MB
+    tops = {k: _overflow_bin(k) for k in ks}
 
-    def one_block(stream: RngStream, start: int, n: int) -> Dict[int, Tuple[int, float, float]]:
+    def one_block(stream: RngStream, start: int, n: int) -> Dict[int, tuple]:
         total = np.zeros(n)
         maxa = np.zeros(n)
         y = np.empty(n)
-        moments = {}
+        iy = np.empty(n, dtype=np.intp)
+        stats = {}
         for k, a in enumerate(_cf_digits(stream, n, max(ks)), start=1):
             total += a
             np.maximum(maxa, a, out=maxa)
-            if k in lattice:
+            if k in tops:
                 np.subtract(total, maxa, out=y)
-                np.minimum(y, _Y_CAP, out=lattice[k][start:start + n], casting="unsafe")
+                np.minimum(y, tops[k], out=iy, casting="unsafe")
+                counts = np.bincount(iy, minlength=tops[k] + 1).astype(np.uint16)
                 y /= k * math.log(k)
                 mean = float(y.mean())
                 y -= mean
                 np.square(y, out=y)
-                moments[k] = (n, mean, float(y.sum()))
-        return moments
+                stats[k] = counts, (n, mean, float(y.sum()))
+        return stats
 
     per_block = _step_blocks(samples, seed, one_block)
 
-    def median(k: int) -> float:
-        y = lattice[k]
-        m = _median(y, k * math.log(k))
-        if y[samples // 2] >= _Y_CAP:  # the middle order statistic, left there by _median
-            raise RuntimeError("k = %d: the median of S_k - M_k reaches the uint32 "
-                               "lattice cap %d" % (k, _Y_CAP))
-        return m
-
-    def se(k: int) -> float:
-        blocks = [moments[k] for moments in per_block]
+    def row(k: int) -> McResult:
+        counts = sum((stats[k][0] for stats in per_block), np.zeros(tops[k] + 1, dtype=np.int64))
+        try:
+            median = _counts_median(counts, k * math.log(k))
+        except RuntimeError as exc:
+            raise RuntimeError("k = %d: %s" % (k, exc)) from None
+        blocks = [stats[k][1] for stats in per_block]
         mean = math.fsum(n * m for n, m, _ in blocks) / samples
         m2 = math.fsum(m2 + n * (m - mean) ** 2 for n, m, m2 in blocks)
-        return math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+        return McResult(median, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples))
 
-    medians = dict(zip(lattice, _ordered_map(median, list(lattice))))
-    return [McResult(medians[k], se(k)) for k in ks]
+    return [row(k) for k in ks]

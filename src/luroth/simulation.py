@@ -59,8 +59,8 @@ def _ordered_map(fn: Callable[[object], object], items: Sequence[object]) -> Lis
     items w, w + W, w + 2W, ... into the items' own result slots, so the
     output does not depend on W as long as fn(x) depends on x alone.  Every
     caller passes items of equal cost (blocks of _RHO_BLOCK trials, the last
-    shorter; one trim path per seed; one cf median per k), so this fixed
-    deal splits the work as a queue would among workers of equal speed.
+    shorter; one trim path per seed), so this fixed deal splits the work as
+    a queue would among workers of equal speed.
     Each worker is bound to its own usable CPU, in turn: the scheduler was
     seen to keep two workers on one vCPU of a 2-vCPU VM for minutes.  A
     worker stops at its first failing item, and the least one seen is raised
@@ -105,9 +105,9 @@ def _binomial(successes: int, n: int) -> McResult:
 def _check_samples(samples: int, least: int):
     # _ordered_map sets aside one result slot per block before any block runs:
     # 2^32 trials make 2^17 blocks of 2^15, a 1 MiB list of slots, where
-    # 2^47 made 2^32 slots (32 GiB).  Each block's result, a few counts per
-    # row, is held until the last block is done.  2^17 blocks also stay far
-    # below the 2^32 stream indices RngStream takes.
+    # 2^47 made 2^32 slots (32 GiB).  Each block's result (a few counts per
+    # row, or cf trimmed histograms bounded in ``contfrac``) is held to the
+    # end.  2^17 blocks stay far below the 2^32 stream indices RngStream takes.
     if samples < least:
         raise ValueError("samples must be >= %d" % least)
     if samples > 1 << 32:

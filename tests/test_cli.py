@@ -242,10 +242,10 @@ class TestCf:
             assert [r[0] for r in rows[1:]] == ["16", "2"]
             assert rows[2] == alone[1]
 
-    def test_lattice_cap_exits_1_without_csv(self, monkeypatch, capsys):
-        # a cap of 40 on S_k - M_k: its median is near 51 at k = 16, so the
-        # middle order statistic is clipped, and no clipped median is printed
-        monkeypatch.setattr(luroth.contfrac, "_Y_CAP", 40)
+    def test_overflow_bin_median_exits_1_without_csv(self, monkeypatch, capsys):
+        # an overflow bin at 40 for S_k - M_k: its median is near 51 at k = 16,
+        # so the middle order statistic is in the bin, and no median is printed
+        monkeypatch.setattr(luroth.contfrac, "_overflow_bin", lambda k: 40)
         assert main(["cf", "--statistic", "trimmed", "--k", "2", "--k", "16",
                      "--samples", "10000"]) == 1
         captured = capsys.readouterr()

@@ -12,7 +12,8 @@ import luroth.contfrac
 from luroth.contfrac import (
     expand_cf,
     _cf_digits,
-    _median,
+    _counts_median,
+    _overflow_bin,
     mc_cf_rho_table,
     mc_cf_trimmed_table,
 )
@@ -266,42 +267,55 @@ def assert_matches_float64_path(ks, samples, seed):
         assert abs(r.standard_error - se) <= 1e-12 * se, (k, r.standard_error, se)
 
 
+def counts_of(y, top):
+    """The histogram _counts_median reads: counts[v] of the y equal v, y >= top in bin top."""
+    return np.bincount(np.minimum(y, top), minlength=top + 1)
+
+
 class TestMedian:
     @staticmethod
-    def check(x):
-        want = np.median(x)
-        y = x.copy()
-        assert np.float64(_median(y, 1.0)).tobytes() == want.tobytes()
-        assert sorted(y.tolist()) == sorted(x.tolist())  # reordered, not changed
-
-    @staticmethod
-    def check_lattice(y, scale):
-        # the uint32 lattice against np.median of its float64 quotients
+    def check(y, scale=1.0):
+        # the counts median against np.median of the float64 quotients of y
         want = np.median(y.astype(np.float64) / scale)
-        got = y.copy()
-        assert np.float64(_median(got, scale)).tobytes() == want.tobytes(), (y.size, scale)
-        assert sorted(got.tolist()) == sorted(y.tolist())
+        got = _counts_median(counts_of(y, int(y.max()) + 1), scale)
+        assert np.float64(got).tobytes() == want.tobytes(), (y.size, scale)
 
     def test_odd_and_even_sizes(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 4, 5, 100, 101, 4096, 4097):
-            self.check(rng.standard_normal(n) * 1e3)
-            self.check(rng.pareto(0.5, n))
+            self.check(rng.integers(0, 10**5, n))
+            self.check(np.minimum(rng.pareto(0.5, n), 10**5).astype(np.int64))
 
     def test_heavy_ties(self):
         rng = np.random.default_rng(4)
         for n in (2, 7, 1000, 1001):
-            self.check(rng.integers(0, 3, n).astype(np.float64) / 7.0)
-            self.check(np.full(n, 0.1))
+            self.check(rng.integers(0, 3, n), 7.0)
+            self.check(np.full(n, 1), 10.0)
 
-    def test_uint32_lattice_with_scale(self):
+    def test_integers_with_scale(self):
         rng = np.random.default_rng(5)
         scales = [k * math.log(k) for k in (2, 3, 8, 16, 32, 40, 1000)] + [0.1, 3.0, 1e-290]
         for n in (1, 2, 3, 4, 101, 4096, 4097):
             for scale in scales:
-                self.check_lattice(rng.integers(0, 2**32, n, dtype=np.uint32), scale)
-                self.check_lattice(rng.integers(0, 40, n, dtype=np.uint32), scale)
-                self.check_lattice(np.full(n, 2**32 - 1, dtype=np.uint32), scale)
+                self.check(rng.integers(0, 2**16, n), scale)
+                self.check(rng.integers(0, 40, n), scale)
+                self.check(np.full(n, 2**16 - 1), scale)
+        # counts beyond 2^32 trials: the middle of 2^33 + 1 is the single 1
+        assert _counts_median(np.array([2**32, 1, 2**32, 0]), 1.0) == 1.0
+
+    def test_middle_in_overflow_bin_raises(self):
+        # at top 3 the middle of 0 1 3 3 9 is no value of y; of 0 1 2 3 9 it is 2
+        with pytest.raises(RuntimeError, match="overflow bin 3"):
+            _counts_median(counts_of(np.array([0, 1, 3, 3, 9]), 3), 1.0)
+        assert _counts_median(counts_of(np.array([0, 1, 2, 3, 9]), 3), 1.0) == 2.0
+
+    def test_even_size_middles_in_overflow_bin_raise(self):
+        # at top 5: the upper middle of 0 1 5 6 lies in the bin, then the lower
+        # middle of 0 5 5 6 too; the tail of 0 1 4 6 changes nothing
+        for y in ([0, 1, 5, 6], [0, 5, 5, 6]):
+            with pytest.raises(RuntimeError, match="overflow bin 5"):
+                _counts_median(counts_of(np.array(y), 5), 1.0)
+        assert _counts_median(counts_of(np.array([0, 1, 4, 6]), 5), 1.0) == 2.5
 
     def test_default_trimmed_table_arrays(self):
         # `cf --statistic trimmed` at its defaults against the float64 path
@@ -360,23 +374,26 @@ class TestMcCfTrimmed:
             mc_cf_trimmed_table([16], 100)
 
     def test_spread_reads_unclipped_values(self, monkeypatch):
-        # at k = 8 the median of S_k - M_k is near 18, so a cap of 40 leaves
-        # it alone but clips the tail: the table must not move
+        # at k = 8 the median of S_k - M_k is near 18, so an overflow bin at
+        # 40 leaves it alone but clips the tail: the table must not move
         ks, samples = [2, 8], 10**5
         want = mc_cf_trimmed_table(ks, samples, seed=6)
         y8 = np.rint(_float64_trimmed_stats(ks, samples, 6)[8] * (8 * math.log(8)))
         clipped = np.minimum(y8, 40.0) / (8 * math.log(8))
         assert np.count_nonzero(y8 > 40) > samples // 20
         assert float(np.std(clipped, ddof=1)) < 0.5 * float(np.std(y8 / (8 * math.log(8)), ddof=1))
-        monkeypatch.setattr(luroth.contfrac, "_Y_CAP", 40)
+        monkeypatch.setattr(luroth.contfrac, "_overflow_bin", lambda k: 40)
         assert mc_cf_trimmed_table(ks, samples, seed=6) == want
 
-    def test_memory_is_the_lattice_and_the_block_buffers(self, cores):
-        # 4 bytes per trial and k, plus per worker a block's seven float64
-        # arrays (four in _cf_digits, the running sum and maximum, and y), one
-        # numpy cast buffer of getbufsize() doubles, and 256 KB for the rest
+    @pytest.mark.parametrize("samples", [2 * 10**5, 8 * 10**5])
+    def test_memory_is_the_block_histograms_and_buffers(self, cores, samples):
+        # nothing per trial: each block's uint16 histograms and, per k, up to
+        # 1 KB for its moments and their objects are held to the end; on top,
+        # per worker a block's eight arrays (four in _cf_digits, the running
+        # sum and maximum, y and its integer copy), one numpy cast buffer of
+        # getbufsize() doubles, and 256 KB for the rest
         cores(2)
-        ks, samples = [2, 8, 16, 32], 2 * 10**5
+        ks = [2, 8, 16, 32]
         mc_cf_trimmed_table(ks, samples)
         tracemalloc.start()
         try:
@@ -384,5 +401,7 @@ class TestMcCfTrimmed:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        buffers = 7 * 8 * _RHO_BLOCK + 8 * np.getbufsize()
-        assert peak < 4 * len(ks) * samples + 2 * buffers + (256 << 10), peak
+        blocks = -(-samples // _RHO_BLOCK)
+        held = blocks * sum(2 * (_overflow_bin(k) + 1) + 1024 for k in ks)
+        buffers = 8 * 8 * _RHO_BLOCK + 8 * np.getbufsize()
+        assert peak < held + 2 * buffers + (256 << 10), peak

@@ -105,6 +105,33 @@ def test_j2_terms_match_exact_lambert_oracle():
         assert abs(Fraction(float(terms[n - 2])) - oracle) <= Fraction(1e-13) * oracle, n
 
 
+def test_j2_differences_against_tail_bracket():
+    # The tail T(N) = sum_{n>N} term_n lies in
+    #   2/W(N) - 4/(N W(N)(1 + W(N))) <= T(N) <= 2/W(N).
+    # With h = (B^2)' = 2x/(W(1 + W)) > 0, term_n = int_{n-1}^n h(x) dx / n^2,
+    # and 1/(x + 1)^2 <= 1/n^2 <= 1/x^2 on [n - 1, n].  Upper: T(N) <=
+    # int_N^inf h/x^2 dx, which x = w e^w turns into int_{W(N)}^inf 2/w^2 dw
+    # = 2/W(N).  Lower: T(N) >= int_N^inf h/(x + 1)^2 dx, below the upper by
+    # int_N^inf h (2x + 1)/(x^2 (x + 1)^2) dx <= int_N^inf 4/(W(1 + W) x^2) dx
+    # <= 4/(N W(N)(1 + W(N))), as (2x + 1)/(x + 1)^2 <= 2/x and W increases.
+    # So J2(N2) - J2(N1) = T(N1) - T(N2) lies within 2/W(N1) - 2/W(N2), less
+    # the lower slack at N1, plus that at N2.  Float error: each term is
+    # within 1e-13 relative (test_j2_terms_match_exact_lambert_oracle), and
+    # a sequential sum of N positive terms is within (N - 1) 2^-53 of its
+    # total (Higham, Accuracy and Stability of Numerical Algorithms, 4.2);
+    # twice that for the two sums of a difference.
+    n2 = 10**6
+    values, _ = j2_partial_sums(n2)
+    fl = (1e-13 + 2 * n2 * 2.0**-53) * float(values[-1])
+    with mpmath.workdps(30):
+        w = {n: mpmath.lambertw(n).real for n in (10**3, 10**4, 10**5, n2)}
+        slack = {n: 4 / (n * w[n] * (1 + w[n])) for n in w}
+        for n1 in (10**3, 10**4, 10**5):
+            got = mpmath.mpf(float(values[n2 - 2])) - mpmath.mpf(float(values[n1 - 2]))
+            mid = 2 / w[n1] - 2 / w[n2]
+            assert mid - slack[n1] - fl <= got <= mid + slack[n2] + fl, n1
+
+
 def test_j2_rejects_small_n():
     with pytest.raises(ValueError):
         j2_partial_sums(1)
