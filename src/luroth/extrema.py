@@ -17,6 +17,7 @@ tracked one.
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .precision import (
     HighPrecisionReal,
     PrecisionError,
     _row_sums,
-    _zeta_fixed,
+    _zeta_row,
     bernoulli_triangle,
 )
 
@@ -51,10 +52,7 @@ def coeff_c(j: int, k: int) -> int:
         raise ValueError("k must be >= 1")
     if j < 1 or j > k + 1:
         raise ValueError("j must lie in [1, k+1]")
-    if j == k + 1:
-        return 0
-    t = bernoulli_triangle(k - 1, k - j)
-    return t if j % 2 == 1 else -t
+    return 0 if j == k + 1 else (-1) ** (j + 1) * bernoulli_triangle(k - 1, k - j)
 
 
 def q_k(m: int, k: int) -> Fraction:
@@ -68,31 +66,21 @@ def q_k_via_partial_fraction(m: int, k: int) -> Fraction:
     """Same level term evaluated through the partial-fraction expansion."""
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
-    acc = 2 ** (k - 1) * (Fraction(1, m) - Fraction(1, m + 1))
-    for j in range(2, k + 1):
-        acc += Fraction(coeff_c(j, k), m**j)
-    return acc
+    return Fraction(2 ** (k - 1), m * (m + 1)) + sum(
+        Fraction(coeff_c(j, k), m**j) for j in range(2, k + 1))
 
 
 def rho_sum_over_k(m: int, k_top: int) -> Fraction:
     """Sum of k q_k(m, k) over k = 1..k_top; converges to m/(m+1) geometrically.
 
     Not a probability (the events overlap across k); the limit identity
-    p_m / tau_m^2 = m/(m+1) is what the tests pin down.
+    p_m / tau_m^2 = m/(m+1) is what the tests pin down.  The sum is the exact
+    rational m/(m+1) (1 - (K+1) r^K + K r^(K+1)) with r = (m-1)/m, K = k_top.
     """
     if m < 1 or k_top < 1:
         raise ValueError("need m >= 1 and k_top >= 1")
-    if m == 1:
-        return Fraction(1, 2)  # only k = 1 contributes
-    # sum k*r^(k-1) * p where r = (m-1)/m, p = 1/(m(m+1)); exact rationals
     r = Fraction(m - 1, m)
-    p = Fraction(1, m * (m + 1))
-    acc = Fraction(0)
-    rpow = Fraction(1)
-    for k in range(1, k_top + 1):
-        acc += k * rpow
-        rpow *= r
-    return acc * p
+    return Fraction(m, m + 1) * (1 - (k_top + 1) * r**k_top + k_top * r ** (k_top + 1))
 
 
 def rho_exact(k: int, target: int = 128) -> HighPrecisionReal:
@@ -110,19 +98,16 @@ def rho_exact(k: int, target: int = 128) -> HighPrecisionReal:
         raise ValueError("target must be >= 8 bits")
     if k == 1:
         return HighPrecisionReal(Fraction(1), Fraction(0))
-    zbits = target + k + 64
-    # Every zeta value of this k comes from one accuracy bucket, so all share
-    # one scale 2**-s and the sum is accumulated exactly on integer
-    # numerators: with |z_j - zeta(j)| <= u_j 2**-s, the integer sum of
-    # T(k-1, k-j) u_j bounds the bracket's error in ulps, with no rounding of
-    # its own.
-    acc = 0
-    errsum = 0
-    for j, t in zip(range(k, 1, -1), _row_sums(k - 1)):
-        zval, zulps, s = _zeta_fixed(j, zbits)
-        acc += zval * t if j % 2 == 1 else -zval * t
-        errsum += t * zulps
-    acc += 1 << (k - 1 + s)
+    # All zeta(j) of this k share one row's scale 2**-s, so the sum is exact
+    # on integer numerators: with |z_j - zeta(j)| <= u_j 2**-s, the integer
+    # sum of T(k-1, k-j) u_j bounds the bracket's error in ulps.  z_j pairs
+    # with t[k-j], and the sign (-1)**(j+1) alternates along the pairs.
+    nums, ulps, s = _zeta_row(target + k + 64, k)
+    z = nums[k - 2::-1]
+    t = list(_row_sums(k - 1))
+    acc = sum(map(mul, z[::2], t[::2])) - sum(map(mul, z[1::2], t[1::2]))
+    acc = (acc if k & 1 else -acc) + (1 << (k - 1 + s))
+    errsum = sum(map(mul, ulps[k - 2::-1], t))
     # rho_k is k acc ulps of 2**-s; rounding it half to even onto the grid
     # 2**-(target+16), of 2**sh ulps, adds at most 2**(sh-1) ulps to the bound
     sh = s - target - 16

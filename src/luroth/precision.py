@@ -5,8 +5,8 @@ rows) plus two certified real-valued kernels.
 
 Riemann zeta at integer arguments comes from Borwein's Chebyshev-weighted
 alternating sum for eta(j) in fixed-point integers, then
-zeta(j) = eta(j) 2**(j-1) / (2**(j-1) - 1).  One integer weight table per
-64-bit accuracy bucket serves every argument.  Its size n makes
+zeta(j) = eta(j) 2**(j-1) / (2**(j-1) - 1), a row of j per sweep over the
+integer weights of a 64-bit accuracy bucket.  Their count n makes
 T_n(3) >= 2**(s+1), so the truncation stays under half an ulp.  The payload
 is an integer numerator over 2**s with a certified count of ulps: one per
 summed term, plus five for the truncation, the tail and the final division.
@@ -93,8 +93,7 @@ def bernoulli_triangle(l: int, j: int) -> int:
 
 def _row_sums(l: int):
     """Partial sums T(l, i) = C(l, 0) + ... + C(l, i) for i = 0, 1, ..., l."""
-    acc = 0
-    c = 1
+    acc, c = 0, 1
     for i in range(l + 1):
         acc += c
         yield acc
@@ -103,7 +102,7 @@ def _row_sums(l: int):
 
 # zeta(j) for a given 64-bit accuracy bucket is carried at scale 2**-(bucket
 # + _ZETA_GUARD); the guard bits hold the few hundred ulps of rounding that
-# ``_zeta_fixed`` certifies well inside 2**-bucket.
+# ``_zeta_sweep`` certifies well inside 2**-bucket.
 _ZETA_GUARD = 32
 _LOG2_T3 = math.log2(3.0 + math.sqrt(8.0))  # T_n(3) ~ (3 + sqrt 8)**n / 2
 
@@ -136,13 +135,17 @@ def _borwein_weights(bucket: int) -> Tuple[int, ...]:
     return tuple(((d[n] - dk) << s) // d[n] for dk in d[:n])
 
 
-def _zeta_fixed(j: int, bits: int) -> Tuple[int, int, int]:
-    """Fixed-point zeta(j): (num, err_ulps, s) with |num/2**s - zeta(j)| <= err_ulps/2**s.
+def _zeta_row(bits: int, jmax: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+    """(nums, ulps, s): |nums[j-2] / 2**s - zeta(j)| <= ulps[j-2] / 2**s <= 2**-bits.
 
-    The certified bound err_ulps/2**s is at most 2**-bits.  Results are
-    cached per 64-bit accuracy bucket, so sweeps over many k reuse one
-    evaluation per argument, and every argument in a bucket shares the one
-    scale s.
+    The cached sweep of bits' 64-bit bucket, to jmax rounded up to a multiple
+    of 64: a sweep over k reads one row per bucket."""
+    return _zeta_sweep(((bits + 63) // 64) * 64, ((jmax + 63) // 64) * 64)
+
+
+@functools.cache
+def _zeta_sweep(bucket: int, jmax: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+    """``_zeta_row`` for j = 2..jmax at the bucket's scale s = bucket + _ZETA_GUARD.
 
     Certificate, in ulps of 2**-s.  For real j >= 2, as 1/(1+x) is the sum
     of (-x)**k and x**k (log 1/x)**(j-1) integrates to Gamma(j) / (k+1)**j,
@@ -166,30 +169,36 @@ def _zeta_fixed(j: int, bits: int) -> Tuple[int, int, int]:
     to zeta(j) is at most 2, and its floor division costs under 1 ulp:
     err_ulps = K + 5 >= 2 ceil(K/2) + 4.  K <= n < s/2, so err_ulps stays
     within the 2**_ZETA_GUARD ulps of 2**-bucket below 2**32-bit buckets.
+
+    Sweep.  c_0 starts every eta(j).  For k >= 1, b = k + 1, q = c_k // b**2
+    and then q //= b per next j is c_k // b**j by the nested-floor identity,
+    so no power is formed; weight k is added while q >= 1.  As c_k falls and
+    b**j rises with k, that is the stop rule above, and a weight adding
+    nothing at j = 2 ends the sweep.  At j >= s only c_0 is left (c_1 < 2**s).
     """
-    return _zeta_bucket(j, ((bits + 63) // 64) * 64)
-
-
-@functools.cache
-def _zeta_bucket(j: int, bucket: int) -> Tuple[int, int, int]:
-    """``_zeta_fixed`` at the bucket's scale s = bucket + _ZETA_GUARD."""
-    eta = 0
-    terms = 0
-    for k, c in enumerate(_borwein_weights(bucket)):
-        m = (k + 1) ** j
-        if m > c:
+    c = _borwein_weights(bucket)
+    pos, neg, ulps = [c[0]] * (jmax - 1), [0] * (jmax - 1), [6] * (jmax - 1)
+    for b in range(2, len(c) + 1):
+        acc = neg if b & 1 == 0 else pos  # weight k = b - 1 has sign (-1)**k
+        q = c[b - 1] // (b * b)
+        i = 0
+        while q and i < jmax - 1:
+            acc[i] += q
+            ulps[i] += 1
+            q //= b
+            i += 1
+        if not i:
             break
-        eta += -(c // m) if k & 1 else c // m
-        terms += 1
-    half = 1 << (j - 1)
-    return (eta * half) // (half - 1), terms + 5, bucket + _ZETA_GUARD
+    nums = tuple(((p - m) << (j - 1)) // ((1 << (j - 1)) - 1)
+                 for j, p, m in zip(itertools.count(2), pos, neg))
+    return nums, tuple(ulps), bucket + _ZETA_GUARD
 
 
 def zeta_int(j: int, precision_bits: int = 128) -> HighPrecisionReal:
     """Riemann zeta at an integer argument j >= 2 with |error| <= 2**-precision_bits.
 
     Borwein's Chebyshev-weighted alternating sum in fixed-point integers
-    (``_zeta_fixed``); the returned bound counts one ulp per floored term
+    (``_zeta_sweep``); the returned bound counts one ulp per floored term
     plus the truncation, which the shifted Chebyshev polynomial holds below
     eta(j) / T_n(3) <= half an ulp, so it is certified rather than heuristic.
     """
@@ -199,7 +208,13 @@ def zeta_int(j: int, precision_bits: int = 128) -> HighPrecisionReal:
         raise ValueError("argument must be >= 2")
     if precision_bits < 16:
         raise ValueError("precision_bits must be >= 16")
-    num, ulps, s = _zeta_fixed(j, precision_bits)
+    s = ((precision_bits + 63) // 64) * 64 + _ZETA_GUARD
+    if j < s:
+        nums, ulps, s = _zeta_row(precision_bits, j)
+        num, ulps = nums[j - 2], ulps[j - 2]
+    else:  # only c_0 contributes (``_zeta_sweep``): eta(j) = c_0, one term
+        half = 1 << (j - 1)
+        num, ulps = (_borwein_weights(s - _ZETA_GUARD)[0] * half) // (half - 1), 6
     return HighPrecisionReal(Fraction(num, 1 << s), Fraction(ulps, 1 << s))
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import hashlib
 import io
 import math
 import os
@@ -59,9 +60,13 @@ class TestRho:
 
     def test_failed_certificate_exits_1(self, monkeypatch, capsys):
         # rho_3 computed from zeta values read as 0 lies far above 1
-        real = luroth.extrema._zeta_fixed
-        monkeypatch.setattr(luroth.extrema, "_zeta_fixed",
-                            lambda j, bits: (0, 1, real(j, bits)[2]))
+        real = luroth.extrema._zeta_row
+
+        def zeros(bits, jmax):
+            nums, ulps, s = real(bits, jmax)
+            return (0,) * len(nums), (1,) * len(ulps), s
+
+        monkeypatch.setattr(luroth.extrema, "_zeta_row", zeros)
         assert main(["rho", "--kmax", "3", "--mode", "exact"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -400,6 +405,13 @@ class TestPinnedExactTables:
     def test_rho_exact(self, extra, want, capsys):
         assert main(["rho", "--mode", "exact", "--kmax", "6"] + extra) == 0
         assert capsys.readouterr().out == want
+
+    def test_rho_exact_across_buckets(self, capsys):
+        # k = 2..130 reads the 256-, 320- and 384-bit zeta rows (192 + k bits);
+        # the SHA-256 of the table as the per-argument zeta loop printed it
+        assert main(["rho", "--mode", "exact", "--kmax", "130"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "058babfb9377625fee0ecbe53069f22a796b451244563f9e8b776e3b83c26ffc"
 
 
 class TestPinnedRowFormats:

@@ -181,13 +181,13 @@ def test_row_sums_match_bernoulli_triangle():
 def test_rho_exact_uncertifiable_raises(monkeypatch):
     # a bound of 1 on every zeta value, whatever the kernel certifies, leaves
     # the result far above 2^-target
-    real = extrema._zeta_fixed
+    real = extrema._zeta_row
 
-    def inflated(j, bits):
-        num, ulps, s = real(j, bits)
-        return num, 1 << s, s
+    def inflated(bits, jmax):
+        nums, ulps, s = real(bits, jmax)
+        return nums, (1 << s,) * len(ulps), s
 
-    monkeypatch.setattr(extrema, "_zeta_fixed", inflated)
+    monkeypatch.setattr(extrema, "_zeta_row", inflated)
     with pytest.raises(PrecisionError):
         rho_exact(10, 96)
 
@@ -195,23 +195,29 @@ def test_rho_exact_uncertifiable_raises(monkeypatch):
 def test_rho_exact_outside_unit_interval_raises(monkeypatch):
     # every zeta value read as 0 gives rho_3 = 3 * 2^2 within a small bound:
     # a value outside (0, 1] by more than its bound is a failed certificate
-    real = extrema._zeta_fixed
-    monkeypatch.setattr(extrema, "_zeta_fixed", lambda j, bits: (0, 1, real(j, bits)[2]))
+    real = extrema._zeta_row
+
+    def zeros(bits, jmax):
+        nums, ulps, s = real(bits, jmax)
+        return (0,) * len(nums), (1,) * len(ulps), s
+
+    monkeypatch.setattr(extrema, "_zeta_row", zeros)
     with pytest.raises(PrecisionError):
         rho_exact(3)
 
 
 def test_rho_exact_evaluates_zeta_once_per_bucket():
     # rho_exact(k, 128) asks for 192 + k bits: k <= 64 reads the 256-bit
-    # bucket (j = 2..64) and k >= 65 the 320-bit one (j = 2..120)
-    cache = precision._zeta_bucket
+    # bucket's row of j = 2..64 and k >= 65 the 320-bit one's of j = 2..128,
+    # each one sweep; a second pass sweeps nothing
+    cache = precision._zeta_sweep
     cache.cache_clear()
     for k in range(2, 121):
         rho_exact(k, 128)
-    assert cache.cache_info().misses == 63 + 119
+    assert cache.cache_info().misses == 2
     for k in range(2, 121):
         rho_exact(k, 128)
-    assert cache.cache_info().misses == 63 + 119
+    assert cache.cache_info().misses == 2
 
 
 def test_rho_exact_rejects_bad_k():

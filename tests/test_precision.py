@@ -3,9 +3,9 @@
 Expected values come from independent oracles built in this file: a Pascal
 recurrence table for binomial coefficients, direct summation for the partial
 row sums, high-precision pi (via mpmath) for zeta at even arguments, the
-three-term recurrence of T_n(3) for the zeta weights, and a bisection solver
-for Lambert W.  No expected value is copied from the
-implementation under test.
+three-term recurrence of T_n(3) for the zeta weights, the per-argument loop
+over those weights for the zeta rows, and a bisection solver for Lambert W.
+No expected value is copied from the implementation under test.
 """
 
 import itertools
@@ -19,10 +19,12 @@ import numpy as np
 import pytest
 
 from luroth import precision
+from luroth.extrema import rho_exact
 from luroth.precision import (
     HighPrecisionReal,
     _exp_bracket,
     _lambert_w_float,
+    _row_sums,
     bernoulli_triangle,
     lambert_w0,
     zeta_int,
@@ -190,6 +192,76 @@ def test_zeta_rejects_bad_arguments():
         zeta_int(2, 8)
     with pytest.raises(TypeError):
         zeta_int(2.0, 64)
+
+
+# ------------------------------------------- zeta rows against the per-j loop
+
+
+def zeta_per_argument(j, bucket):
+    """zeta(j) as (num, ulps, s) from the per-argument loop the row sweep
+    replaced: it forms (k+1)**j for every term and stops at the first weight
+    below it."""
+    eta = terms = 0
+    for k, c in enumerate(precision._borwein_weights(bucket)):
+        m = (k + 1) ** j
+        if m > c:
+            break
+        eta += -(c // m) if k & 1 else c // m
+        terms += 1
+    half = 1 << (j - 1)
+    return (eta * half) // (half - 1), terms + 5, bucket + precision._ZETA_GUARD
+
+
+def rho_from_per_argument_zeta(k, target):
+    """rho_exact's (value, bound) summed term by term from zeta_per_argument."""
+    zbits = target + k + 64
+    acc = errsum = 0
+    for j, t in zip(range(k, 1, -1), _row_sums(k - 1)):
+        zval, zulps, s = zeta_per_argument(j, ((zbits + 63) // 64) * 64)
+        acc += zval * t if j % 2 == 1 else -zval * t
+        errsum += t * zulps
+    acc += 1 << (k - 1 + s)
+    sh = s - target - 16
+    q, r = divmod(k * acc, 1 << sh)
+    if 2 * r > 1 << sh or (2 * r == 1 << sh and q & 1):
+        q += 1
+    return Fraction(q, 1 << (target + 16)), Fraction(k * errsum + (1 << (sh - 1)), 1 << s)
+
+
+@pytest.mark.parametrize("bucket", BUCKETS)
+def test_zeta_rows_match_per_argument_loop(bucket):
+    # rows of every length up to the first past s, where only c_0 is left;
+    # each shorter row must be a prefix of the longest, bit for bit
+    s = bucket + precision._ZETA_GUARD
+    lengths = range(64, s + 64, 64)
+    rows = [precision._zeta_row(bucket, jmax) for jmax in lengths]
+    nums, ulps, s_row = rows[-1]
+    assert s_row == s
+    assert len(nums) == len(ulps) == lengths[-1] - 1 >= s - 1
+    for j in range(2, len(nums) + 2):
+        assert (nums[j - 2], ulps[j - 2], s) == zeta_per_argument(j, bucket), j
+    for jmax, row in zip(lengths, rows):
+        assert row == (nums[:jmax - 1], ulps[:jmax - 1], s)
+
+
+@pytest.mark.parametrize("bucket", BUCKETS)
+def test_zeta_int_past_the_row_matches_per_argument_loop(bucket):
+    # j = 300 lies past s in the buckets below 320 and inside a row above;
+    # j = 10^5 is past s everywhere and must not build a row of that length
+    before = precision._zeta_sweep.cache_info().currsize
+    got = zeta_int(10**5, bucket)
+    assert precision._zeta_sweep.cache_info().currsize == before
+    for j, z in ((10**5, got), (300, zeta_int(300, bucket))):
+        num, ulps, s = zeta_per_argument(j, bucket)
+        assert z == (Fraction(num, 1 << s), Fraction(ulps, 1 << s)), j
+
+
+# the edges of the 64-bit buckets that rho_exact(k, target) reads at
+# target + k + 64 bits: 256 | 320 and 320 | 384 at 128 bits, 128 | 192 at 8
+@pytest.mark.parametrize("k,target", [(64, 128), (65, 128), (128, 128), (129, 128),
+                                      (56, 8), (57, 8), (300, 256)])
+def test_rho_exact_matches_per_argument_zeta(k, target):
+    assert rho_exact(k, target) == rho_from_per_argument_zeta(k, target)
 
 
 # ------------------------------------------------------------- exp bracket
