@@ -13,9 +13,12 @@ Conventions shared by all subcommands:
 * exit status 0 means every computation certified its error bound (or, for
   Monte Carlo, completed within its sampling contract), 1 a runtime failure
   (never a ValueError), 2 an argument outside a domain the CLI or library states.
+
+Argv: ``COMMAND [POSITIONAL] (--flag VALUE | --flag=VALUE)...``, exact flag
+names, values typed as in ``_COMMANDS``; ``cf --k`` and ``maxdist --c`` keep
+all values in order, others the last; ``-h`` prints usage, other argv exits 2.
 """
 
-import argparse
 import gc
 import math
 import os
@@ -23,7 +26,8 @@ import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .contfrac import mc_cf_rho_table, mc_cf_trimmed_table
 from .expansion import expand, reconstruct
@@ -195,81 +199,75 @@ def cmd_figures(args) -> int:
     return _write_csv(os.path.join(out_dir, "fig2.csv"), *_J2_TABLE, _j2_rows(1000))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="luroth",
-        description="Digit statistics of the Luroth expansion: extreme-value "
-        "probabilities, trimmed-sum normalizers, and related tables as CSV.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p):
-        p.add_argument("--out", metavar="PATH", default=None,
-                       help="write output here instead of stdout")
-
-    p = sub.add_parser("rho", help="probability the maximum digit is unique")
-    p.add_argument("--kmax", type=int, default=40)
-    p.add_argument("--mode", choices=["exact", "series", "mc", "all"],
-                   default="exact")
-    p.add_argument("--precision-bits", type=int, default=128)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
-    add_out(p)
-
-    p = sub.add_parser("expand", help="exact digit expansion of a rational")
-    p.add_argument("value", help="rational in (0, 1], e.g. 5/7")
-    p.add_argument("--count", type=int, default=10)
-    add_out(p)
-
-    p = sub.add_parser("reconstruct", help="exact value of a finite digit string")
-    p.add_argument("digits", help="comma-separated digits, e.g. 2,1")
-    add_out(p)
-
-    p = sub.add_parser("j2", help="partial sums of the inverse-square W-ratio series")
-    p.add_argument("--nmax", type=int, default=1000)
-    add_out(p)
-
-    p = sub.add_parser("trim", help="trimmed-sum trajectories at decade checkpoints")
-    p.add_argument("--kmax", type=int, default=10**6)
-    p.add_argument("--seeds", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0,
-                   help="first seed; rows cover seed..seed+seeds-1")
-    add_out(p)
-
-    p = sub.add_parser("maxdist", help="scaled-maximum CDF: sampled vs exact vs limit")
-    p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--c", type=float, action="append",
-                   help="scale point, repeatable (default 0.5 1 2)")
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
-    add_out(p)
-
-    p = sub.add_parser("cf", help="continued-fraction digit statistics (sampled)")
-    p.add_argument("--k", type=int, action="append",
-                   help="digit depth, repeatable (default 2 8 16 32)")
-    p.add_argument("--statistic", choices=["rho", "trimmed"], default="rho")
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
-    add_out(p)
-
-    p = sub.add_parser("figures", help="write fig1.csv and fig2.csv into a directory")
-    p.add_argument("--out", metavar="DIR", default=".",
-                   help="target directory (created if missing)")
-
-    return parser
-
-
-_DISPATCH = {
-    "rho": cmd_rho,
-    "expand": cmd_expand,
-    "reconstruct": cmd_reconstruct,
-    "j2": cmd_j2,
-    "trim": cmd_trim,
-    "maxdist": cmd_maxdist,
-    "cf": cmd_cf,
-    "figures": cmd_figures,
+# name -> (handler, help, positional or None, flags).  A flag's value has
+# its default's type, str for None; a tuple lists the choices, the first the
+# default, and a list holds the type of a repeatable flag, None until given
+_COMMANDS = {
+    "rho": (cmd_rho, "probability the maximum digit is unique", None,
+            {"kmax": 40, "mode": ("exact", "series", "mc", "all"), "precision-bits": 128,
+             "tol": 1e-6, "samples": 10**6, "seed": 0, "out": None}),
+    "expand": (cmd_expand, "exact digits of a rational in (0, 1], e.g. 5/7", "value",
+               {"count": 10, "out": None}),
+    "reconstruct": (cmd_reconstruct, "exact value of digits, e.g. 2,1", "digits", {"out": None}),
+    "j2": (cmd_j2, "partial sums of the W-ratio series", None, {"nmax": 1000, "out": None}),
+    "trim": (cmd_trim, "trimmed-sum trajectories of seeds seed..seed+seeds-1", None,
+             {"kmax": 10**6, "seeds": 32, "seed": 0, "out": None}),
+    "maxdist": (cmd_maxdist, "scaled-maximum CDF: sampled, exact, limit (c 0.5 1 2)", None,
+                {"k": 1000, "c": [float], "samples": 10**6, "seed": 0, "out": None}),
+    "cf": (cmd_cf, "continued-fraction digit statistics, sampled (k 2 8 16 32)", None,
+           {"k": [int], "statistic": ("rho", "trimmed"), "samples": 10**6, "seed": 0,
+            "out": None}),
+    "figures": (cmd_figures, "write fig1.csv and fig2.csv into --out", None, {"out": "."}),
 }
+
+
+def _help(args) -> int:
+    text = "usage: luroth COMMAND [ARG] [--flag VALUE | --flag=VALUE]...\n"
+    for name, (_, about, positional, flags) in _COMMANDS.items():
+        words = [name, (positional or "").upper()] + [
+            "[--%s %s]..." % (f, d[0].__name__) if isinstance(d, list) else
+            "[--%s %s]" % (f, "|".join(d) if isinstance(d, tuple) else
+                           "PATH" if d is None else d) for f, d in flags.items()]
+        text += "\n  %s\n    luroth %s" % (about, " ".join(filter(None, words)))
+    sys.stdout.write(text + "\n")
+    return 0
+
+
+def _parse(argv: Sequence[str]) -> Tuple[Callable[..., int], Optional[SimpleNamespace]]:
+    """(handler, namespace) of argv; ValueError outside the module's argv language."""
+    if "-h" in argv or "--help" in argv:
+        return _help, None
+    command, *rest = argv or [""]
+    if command not in _COMMANDS:
+        raise ValueError("the command must be one of " + ", ".join(_COMMANDS))
+    handler, _, positional, flags = _COMMANDS[command]
+    values = {f.replace("-", "_"): d[0] if isinstance(d, tuple) else
+              None if isinstance(d, list) else d for f, d in flags.items()}
+    found = []
+    tokens = iter(rest)
+    for arg in tokens:
+        if not arg.startswith("--"):
+            found.append(arg)
+            continue
+        flag, eq, value = arg[2:].partition("=")
+        if flag not in flags:
+            raise ValueError("%s has no flag --%s" % (command, flag))
+        if not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise ValueError("--%s needs a value" % flag)
+        d, key = flags[flag], flag.replace("-", "_")
+        kind = d[0] if isinstance(d, list) else type(d) if isinstance(d, (int, float)) else str
+        try:
+            v = kind(value)
+        except ValueError:
+            raise ValueError("--%s takes %s values, not %r" % (flag, kind.__name__, value))
+        if isinstance(d, tuple) and v not in d:
+            raise ValueError("--%s must be one of %s, not %r" % (flag, "|".join(d), v))
+        values[key] = (values[key] or []) + [v] if isinstance(d, list) else v
+    if len(found) != (positional is not None):
+        raise ValueError("%s takes %s, not %r" % (command, positional or "no argument", found))
+    return handler, SimpleNamespace(command=command, **dict(zip([positional], found)), **values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -278,12 +276,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # took about 2 ms, more than a whole `rho --mode series` table)
     gc.freeze()
     try:
-        args = _build_parser().parse_args(argv)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
         # seeds seed..seed+seeds-1 key PCG64DXSM streams; checked whatever is drawn
         first = getattr(args, "seed", 0)
         _require(0 <= first and first + getattr(args, "seeds", 1) <= 1 << 64,
                  "every seed used must lie in [0, 2^64)")
-        return _DISPATCH[args.command](args)
+        return handler(args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

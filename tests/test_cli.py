@@ -15,6 +15,8 @@ import pytest
 
 import luroth.contfrac
 import luroth.extrema
+import luroth.precision
+from luroth import cli
 from luroth.cli import main
 from luroth.expansion import max_cdf_exact
 from luroth.trimming import c_k
@@ -52,11 +54,11 @@ class TestRho:
             assert abs(exact - mc) <= 4 * se
 
     def test_usage_errors(self, capsys):
-        assert main(["rho", "--kmax", "1"]) == 2
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["rho", "--mode", "bogus"])
-        assert exc.value.code == 2
+        for argv in (["rho", "--kmax", "1"], ["rho", "--mode", "bogus"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage error:")
 
     def test_failed_certificate_exits_1(self, monkeypatch, capsys):
         # rho_3 computed from zeta values read as 0 lies far above 1
@@ -413,6 +415,24 @@ class TestPinnedExactTables:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "058babfb9377625fee0ecbe53069f22a796b451244563f9e8b776e3b83c26ffc"
 
+    @pytest.mark.parametrize("bits, want", [
+        (8, "95f11bd132fc0bc98af58e8446f8cf98db478e82b377e49b83465976080f8879"),
+        (100, "24fb8e8f8f7c01820e0c0d2cc965e6482717215cdec7c2af4b6b9b774657522b"),
+        (128, "fda0dca502ca090741a81c9a50b4edd86b5b3be099076fb4fcfdad1bba7cf268"),
+        (256, "30d1178b3de6d5def6916678767b49e4050c786cbf318e4f9d11be17e88b4bf2"),
+    ], ids=["8-bits", "100-bits", "128-bits", "256-bits"])
+    def test_rho_exact_sweeps_each_bucket_once(self, bits, want, capsys):
+        # k asks for bits + k + 64 bits; each 64-bit bucket is swept once, also
+        # where its k straddle a multiple of 64.  The SHA-256 of the table is
+        # the one printed when a bucket could be swept twice
+        cache = luroth.precision._zeta_sweep
+        cache.cache_clear()
+        argv = ["rho", "--mode", "exact", "--kmax", "300", "--precision-bits", str(bits)]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert cache.cache_info().misses == len({(bits + k + 127) // 64 for k in range(2, 301)})
+        assert digest == want
+
 
 class TestPinnedRowFormats:
     # the bytes these tables had when every cell was formatted on its own;
@@ -545,10 +565,11 @@ class TestFigures:
         assert fig1[0] == ["k", "method", "value", "error_bound"]
         assert fig2[0] == ["N", "partial_sum"]
 
-    def test_unknown_subcommand_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+    def test_unknown_subcommand_is_usage_error(self, capsys):
+        assert main(["frobnicate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
 
 
 def assert_plain_csv(text):
@@ -634,16 +655,176 @@ class TestRuntimeFailure:
         assert captured.err.startswith("error:")
 
 
+def run_module(*argv):
+    """``python -B -m luroth.cli ARGV`` as a child, so main reads sys.argv."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-B", "-m", "luroth.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestEntryPoint:
     def test_module_run_prints_the_table_main_returns(self, capsys):
         assert main(["rho", "--kmax", "3"]) == 0
         expected = capsys.readouterr().out
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-m", "luroth.cli", "rho", "--kmax", "3"],
-                              env=env, capture_output=True, text=True, timeout=60)
+        done = run_module("rho", "--kmax", "3")
         assert done.returncode == 0
         assert done.stdout == expected
+
+    def test_module_run_reads_sys_argv(self):
+        done = run_module("expand", "5/7", "--count", "6")
+        assert done.returncode == 0
+        assert done.stdout == "index,digit\n1,1\n2,2\n3,1\n4,7\n5,1\n6,1\nremainder,1\n"
+        done = run_module("rho", "--mode", "bogus")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("usage error:")
+
+
+class TestArgv:
+    # the namespace each argv of the README and of perfbench/invocations.py
+    # parsed to under argparse, so the handlers see the same attributes
+    PARSED = [
+        (["rho", "--mode", "mc", "--kmax", "40", "--samples", "32768", "--seed", "7"],
+         {"command": "rho", "kmax": 40, "mode": "mc", "precision_bits": 128, "tol": 1e-06,
+          "samples": 32768, "seed": 7, "out": None}),
+        (["maxdist", "--k", "1000", "--c", "0.5", "--c", "1", "--c", "2", "--samples", "12500",
+          "--seed", "7"],
+         {"command": "maxdist", "k": 1000, "c": [0.5, 1.0, 2.0], "samples": 12500, "seed": 7,
+          "out": None}),
+        (["rho", "--mode", "exact", "--kmax", "120"],
+         {"command": "rho", "kmax": 120, "mode": "exact", "precision_bits": 128, "tol": 1e-06,
+          "samples": 1000000, "seed": 0, "out": None}),
+        (["rho", "--mode", "series", "--kmax", "40", "--tol", "4e-05"],
+         {"command": "rho", "kmax": 40, "mode": "series", "precision_bits": 128, "tol": 4e-05,
+          "samples": 1000000, "seed": 0, "out": None}),
+        (["j2", "--nmax", "20000"], {"command": "j2", "nmax": 20000, "out": None}),
+        (["figures", "--out", "OUT"], {"command": "figures", "out": "OUT"}),
+        (["trim", "--kmax", "1000000", "--seeds", "16", "--seed", "112"],
+         {"command": "trim", "kmax": 1000000, "seeds": 16, "seed": 112, "out": None}),
+        (["cf", "--k", "2", "--k", "8", "--k", "16", "--k", "32", "--statistic", "rho",
+          "--samples", "500000", "--seed", "7"],
+         {"command": "cf", "k": [2, 8, 16, 32], "statistic": "rho", "samples": 500000,
+          "seed": 7, "out": None}),
+        (["cf", "--k", "2", "--k", "8", "--statistic", "trimmed", "--samples", "10000",
+          "--seed", "7"],
+         {"command": "cf", "k": [2, 8], "statistic": "trimmed", "samples": 10000, "seed": 7,
+          "out": None}),
+        (["rho", "--kmax", "40", "--mode", "exact"],
+         {"command": "rho", "kmax": 40, "mode": "exact", "precision_bits": 128, "tol": 1e-06,
+          "samples": 1000000, "seed": 0, "out": None}),
+        (["rho", "--kmax", "10", "--mode", "all", "--samples", "200000"],
+         {"command": "rho", "kmax": 10, "mode": "all", "precision_bits": 128, "tol": 1e-06,
+          "samples": 200000, "seed": 0, "out": None}),
+        (["expand", "5/7", "--count", "6"],
+         {"command": "expand", "value": "5/7", "count": 6, "out": None}),
+        (["reconstruct", "2,1"], {"command": "reconstruct", "digits": "2,1", "out": None}),
+        (["j2", "--nmax", "1000"], {"command": "j2", "nmax": 1000, "out": None}),
+        (["trim", "--kmax", "1000000", "--seeds", "32"],
+         {"command": "trim", "kmax": 1000000, "seeds": 32, "seed": 0, "out": None}),
+        (["maxdist", "--k", "1000", "--c", "0.5", "--c", "1", "--c", "2", "--samples",
+          "1000000"],
+         {"command": "maxdist", "k": 1000, "c": [0.5, 1.0, 2.0], "samples": 1000000, "seed": 0,
+          "out": None}),
+        (["cf", "--k", "2", "--k", "8", "--k", "16", "--k", "32", "--samples", "100000"],
+         {"command": "cf", "k": [2, 8, 16, 32], "statistic": "rho", "samples": 100000,
+          "seed": 0, "out": None}),
+        (["cf", "--k", "8", "--statistic", "trimmed", "--samples", "100000"],
+         {"command": "cf", "k": [8], "statistic": "trimmed", "samples": 100000, "seed": 0,
+          "out": None}),
+        (["figures", "--out", "figs/"], {"command": "figures", "out": "figs/"}),
+    ]
+    DEFAULTS = [
+        (["rho"], {"command": "rho", "kmax": 40, "mode": "exact", "precision_bits": 128,
+                   "tol": 1e-06, "samples": 1000000, "seed": 0, "out": None}),
+        (["expand", "X"], {"command": "expand", "value": "X", "count": 10, "out": None}),
+        (["reconstruct", "X"], {"command": "reconstruct", "digits": "X", "out": None}),
+        (["j2"], {"command": "j2", "nmax": 1000, "out": None}),
+        (["trim"], {"command": "trim", "kmax": 1000000, "seeds": 32, "seed": 0, "out": None}),
+        (["maxdist"], {"command": "maxdist", "k": 1000, "c": None, "samples": 1000000,
+                       "seed": 0, "out": None}),
+        (["cf"], {"command": "cf", "k": None, "statistic": "rho", "samples": 1000000,
+                  "seed": 0, "out": None}),
+        (["figures"], {"command": "figures", "out": "."}),
+    ]
+
+    @staticmethod
+    def parse(argv):
+        handler, args = cli._parse(argv)
+        assert handler is getattr(cli, "cmd_" + argv[0])
+        return vars(args)
+
+    @pytest.mark.parametrize("argv, want", PARSED + DEFAULTS, ids=lambda a: " ".join(a)
+                             if isinstance(a, list) else "")
+    def test_namespace_as_argparse_gave_it(self, argv, want):
+        got = self.parse(argv)
+        assert got == want
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    @pytest.mark.parametrize("argv, want", PARSED, ids=lambda a: " ".join(a)
+                             if isinstance(a, list) else "")
+    def test_joined_value_parses_alike(self, argv, want):
+        joined, tokens = [], iter(argv)
+        for arg in tokens:
+            joined.append(arg + "=" + next(tokens) if arg.startswith("--") else arg)
+        assert self.parse(joined) == want
+
+    def test_repeatable_flags_keep_order_and_others_keep_the_last(self):
+        assert self.parse(["cf", "--k", "16", "--k=2", "--k", "8"])["k"] == [16, 2, 8]
+        got = self.parse(["maxdist", "--c", "2", "--c", "0.5", "--c", "2"])
+        assert got["c"] == [2.0, 0.5, 2.0]
+        got = self.parse(["rho", "--kmax", "5", "--mode", "mc", "--kmax=7", "--mode", "series"])
+        assert (got["kmax"], got["mode"]) == (7, "series")
+        assert self.parse(["expand", "--count", "3", "1/2"])["value"] == "1/2"
+
+    def test_a_value_may_begin_with_dashes_only_after_an_equals_sign(self):
+        with pytest.raises(ValueError, match="--out needs a value"):
+            cli._parse(["reconstruct", "2,1", "--out", "--x"])
+        assert self.parse(["reconstruct", "2,1", "--out=--x"])["out"] == "--x"
+
+    def test_negative_seed_reaches_the_domain_check(self, capsys):
+        assert self.parse(["rho", "--seed", "-1"])["seed"] == -1
+        assert main(["rho", "--mode", "mc", "--samples", "1000", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: every seed used must lie in [0, 2^64)\n"
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--kmax", "3"],
+        ["frobnicate"],
+        ["rho", "--bogus", "1"],
+        ["maxdist", "--samp", "100"],  # no prefix abbreviations
+        ["rho", "--precision_bits", "64"],
+        ["rho", "--kmax"],
+        ["rho", "--kmax", "--mode", "exact"],
+        ["rho", "--kmax", "x"],
+        ["rho", "--kmax=3.5"],
+        ["rho", "--tol", "small"],
+        ["rho", "--mode", "bogus"],
+        ["cf", "--statistic=median"],
+        ["cf", "--k", "two"],
+        ["expand"],
+        ["expand", "1/2", "1/3"],
+        ["j2", "5"],
+        ["figures", "figs"],
+    ], ids=lambda a: " ".join(a) or "empty")
+    def test_bad_argv_exits_2_with_empty_stdout(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["rho", "-h"],
+                                      ["cf", "--k", "2", "--help"]])
+    def test_help_lists_every_command_and_flag(self, argv, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("usage: luroth COMMAND")
+        lines = captured.out.splitlines()
+        for name, (_, _, _, flags) in cli._COMMANDS.items():
+            line = next(line for line in lines if line.startswith("    luroth %s " % name))
+            assert all("[--%s " % flag in line for flag in flags)
 
 
 class TestGcState:
@@ -652,9 +833,6 @@ class TestGcState:
     def test_main_leaves_no_object_frozen(self, argv, capsys):
         # main freezes the objects the imports made only for its own run
         assert gc.get_freeze_count() == 0
-        try:
-            main(argv)
-        except SystemExit:
-            pass
+        main(argv)
         capsys.readouterr()
         assert gc.get_freeze_count() == 0

@@ -36,8 +36,23 @@ def test_cli_import_adds_no_pool_or_dataclass_modules():
         "import luroth.cli\n"
         "print(sorted({'concurrent.futures', 'dataclasses'} & (set(sys.modules) - before)))\n"
     )
+    assert run_python(code) == "[]\n"
+
+
+def test_cli_import_loads_no_argument_parser():
+    # the CLI reads its argv from a table; argparse would bring gettext, and
+    # gettext's first lookup locale
+    code = (
+        "import sys, numpy.random, fractions\n"
+        "import luroth.cli\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    assert run_python(code) == "[]\n"
+
+
+def run_python(code):
+    """stdout of `python -c code` with this package on the path."""
     src = str(pathlib.Path(luroth.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
