@@ -172,11 +172,9 @@ def cmd_maxdist(args) -> int:
 
 def cmd_cf(args) -> int:
     k_list = args.k if args.k else [2, 8, 16, 32]
-    # mc_cf_rho_table sees only max(k): at k = 0, table[k - 1] is the last row
-    _require(min(k_list) >= 1, "--k values must be >= 1")
     if args.statistic == "rho":
-        table = mc_cf_rho_table(max(k_list), args.samples, seed=args.seed)
-        rows = [(k, table[k - 1].estimate, table[k - 1].standard_error) for k in k_list]
+        table = mc_cf_rho_table(k_list, args.samples, seed=args.seed)
+        rows = [(k, r.estimate, r.standard_error) for k, r in zip(k_list, table)]
         return _write_csv(args.out, "k,rho_hat,se", "%d,%.17g,%.17g", rows)
     # both candidate constants stay in the table.  The limit is 1/ln 2: Diamond
     # and Vaaler (Pacific J. Math. 122, 1986) prove (S_n - max a_i)/(n log n)

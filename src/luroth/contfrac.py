@@ -82,19 +82,20 @@ def _cf_digits(stream: RngStream, n: int, depth: int) -> Iterator[np.ndarray]:
     """Digits a_1..a_depth of n Gauss-measure trials, one float64 array per step.
 
     Every step yields the same array, overwritten by the next step: a caller
-    that keeps a step's digits must copy them.
+    that keeps a step's digits must copy them, and may overwrite them, since s
+    is updated before the yield and the next step rebuilds the array from u and s.
     """
     s = stream.uniforms(n)
     s *= LN2
     np.expm1(s, out=s)
-    u, v, a = np.empty(n), np.empty(n), np.empty(n)
+    u, a = np.empty(n), np.empty(n)
     for _ in range(depth):
         stream.uniforms(n, out=u)
         # a = floor((1 + s(1 - u))/u), then s <- 1/(a + s), in place
-        np.subtract(1.0, u, out=v)
-        v *= s
-        v += 1.0
-        np.divide(v, u, out=a)
+        np.subtract(1.0, u, out=a)
+        a *= s
+        a += 1.0
+        a /= u
         np.floor(a, out=a)
         s += a
         np.divide(1.0, s, out=s)
@@ -131,16 +132,17 @@ def _counts_median(counts: np.ndarray, scale: float) -> float:
     return float(hi) / scale if cum[-1] % 2 else (float(lo) / scale + float(hi) / scale) / 2
 
 
-def mc_cf_rho_table(k_max: int, samples: int, seed: int = 0) -> List[McResult]:
-    """P(max(a_1..a_k) is attained once) under the Gauss measure, k = 1..k_max.
+def mc_cf_rho_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[McResult]:
+    """P(max(a_1..a_k) is attained once) under the Gauss measure, one result per entry of ks.
 
-    Row i is k = i + 1, as in ``mc_rho``; row k depends on (seed, samples, k)
-    only, not on k_max or the worker count.
+    One pass to max(ks) serves every k, and the result for k depends on
+    (seed, samples, k) only, not on the other ks or the worker count.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    ks = list(ks)
+    if not ks or min(ks) < 1:
+        raise ValueError("need at least one k, and every k must be >= 1")
     _check_samples(samples, 10**4)
-    return _unique_max_table(samples, seed, lambda stream, n: _cf_digits(stream, n, k_max))
+    return _unique_max_table(samples, seed, lambda stream, n: _cf_digits(stream, n, max(ks)), ks)
 
 
 def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[McResult]:
@@ -152,15 +154,15 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[
     definition); for these heavy-tailed statistics it is a dispersion
     diagnostic, not a median confidence radius.
 
-    The float64 y = total - max is a nonnegative integer (a rounded sum or
-    difference of integers is an integer).  Each block returns, per k, the
-    uint16 histogram of min(y, H_k) (``_overflow_bin``; a block has at most
-    2^15 trials) and the moments (n_b, mean_b, M2_b) of its float64
-    y/(k log k).  The histograms add up in integers, in any order; a median
-    in the overflow bin raises RuntimeError.  The moments merge by the
-    within/between decomposition, mean = sum n_b mean_b / N and M2 = sum
-    (M2_b + n_b (mean_b - mean)^2), each sum a ``math.fsum`` over the blocks
-    in block order; the std is sqrt(M2/(N - 1)).
+    The float64 y = total - max, written over the step's digits, is a
+    nonnegative integer (a rounded sum or difference of integers is an
+    integer).  Each block returns, per k, the uint16 histogram of min(y, H_k)
+    (``_overflow_bin``; a block has at most 2^15 trials) and the moments
+    (n_b, mean_b, M2_b) of its float64 y/(k log k).  The histograms add up in
+    integers, in any order; a median in the overflow bin raises RuntimeError.
+    The moments merge by the within/between decomposition, mean = sum n_b
+    mean_b / N and M2 = sum (M2_b + n_b (mean_b - mean)^2), each sum a
+    ``math.fsum`` over the blocks in block order; the std is sqrt(M2/(N - 1)).
     """
     ks = list(ks)
     if not ks or min(ks) < 2:
@@ -171,16 +173,14 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[
     tops = {k: _overflow_bin(k) for k in ks}
 
     def one_block(stream: RngStream, start: int, n: int) -> Dict[int, tuple]:
-        total = np.zeros(n)
-        maxa = np.zeros(n)
-        y = np.empty(n)
+        total, maxa = np.zeros(n), np.zeros(n)
         iy = np.empty(n, dtype=np.intp)
         stats = {}
         for k, a in enumerate(_cf_digits(stream, n, max(ks)), start=1):
             total += a
             np.maximum(maxa, a, out=maxa)
             if k in tops:
-                np.subtract(total, maxa, out=y)
+                y = np.subtract(total, maxa, out=a)
                 np.minimum(y, tops[k], out=iy, casting="unsafe")
                 counts = np.bincount(iy, minlength=tops[k] + 1).astype(np.uint16)
                 y /= k * math.log(k)

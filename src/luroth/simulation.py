@@ -129,28 +129,30 @@ def _step_blocks(samples: int, seed: int,
 
 
 def _unique_max_table(samples: int, seed: int,
-                      digit_steps: Callable[[RngStream, int], Iterable[np.ndarray]]
-                      ) -> List[McResult]:
-    """Row i: the fraction of trials whose maximum over digits 1..i+1 is unique.
+                      digit_steps: Callable[[RngStream, int], Iterable[np.ndarray]],
+                      ks: Sequence[int]) -> List[McResult]:
+    """The fraction of trials whose maximum over digits 1..k is unique, per entry of ks.
 
-    ``digit_steps(stream, n)`` yields one array of n digits >= 1 per step, of
-    any ordered dtype, which may be overwritten by the next step; it runs
-    once per ``_step_blocks`` block of _RHO_BLOCK trials.  The running
-    maximum and runner-up are kept per trial (a tie puts the runner-up at
-    the maximum), and the maximum is unique iff runner-up < max.
+    ``digit_steps(stream, n)`` yields max(ks) arrays of n digits >= 1, one per
+    step, of any ordered dtype, each of which the next step may overwrite; it
+    runs once per ``_step_blocks`` block of _RHO_BLOCK trials.  Per trial the
+    running maximum and runner-up are kept (a tie puts the runner-up at the
+    maximum); at the steps in ks only, the trials with runner-up < max are
+    counted.  As runner-up <= max, max(second, min(maxd, d)) equals
+    min(maxd, max(second, d)), which updates the runner-up with no scratch array.
     """
     def one_block(stream: RngStream, start: int, n: int) -> List[int]:
         steps = iter(digit_steps(stream, n))
         maxd = next(steps).copy()
         second = np.zeros_like(maxd)  # below every digit
-        low = np.empty_like(maxd)
-        unique = [n]
-        for d in steps:
-            np.minimum(maxd, d, out=low)
-            np.maximum(second, low, out=second)
+        unique = {1: n}
+        for k, d in enumerate(steps, start=2):
+            np.maximum(second, d, out=second)
+            np.minimum(second, maxd, out=second)
             np.maximum(maxd, d, out=maxd)
-            unique.append(int(np.count_nonzero(second < maxd)))
-        return unique
+            if k in ks:
+                unique[k] = int(np.count_nonzero(second < maxd))
+        return [unique[k] for k in ks]
 
     per_block = _step_blocks(samples, seed, one_block)
     return [_binomial(sum(row), samples) for row in zip(*per_block)]
@@ -172,7 +174,7 @@ def mc_rho(k_max: int, samples: int, seed: int = 0) -> List[McResult]:
         for _ in range(k_max):
             yield stream.luroth_digits(n, out=d)
 
-    return _unique_max_table(samples, seed, digit_steps)
+    return _unique_max_table(samples, seed, digit_steps, range(1, k_max + 1))
 
 
 def _finite_product(c: float, k: int) -> bool:

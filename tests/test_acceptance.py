@@ -401,8 +401,7 @@ def test_criterion_09_figure_tables(tmp_path: Path):
 
 def test_criterion_10_cf_uniqueness_trend():
     t0 = time.perf_counter()
-    table = mc_cf_rho_table(32, 10**5, seed=0)
-    shallow, deep = table[1], table[31]
+    shallow, deep = mc_cf_rho_table([2, 32], 10**5, seed=0)
     gap = deep.estimate - shallow.estimate
     need = 3.0 * (deep.standard_error + shallow.standard_error)
     dt = time.perf_counter() - t0

@@ -260,8 +260,11 @@ class TestCf:
         assert "k = 16" in captured.err
 
     def test_rejections(self, capsys):
+        # --k 0 is refused by mc_cf_rho_table, before any row is written
         assert main(["cf", "--k", "0"]) == 2
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: need at least one k, and every k must be >= 1\n"
         assert main(["cf", "--samples", "100"]) == 2
         capsys.readouterr()
         assert main(["cf", "--k", "1", "--statistic", "trimmed",
@@ -298,6 +301,7 @@ class TestInvalidFlags:
         ["maxdist", "--k", "0"],
         ["maxdist", "--samples", "99"],
         ["cf", "--samples", "9999"],
+        ["cf", "--k", "0", "--k", "5", "--samples", "10000"],
         # a digit of 5001 decimal digits exceeds Python's int-to-str limit
         ["expand", "1e-5000", "--count", "1"],
         # beyond 2^32 trials: more blocks than the worker pool sets aside slots for
@@ -306,7 +310,6 @@ class TestInvalidFlags:
         ["cf", "--samples", "1" + "0" * 20],
         ["cf", "--statistic", "trimmed", "--samples", "1" + "0" * 20],
         # checked by the CLI alone: no library call sees these values
-        ["cf", "--k", "0", "--k", "5", "--samples", "10000"],
         ["rho", "--mode", "exact", "--kmax", "3", "--samples", "5"],
         ["rho", "--mode", "series", "--kmax", "3", "--precision-bits", "4"],
         ["trim", "--kmax", "10", "--seeds", "0"],
@@ -380,6 +383,13 @@ class TestPinnedSampledTables:
                      "--samples", "70001", "--seed", "3"]) == 0
         want = self.CF_RHO if statistic == "rho" else self.CF_TRIMMED
         assert capsys.readouterr().out == want
+
+    def test_cf_rho_repeated_and_unordered_k(self, capsys):
+        # rows in the order asked for, a repeat printed twice
+        assert main(["cf", "--k", "8", "--k", "2", "--k", "8", "--statistic", "rho",
+                     "--samples", "10000", "--seed", "3"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "f0683cc5f099cfdb9c3e29282e1dfcafe05c94ab80cfcd287a67b39da5f5662a"
 
 
 class TestPinnedExactTables:

@@ -183,58 +183,88 @@ class TestSamplerLaw:
             assert len(d) == k
             unique += d.count(max(d)) == 1
         oracle = unique / n
-        r = mc_cf_rho_table(k, 10**5, seed=29)[k - 1]
+        [r] = mc_cf_rho_table([k], 10**5, seed=29)
         se = math.sqrt(oracle * (1 - oracle) / n) + r.standard_error
         assert abs(r.estimate - oracle) < 4 * se
 
 
 class TestMcCfRho:
     def test_k1_is_certain(self):
-        r = mc_cf_rho_table(1, 10**4, seed=0)[0]
+        [r] = mc_cf_rho_table([1], 10**4, seed=0)
         assert r.estimate == 1.0
         assert r.standard_error == 0.0
 
     def test_deterministic(self, cores):
-        a = mc_cf_rho_table(8, 10**5, seed=3)
-        b = mc_cf_rho_table(8, 10**5, seed=3)
+        ks = range(1, 9)
+        a = mc_cf_rho_table(ks, 10**5, seed=3)
+        b = mc_cf_rho_table(ks, 10**5, seed=3)
         cores(2)
-        c = mc_cf_rho_table(8, 10**5, seed=3)
+        c = mc_cf_rho_table(ks, 10**5, seed=3)
         cores(4)
-        d = mc_cf_rho_table(8, 10**5, seed=3)
+        d = mc_cf_rho_table(ks, 10**5, seed=3)
         assert a == b == c == d
 
-    def test_rows_do_not_depend_on_k_max(self):
-        short = mc_cf_rho_table(8, 10**5, seed=0)
-        long = mc_cf_rho_table(32, 10**5, seed=0)
-        assert len(short) == 8 and len(long) == 32
-        assert short == long[:8]
+    def test_rows_do_not_depend_on_other_ks(self, cores):
+        # row 8 is counted at step 8 of the same draws, whatever else is asked
+        # for, in any order, with repeats; three workers split the 4 blocks
+        cores(3)
+        [alone] = mc_cf_rho_table([8], 10**5, seed=0)
+        mixed = mc_cf_rho_table([32, 8, 2], 10**5, seed=0)
+        repeated = mc_cf_rho_table([8, 2, 8], 10**5, seed=0)
+        full = mc_cf_rho_table(range(1, 33), 10**5, seed=0)
+        assert len(mixed) == 3 and len(repeated) == 3 and len(full) == 32
+        assert alone == mixed[1] == repeated[0] == repeated[2] == full[7]
+        assert mixed[2] == repeated[1] == full[1] and mixed[0] == full[31]
 
     def test_seed_matters(self):
-        assert mc_cf_rho_table(8, 10**5, seed=0) != mc_cf_rho_table(8, 10**5, seed=1)
+        ks = range(1, 9)
+        assert mc_cf_rho_table(ks, 10**5, seed=0) != mc_cf_rho_table(ks, 10**5, seed=1)
 
     def test_plausible_range(self):
-        r = mc_cf_rho_table(2, 10**5, seed=0)[1]
+        [r] = mc_cf_rho_table([2], 10**5, seed=0)
         # two digits tie only when equal; P(unique) is well above 1/2
         assert 0.7 < r.estimate < 1.0
 
     def test_uniqueness_grows_with_depth(self):
         # heavy-tailed digits: the running max becomes dominant, so the
         # probability it is attained once rises with depth
-        table = mc_cf_rho_table(32, 10**5, seed=0)
-        shallow, deep = table[1], table[31]
+        shallow, deep = mc_cf_rho_table([2, 32], 10**5, seed=0)
         gap = 3 * (deep.standard_error + shallow.standard_error)
         assert deep.estimate > shallow.estimate + gap
 
     def test_no_depth_cap(self):
-        table = mc_cf_rho_table(100, 10**4, seed=0)
+        table = mc_cf_rho_table(range(1, 101), 10**4, seed=0)
         assert len(table) == 100
         assert 0.9 < table[99].estimate < 1.0
 
     def test_rejections(self):
         with pytest.raises(ValueError):
-            mc_cf_rho_table(0, 10**4)
+            mc_cf_rho_table([0], 10**4)
         with pytest.raises(ValueError):
-            mc_cf_rho_table(8, 9999)
+            mc_cf_rho_table([8, 0], 10**4)
+        with pytest.raises(ValueError):
+            mc_cf_rho_table([], 10**4)
+        with pytest.raises(ValueError):
+            mc_cf_rho_table([8], 9999)
+
+    @pytest.mark.parametrize("samples", [2 * 10**5, 8 * 10**5])
+    def test_memory_is_five_block_arrays_per_worker(self, cores, samples):
+        # nothing per trial: a block's counts, one int per k, are held to the
+        # end; on top, per worker a block's five arrays (s, u and the digits
+        # in _cf_digits, the running maximum and runner-up), one numpy cast
+        # buffer of getbufsize() doubles, and 256 KB for the rest
+        cores(2)
+        ks = [2, 8]
+        mc_cf_rho_table(ks, samples)
+        tracemalloc.start()
+        try:
+            mc_cf_rho_table(ks, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = -(-samples // _RHO_BLOCK) * 1024
+        buffers = 5 * 8 * _RHO_BLOCK + 8 * np.getbufsize()
+        assert peak < held + 2 * buffers + (256 << 10), peak
 
 
 def _float64_trimmed_stats(ks, samples, seed):
@@ -389,9 +419,10 @@ class TestMcCfTrimmed:
     def test_memory_is_the_block_histograms_and_buffers(self, cores, samples):
         # nothing per trial: each block's uint16 histograms and, per k, up to
         # 1 KB for its moments and their objects are held to the end; on top,
-        # per worker a block's eight arrays (four in _cf_digits, the running
-        # sum and maximum, y and its integer copy), one numpy cast buffer of
-        # getbufsize() doubles, and 256 KB for the rest
+        # per worker a block's six arrays (s, u and the digits in _cf_digits,
+        # which y = sum - max overwrites, the running sum and maximum, and y's
+        # integer copy), one numpy cast buffer of getbufsize() doubles, and
+        # 256 KB for the rest
         cores(2)
         ks = [2, 8, 16, 32]
         mc_cf_trimmed_table(ks, samples)
@@ -403,5 +434,5 @@ class TestMcCfTrimmed:
             tracemalloc.stop()
         blocks = -(-samples // _RHO_BLOCK)
         held = blocks * sum(2 * (_overflow_bin(k) + 1) + 1024 for k in ks)
-        buffers = 8 * 8 * _RHO_BLOCK + 8 * np.getbufsize()
+        buffers = 6 * 8 * _RHO_BLOCK + 8 * np.getbufsize()
         assert peak < held + 2 * buffers + (256 << 10), peak

@@ -467,19 +467,22 @@ def test_mc_rho_deterministic_and_worker_independent(cores):
 
 
 def test_unique_max_table_against_python_count(cores):
-    # digits 1..3 tie often; row k counts the trials whose maximum over the
-    # first k digits is attained once
-    n, depth = 5000, 6
-
-    def steps(stream, size):
-        return (stream.luroth_digits(size) % np.uint64(3) + np.uint64(1) for _ in range(depth))
-
+    # digits 1..3 tie often; the result for k counts the trials whose maximum
+    # over the first k digits is attained once, at every depth and at a few
+    # depths asked for out of order and with a repeat
+    n = 5000
     cores(1)
-    table = _unique_max_table(n, 4, steps)
-    rows = np.array([d.tolist() for d in steps(RngStream(4, 0), n)]).T.tolist()
-    for k in range(1, depth + 1):
-        unique = sum(row[:k].count(max(row[:k])) == 1 for row in rows)
-        assert table[k - 1].estimate == unique / n
+    for ks in (range(1, 7), [5, 2, 5]):
+        def steps(stream, size):
+            return (stream.luroth_digits(size) % np.uint64(3) + np.uint64(1)
+                    for _ in range(max(ks)))
+
+        table = _unique_max_table(n, 4, steps, ks)
+        rows = np.array([d.tolist() for d in steps(RngStream(4, 0), n)]).T.tolist()
+        assert len(table) == len(ks)
+        for k, r in zip(ks, table):
+            unique = sum(row[:k].count(max(row[:k])) == 1 for row in rows)
+            assert r.estimate == unique / n
 
 
 def test_mc_rho_validates():
@@ -495,9 +498,28 @@ def test_samples_beyond_the_stream_keys_are_refused():
     # and every sampler refuses one more trial before it allocates
     luroth.simulation._check_samples(1 << 32, 100)
     for sampler in (lambda n: mc_rho(2, n), lambda n: mc_max_scaled_cdf(10, [1.0], n),
-                    lambda n: mc_cf_rho_table(2, n), lambda n: mc_cf_trimmed_table([2], n)):
+                    lambda n: mc_cf_rho_table([2], n), lambda n: mc_cf_trimmed_table([2], n)):
         with pytest.raises(ValueError, match=r"samples must be <= 2\^32"):
             sampler((1 << 32) + 1)
+
+
+@pytest.mark.parametrize("samples", [2 * 10**5, 8 * 10**5])
+def test_mc_rho_memory_is_three_block_arrays_per_worker(cores, samples):
+    # nothing per trial: a block's counts, one int per row, are held to the
+    # end; on top, per worker a block's three arrays (the digits, the running
+    # maximum and runner-up), one numpy cast buffer of getbufsize() doubles,
+    # and 256 KB for the rest
+    cores(2)
+    mc_rho(8, samples)
+    tracemalloc.start()
+    try:
+        mc_rho(8, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = -(-samples // _RHO_BLOCK) * 8 * 64
+    buffers = 3 * 8 * _RHO_BLOCK + 8 * np.getbufsize()
+    assert peak < held + 2 * buffers + (256 << 10), peak
 
 
 def test_mc_rho_rows_do_not_depend_on_k_max(cores):
