@@ -27,7 +27,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .contfrac import mc_cf_rho_table, mc_cf_trimmed_table
 from .expansion import expand, reconstruct
@@ -37,11 +37,6 @@ from .simulation import _ordered_map, mc_max_scaled_cdf, mc_rho, mc_trimmed_traj
 from .trimming import c_k, j2_partial_sums
 
 __all__ = ["main"]
-
-
-# (header, row format) of the two tables `figures` writes as well
-_RHO_TABLE = ("k,method,value,error_bound", "%d,%s,%.17g,%.17g")
-_J2_TABLE = ("N,partial_sum", "%d,%.17g")
 
 
 def _write_csv(path: Optional[str], header: str, fmt: str,
@@ -64,12 +59,17 @@ def _require(cond: bool, message: str):
         raise ValueError(message)
 
 
-def _rho_rows(k_max: int, mode: str, precision_bits: int, tol: float,
-              samples: int, seed: int) -> List[tuple]:
-    methods = ["exact", "series", "mc"] if mode == "all" else [mode]
-    sampled = mc_rho(k_max, samples, seed=seed) if "mc" in methods else []
+def cmd_rho(args) -> int:
+    # rows start at k = 2, and each flag is checked whatever --mode calls
+    _require(args.kmax >= 2, "--kmax must be >= 2")
+    _require(args.precision_bits >= 8, "--precision-bits must be >= 8")
+    # a bound of 1 says nothing about a probability; below 2^-52 rounding rules
+    _require(2.0**-52 <= args.tol < 1.0, "--tol must lie in [2^-52, 1)")
+    _require(args.samples >= 100, "--samples must be >= 100")
+    methods = ["exact", "series", "mc"] if args.mode == "all" else [args.mode]
+    sampled = mc_rho(args.kmax, args.samples, seed=args.seed) if "mc" in methods else []
     rows = []
-    for k in range(2, k_max + 1):
+    for k in range(2, args.kmax + 1):
         for method in methods:
             if method == "mc":
                 r = sampled[k - 1]
@@ -78,22 +78,10 @@ def _rho_rows(k_max: int, mode: str, precision_bits: int, tol: float,
                 rows.append((k, "monte-carlo", r.estimate, r.standard_error))
             else:
                 exact = method == "exact"
-                est = rho_exact(k, precision_bits) if exact else rho_series(k, tol)
+                est = rho_exact(k, args.precision_bits) if exact else rho_series(k, args.tol)
                 rows.append((k, "exact-formula" if exact else "series", est.value,
                              est.error_bound))
-    return rows
-
-
-def cmd_rho(args) -> int:
-    # rows start at k = 2, and each flag is checked whatever --mode calls
-    _require(args.kmax >= 2, "--kmax must be >= 2")
-    _require(args.precision_bits >= 8, "--precision-bits must be >= 8")
-    # a bound of 1 says nothing about a probability; below 2^-52 rounding rules
-    _require(2.0**-52 <= args.tol < 1.0, "--tol must lie in [2^-52, 1)")
-    _require(args.samples >= 100, "--samples must be >= 100")
-    rows = _rho_rows(args.kmax, args.mode, args.precision_bits, args.tol,
-                     args.samples, args.seed)
-    return _write_csv(args.out, *_RHO_TABLE, rows)
+    return _write_csv(args.out, "k,method,value,error_bound", "%d,%s,%.17g,%.17g", rows)
 
 
 def cmd_expand(args) -> int:
@@ -122,15 +110,12 @@ def cmd_reconstruct(args) -> int:
                       [("exact", value), ("approx", "%.17g" % value)])
 
 
-def _j2_rows(n_max: int) -> Iterator[Tuple[int, float]]:
-    # row N carries the partial sum of all series terms with index below N,
-    # so the table starts at N = 3 (one term) and has n_max - 2 rows; the
-    # arrays go once their floats are out
-    return enumerate(j2_partial_sums(n_max - 1)[0].tolist(), start=3)
-
-
 def cmd_j2(args) -> int:
-    return _write_csv(args.out, *_J2_TABLE, _j2_rows(args.nmax))
+    # row N carries the partial sum of all series terms with index below N,
+    # so the table starts at N = 3 (one term) and has nmax - 2 rows; the
+    # arrays go once their floats are out
+    rows = enumerate(j2_partial_sums(args.nmax - 1)[0].tolist(), start=3)
+    return _write_csv(args.out, "N,partial_sum", "%d,%.17g", rows)
 
 
 def _decade_checkpoints(k_max: int) -> List[int]:
@@ -190,11 +175,13 @@ def cmd_cf(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    # fig1 and fig2 are the rho and j2 tables at their defaults
     out_dir = args.out if args.out else "."
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "fig1.csv"), *_RHO_TABLE,
-               _rho_rows(40, "exact", 128, 1e-6, 10**6, 0))
-    return _write_csv(os.path.join(out_dir, "fig2.csv"), *_J2_TABLE, _j2_rows(1000))
+    for command, name in (("rho", "fig1.csv"), ("j2", "fig2.csv")):
+        handler, ns = _parse([command, "--out=" + os.path.join(out_dir, name)])
+        handler(ns)
+    return 0
 
 
 # name -> (handler, help, positional or None, flags).  A flag's value has

@@ -172,7 +172,7 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[
     # and 250 MB at 2^32 trials; at k = 10^5 one block's histogram is 9 MB
     tops = {k: _overflow_bin(k) for k in ks}
 
-    def one_block(stream: RngStream, start: int, n: int) -> Dict[int, tuple]:
+    def one_block(stream: RngStream, n: int) -> Dict[int, tuple]:
         total, maxa = np.zeros(n), np.zeros(n)
         iy = np.empty(n, dtype=np.intp)
         stats = {}

@@ -98,13 +98,11 @@ def rho_exact(k: int, target: int = 128) -> HighPrecisionReal:
         raise ValueError("target must be >= 8 bits")
     if k == 1:
         return HighPrecisionReal(Fraction(1), Fraction(0))
-    # The row of the bucket of target + k + 64 bits (rounded up to 64) runs to
-    # the bucket's last k, bucket - target - 64, so a sweep over k reads one
-    # row per bucket.  All zeta(j) of this k share the row's scale 2**-s, so
+    # zeta(j), j <= k, at target + k + 64 bits share the row's scale 2**-s, so
     # the sum is exact on integer numerators: with |z_j - zeta(j)| <= u_j 2**-s,
     # the integer sum of T(k-1, k-j) u_j bounds the bracket's error in ulps.
     # z_j pairs with t[k-j], and the sign (-1)**(j+1) alternates along the pairs.
-    nums, ulps, s = _zeta_row(target + k + 64, -(-(target + k) // 64) * 64 - target)
+    nums, ulps, s = _zeta_row(target + k + 64, k)
     z = nums[k - 2::-1]
     t = list(_row_sums(k - 1))
     acc = sum(map(mul, z[::2], t[::2])) - sum(map(mul, z[1::2], t[1::2]))

@@ -135,12 +135,17 @@ def _borwein_weights(bucket: int) -> Tuple[int, ...]:
     return tuple(((d[n] - dk) << s) // d[n] for dk in d[:n])
 
 
+def _bucket(bits: int) -> int:
+    return -(-bits // 64) * 64  # the 64-bit accuracy bucket that serves bits
+
+
 def _zeta_row(bits: int, jmax: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
     """(nums, ulps, s): |nums[j-2] / 2**s - zeta(j)| <= ulps[j-2] / 2**s <= 2**-bits.
 
-    The cached sweep of bits' 64-bit bucket, to jmax rounded up to a multiple
-    of 64: a sweep over k reads one row per bucket."""
-    return _zeta_sweep(((bits + 63) // 64) * 64, ((jmax + 63) // 64) * 64)
+    The cached sweep of bits' 64-bit bucket to jmax plus the bucket's slack
+    over bits: a lone argument sweeps only up to it and the slack, and bits
+    that grow one for one with jmax, as ``rho_exact``'s, read one row per bucket."""
+    return _zeta_sweep(_bucket(bits), jmax + _bucket(bits) - bits)
 
 
 @functools.cache
@@ -208,7 +213,7 @@ def zeta_int(j: int, precision_bits: int = 128) -> HighPrecisionReal:
         raise ValueError("argument must be >= 2")
     if precision_bits < 16:
         raise ValueError("precision_bits must be >= 16")
-    s = ((precision_bits + 63) // 64) * 64 + _ZETA_GUARD
+    s = _bucket(precision_bits) + _ZETA_GUARD
     if j < s:
         nums, ulps, s = _zeta_row(precision_bits, j)
         num, ulps = nums[j - 2], ulps[j - 2]

@@ -115,15 +115,15 @@ def _check_samples(samples: int, least: int):
 
 
 def _step_blocks(samples: int, seed: int,
-                 per_block: Callable[[RngStream, int, int], object]) -> List[object]:
-    """per_block(stream, start, n) on blocks of _RHO_BLOCK trials, in block order.
+                 per_block: Callable[[RngStream, int], object]) -> List[object]:
+    """per_block(stream, n) on blocks of _RHO_BLOCK trials, in block order.
 
-    Block b draws from stream b and holds the n trials from b * _RHO_BLOCK on:
-    a full block, or fewer in the last one.  A per_block that draws one
-    variate per trial and step makes the first k steps of a pass the draws of
-    a k-step pass, so row k of a sweep depends on (seed, samples, k) only.
+    Block b draws from stream b (``stream_index`` b) and holds the n trials
+    from b * _RHO_BLOCK on: a full block, or fewer in the last one.  A
+    per_block drawing one variate per trial and step makes the first k steps
+    of a pass the draws of a k-step pass, so row k depends on (seed, samples, k).
     """
-    return _ordered_map(lambda b: per_block(RngStream(seed, b), b * _RHO_BLOCK,
+    return _ordered_map(lambda b: per_block(RngStream(seed, b),
                                             min(_RHO_BLOCK, samples - b * _RHO_BLOCK)),
                         range(-(-samples // _RHO_BLOCK)))
 
@@ -141,7 +141,7 @@ def _unique_max_table(samples: int, seed: int,
     counted.  As runner-up <= max, max(second, min(maxd, d)) equals
     min(maxd, max(second, d)), which updates the runner-up with no scratch array.
     """
-    def one_block(stream: RngStream, start: int, n: int) -> List[int]:
+    def one_block(stream: RngStream, n: int) -> List[int]:
         steps = iter(digit_steps(stream, n))
         maxd = next(steps).copy()
         second = np.zeros_like(maxd)  # below every digit
@@ -208,7 +208,7 @@ def mc_max_scaled_cdf(k: int, cs: Sequence[float], samples: int, seed: int = 0
     # count, and a double holds the clamped integer exactly
     thresholds = [float(min(max(math.ceil(c * k) - 1, 0), 1 << 53)) for c in cs]
 
-    def one_block(stream: RngStream, start: int, n: int) -> List[int]:
+    def one_block(stream: RngStream, n: int) -> List[int]:
         maxima = stream.luroth_row_maxima(n, k)
         return [int(np.count_nonzero(maxima <= t)) for t in thresholds]
 

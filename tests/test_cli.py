@@ -433,14 +433,19 @@ class TestPinnedExactTables:
     ], ids=["8-bits", "100-bits", "128-bits", "256-bits"])
     def test_rho_exact_sweeps_each_bucket_once(self, bits, want, capsys):
         # k asks for bits + k + 64 bits; each 64-bit bucket is swept once, also
-        # where its k straddle a multiple of 64.  The SHA-256 of the table is
-        # the one printed when a bucket could be swept twice
+        # where its k straddle a multiple of 64, and its row runs to its last
+        # k, bucket - bits - 64 (bucket - 164 at 100 bits).  The SHA-256 of
+        # the table is the one printed when a bucket could be swept twice
         cache = luroth.precision._zeta_sweep
         cache.cache_clear()
         argv = ["rho", "--mode", "exact", "--kmax", "300", "--precision-bits", str(bits)]
         assert main(argv) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert cache.cache_info().misses == len({(bits + k + 127) // 64 for k in range(2, 301)})
+        buckets = {(bits + k + 127) // 64 * 64 for k in range(2, 301)}
+        assert cache.cache_info().misses == len(buckets)
+        for bucket in buckets:
+            cache(bucket, bucket - bits - 64)
+        assert cache.cache_info().misses == len(buckets)
         assert digest == want
 
 

@@ -271,7 +271,8 @@ def _float64_trimmed_stats(ks, samples, seed):
     """The float64 path: one array of (S_k - M_k)/(k log k) per k, as sampled."""
     stats = {k: np.empty(samples) for k in ks}
 
-    def one_block(stream, start, n):
+    def one_block(stream, n):
+        start = stream.stream_index * _RHO_BLOCK
         total = np.zeros(n)
         maxa = np.zeros(n)
         for k, a in enumerate(_cf_digits(stream, n, max(ks)), start=1):

@@ -228,20 +228,35 @@ def rho_from_per_argument_zeta(k, target):
     return Fraction(q, 1 << (target + 16)), Fraction(k * errsum + (1 << (sh - 1)), 1 << s)
 
 
-@pytest.mark.parametrize("bucket", BUCKETS)
-def test_zeta_rows_match_per_argument_loop(bucket):
-    # rows of every length up to the first past s, where only c_0 is left;
-    # each shorter row must be a prefix of the longest, bit for bit
+@pytest.mark.parametrize("bits", list(BUCKETS) + [100, 1000])
+def test_zeta_rows_match_per_argument_loop(bits):
+    # a row asked to jmax at bits runs to jmax plus the bucket's slack over
+    # bits: 28 at 100 bits, 24 at 1000.  At the buckets themselves, rows of
+    # every length up to the first past s, where only c_0 is left.  Each
+    # shorter row must be a prefix of the longest, bit for bit
+    bucket = -(-bits // 64) * 64
     s = bucket + precision._ZETA_GUARD
-    lengths = range(64, s + 64, 64)
-    rows = [precision._zeta_row(bucket, jmax) for jmax in lengths]
+    lengths = range(64, s + 64, 64) if bits == bucket else (2, 3, 64, 65)
+    rows = [precision._zeta_row(bits, jmax) for jmax in lengths]
     nums, ulps, s_row = rows[-1]
     assert s_row == s
-    assert len(nums) == len(ulps) == lengths[-1] - 1 >= s - 1
+    assert bits < bucket or len(nums) >= s - 1
     for j in range(2, len(nums) + 2):
         assert (nums[j - 2], ulps[j - 2], s) == zeta_per_argument(j, bucket), j
     for jmax, row in zip(lengths, rows):
-        assert row == (nums[:jmax - 1], ulps[:jmax - 1], s)
+        size = jmax - 1 + bucket - bits
+        assert len(row[0]) == len(row[1]) == size
+        assert row == (nums[:size], ulps[:size], s)
+
+
+def test_lone_zeta_sweeps_only_to_its_argument():
+    # zeta(3) at 4096 bits sweeps the row of j = 2..3 once, not j = 2..64
+    cache = precision._zeta_sweep
+    cache.cache_clear()
+    zeta_int(3, 4096)
+    assert cache.cache_info().currsize == 1
+    assert len(cache(4096, 3)[0]) == 2
+    assert cache.cache_info().hits == 1
 
 
 @pytest.mark.parametrize("bucket", BUCKETS)
