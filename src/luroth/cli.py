@@ -165,11 +165,9 @@ def cmd_cf(args) -> int:
     # and Vaaler (Pacific J. Math. 122, 1986) prove (S_n - max a_i)/(n log n)
     # -> 1/ln 2 almost surely, but the approach is too slow to show at the
     # default depths
-    rows = []
-    for k, r in zip(k_list, mc_cf_trimmed_table(k_list, args.samples, seed=args.seed)):
-        d1 = abs(r.estimate - math.log(2.0))
-        d2 = abs(r.estimate - 1.0 / math.log(2.0))
-        rows.append((k, r.estimate, r.standard_error, d1, d2))
+    rows = [(k, r.estimate, r.standard_error, abs(r.estimate - math.log(2.0)),
+             abs(r.estimate - 1.0 / math.log(2.0)))
+            for k, r in zip(k_list, mc_cf_trimmed_table(k_list, args.samples, seed=args.seed))]
     return _write_csv(args.out, "k,median,se,dist_log2,dist_inv_log2",
                       "%d,%.17g,%.17g,%.17g,%.17g", rows)
 

@@ -145,24 +145,34 @@ def mc_cf_rho_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[McRe
     return _unique_max_table(samples, seed, lambda stream, n: _cf_digits(stream, n, max(ks)), ks)
 
 
+def _median_interval(counts: np.ndarray) -> Tuple[int, int]:
+    """[y_(l), y_(u)], the distribution-free 95 % interval for the median of the y in counts.
+
+    counts as in ``_counts_median``.  At 0-based ranks l = floor(N/2 - 0.98 sqrt N)
+    and u = ceil(N/2 + 0.98 sqrt N) in [0, N - 1], 1.96 SDs of the binomial(N,
+    1/2) count below the median (ties only add coverage); an end in the last bin raises.
+    """
+    cum = np.cumsum(counts)
+    n, half = int(cum[-1]), 0.98 * math.sqrt(cum[-1])
+    lo, hi = np.searchsorted(cum, [max(math.floor(n / 2 - half), 0),
+                                   min(math.ceil(n / 2 + half), n - 1)], side="right")
+    if hi == counts.size - 1:
+        raise RuntimeError("the median's 95 %% interval reaches the overflow bin %d" % hi)
+    return int(lo), int(hi)
+
+
 def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[McResult]:
     """Medians of (a_1 + ... + a_k - max)/(k log k), one result per entry of ks.
 
     One pass to max(ks) serves every k, and the result for k depends on
-    (seed, samples, k) only, not on the worker count.  The reported standard
-    error is the per-trial sample std over sqrt(n) (the result contract's
-    definition); for these heavy-tailed statistics it is a dispersion
-    diagnostic, not a median confidence radius.
-
-    The float64 y = total - max, written over the step's digits, is a
-    nonnegative integer (a rounded sum or difference of integers is an
-    integer).  Each block returns, per k, the uint16 histogram of min(y, H_k)
-    (``_overflow_bin``; a block has at most 2^15 trials) and the moments
-    (n_b, mean_b, M2_b) of its float64 y/(k log k).  The histograms add up in
-    integers, in any order; a median in the overflow bin raises RuntimeError.
-    The moments merge by the within/between decomposition, mean = sum n_b
-    mean_b / N and M2 = sum (M2_b + n_b (mean_b - mean)^2), each sum a
-    ``math.fsum`` over the blocks in block order; the std is sqrt(M2/(N - 1)).
+    (seed, samples, k) only, not on the worker count.  The float64 y = total -
+    max is a nonnegative integer (a rounded sum or difference of integers is
+    one).  Each block returns, per k, the uint16 histogram of min(y, H_k)
+    (``_overflow_bin``; a block has at most 2^15 trials).  Both columns read
+    their sum, in integers: the median, and as its standard error
+    (y_(u) - y_(l) + 1)/(2 * 1.96 * k log k) from ``_median_interval``, whose
+    + 1, y's lattice step, keeps it > 0.  A median or an interval end in the
+    overflow bin raises RuntimeError.
     """
     ks = list(ks)
     if not ks or min(ks) < 2:
@@ -172,35 +182,26 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[
     # and 250 MB at 2^32 trials; at k = 10^5 one block's histogram is 9 MB
     tops = {k: _overflow_bin(k) for k in ks}
 
-    def one_block(stream: RngStream, n: int) -> Dict[int, tuple]:
-        total, maxa = np.zeros(n), np.zeros(n)
+    def one_block(stream: RngStream, n: int) -> Dict[int, np.ndarray]:
+        total, maxa, counts = np.zeros(n), np.zeros(n), {}
         iy = np.empty(n, dtype=np.intp)
-        stats = {}
         for k, a in enumerate(_cf_digits(stream, n, max(ks)), start=1):
             total += a
             np.maximum(maxa, a, out=maxa)
             if k in tops:
-                y = np.subtract(total, maxa, out=a)
-                np.minimum(y, tops[k], out=iy, casting="unsafe")
-                counts = np.bincount(iy, minlength=tops[k] + 1).astype(np.uint16)
-                y /= k * math.log(k)
-                mean = float(y.mean())
-                y -= mean
-                np.square(y, out=y)
-                stats[k] = counts, (n, mean, float(y.sum()))
-        return stats
+                np.minimum(np.subtract(total, maxa, out=a), tops[k], out=iy, casting="unsafe")
+                counts[k] = np.bincount(iy, minlength=tops[k] + 1).astype(np.uint16)
+        return counts
 
     per_block = _step_blocks(samples, seed, one_block)
 
     def row(k: int) -> McResult:
-        counts = sum((stats[k][0] for stats in per_block), np.zeros(tops[k] + 1, dtype=np.int64))
+        counts = sum((block[k] for block in per_block), np.zeros(tops[k] + 1, dtype=np.int64))
+        scale = k * math.log(k)
         try:
-            median = _counts_median(counts, k * math.log(k))
+            median, (lo, hi) = _counts_median(counts, scale), _median_interval(counts)
         except RuntimeError as exc:
             raise RuntimeError("k = %d: %s" % (k, exc)) from None
-        blocks = [stats[k][1] for stats in per_block]
-        mean = math.fsum(n * m for n, m, _ in blocks) / samples
-        m2 = math.fsum(m2 + n * (m - mean) ** 2 for n, m, m2 in blocks)
-        return McResult(median, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples))
+        return McResult(median, (hi - lo + 1) / (2 * 1.96 * scale))
 
     return [row(k) for k in ks]

@@ -259,6 +259,16 @@ class TestCf:
         assert captured.out == ""
         assert "k = 16" in captured.err
 
+    def test_overflow_bin_interval_exits_1_without_csv(self, monkeypatch, capsys):
+        # an overflow bin at 179: at k = 40 the median of S_k - M_k is 178 but
+        # the upper end of its 95 % interval is 180, so no row is printed
+        monkeypatch.setattr(luroth.contfrac, "_overflow_bin", lambda k: 179)
+        assert main(["cf", "--statistic", "trimmed", "--k", "2", "--k", "40",
+                     "--samples", "10000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k = 40: the median's 95 % interval" in captured.err
+
     def test_rejections(self, capsys):
         # --k 0 is refused by mc_cf_rho_table, before any row is written
         assert main(["cf", "--k", "0"]) == 2
@@ -364,11 +374,11 @@ class TestPinnedSampledTables:
     )
     CF_TRIMMED = (
         "k,median,se,dist_log2,dist_inv_log2\n"
-        "2,0.72134752044448169,0.01683048364220394,0.028200339884536407,"
+        "2,0.72134752044448169,0.18401722460318412,0.028200339884536407,"
         "0.72134752044448169\n"
-        "8,1.0820212806667227,0.0059593413987819891,0.38887410010677737,"
+        "8,1.0820212806667227,0.015334768716932009,0.38887410010677737,"
         "0.36067376022224074\n"
-        "16,1.1496476107083928,0.0045079777047393856,0.45650043014844754,"
+        "16,1.1496476107083928,0.011501076537699008,0.45650043014844754,"
         "0.29304743018057056\n"
     )
 

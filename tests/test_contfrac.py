@@ -13,6 +13,7 @@ from luroth.contfrac import (
     expand_cf,
     _cf_digits,
     _counts_median,
+    _median_interval,
     _overflow_bin,
     mc_cf_rho_table,
     mc_cf_trimmed_table,
@@ -288,14 +289,18 @@ def _float64_trimmed_stats(ks, samples, seed):
 
 
 def assert_matches_float64_path(ks, samples, seed):
-    # medians bit for bit, and se within 1e-12 of np.std(ddof=1) / sqrt(n)
+    # medians bit for bit, and se exactly the order statistics at ranks
+    # floor(N/2 - 0.98 sqrt N) and ceil(N/2 + 0.98 sqrt N) of the sorted quotients
     table = mc_cf_trimmed_table(ks, samples, seed=seed)
     stats = _float64_trimmed_stats(ks, samples, seed)
+    low = math.floor(samples / 2 - 0.98 * math.sqrt(samples))
+    high = math.ceil(samples / 2 + 0.98 * math.sqrt(samples))
     for k, r in zip(ks, table):
-        x = stats[k]
+        x = np.sort(stats[k])
         assert np.float64(r.estimate).tobytes() == np.median(x).tobytes(), k
-        se = float(np.std(x, ddof=1) / math.sqrt(samples))
-        assert abs(r.standard_error - se) <= 1e-12 * se, (k, r.standard_error, se)
+        scale = k * math.log(k)
+        yl, yu = (int(np.rint(x[i] * scale)) for i in (low, high))
+        assert r.standard_error == (yu - yl + 1) / (2 * 1.96 * scale), (k, r.standard_error)
 
 
 def counts_of(y, top):
@@ -357,6 +362,36 @@ class TestMedian:
         assert_matches_float64_path([2, 5, 40], 123457, seed=9)
 
 
+class TestMedianInterval:
+    def test_ranks_are_clamped(self):
+        # N = 1 asks for ranks -1 and 2, N = 5 for 0 and 5
+        assert _median_interval(counts_of(np.array([0]), 1)) == (0, 0)
+        assert _median_interval(counts_of(np.arange(5), 5)) == (0, 4)
+
+    def test_coverage_on_a_lattice(self):
+        # geometric(p) on 1, 2, ...: P(y <= 346) = 0.49977 and P(y <= 347) =
+        # 0.50077, so the median is 347 and no CDF step is exactly 1/2
+        p, reps, n = 0.002, 400, 10**4
+        median = math.ceil(math.log(0.5) / math.log1p(-p))
+        assert -math.expm1((median - 1) * math.log1p(-p)) < 0.4999
+        assert 0.5001 < -math.expm1(median * math.log1p(-p))
+        rng = np.random.default_rng(11)
+        hits = 0
+        for _ in range(reps):
+            y = rng.geometric(p, n)
+            lo, hi = _median_interval(counts_of(y, int(y.max()) + 1))
+            hits += lo <= median <= hi
+        se = math.sqrt(0.95 * 0.05 / reps)
+        assert 0.95 - 4 * se <= hits / reps <= 0.95 + 4 * se, hits
+
+    def test_end_in_overflow_bin_raises(self):
+        # N = 100 asks for ranks 40 and 60: the median is 0, y_(60) lies in bin 1
+        counts = np.array([55, 45])
+        assert _counts_median(counts, 1.0) == 0.0
+        with pytest.raises(RuntimeError, match="interval reaches the overflow bin 1"):
+            _median_interval(counts)
+
+
 class TestMcCfTrimmed:
     def test_k2_lower_bound(self):
         # (a1 + a2 - max)/ (2 ln 2) = min(a1, a2)/(2 ln 2) >= 1/(2 ln 2)
@@ -405,21 +440,29 @@ class TestMcCfTrimmed:
             mc_cf_trimmed_table([16], 100)
 
     def test_spread_reads_unclipped_values(self, monkeypatch):
-        # at k = 8 the median of S_k - M_k is near 18, so an overflow bin at
-        # 40 leaves it alone but clips the tail: the table must not move
+        # at k = 8 the median of S_k - M_k is near 18 and the interval's ends
+        # lie within a bin or two of it, so an overflow bin at 40 clips only the
+        # tail, which neither column reads: the table must not move
         ks, samples = [2, 8], 10**5
         want = mc_cf_trimmed_table(ks, samples, seed=6)
         y8 = np.rint(_float64_trimmed_stats(ks, samples, 6)[8] * (8 * math.log(8)))
-        clipped = np.minimum(y8, 40.0) / (8 * math.log(8))
         assert np.count_nonzero(y8 > 40) > samples // 20
-        assert float(np.std(clipped, ddof=1)) < 0.5 * float(np.std(y8 / (8 * math.log(8)), ddof=1))
         monkeypatch.setattr(luroth.contfrac, "_overflow_bin", lambda k: 40)
         assert mc_cf_trimmed_table(ks, samples, seed=6) == want
+
+    def test_interval_end_in_overflow_bin_raises(self, monkeypatch):
+        # at k = 40 and seed 0 the middles of S_k - M_k are 178 and y_(u) is
+        # 180, so an overflow bin at 179 leaves the median but cuts the interval
+        y40 = _float64_trimmed_stats([40], 10**4, 0)[40] * (40 * math.log(40))
+        assert np.median(y40) < 178.5
+        monkeypatch.setattr(luroth.contfrac, "_overflow_bin", lambda k: 179)
+        with pytest.raises(RuntimeError, match="k = 40: the median's 95 % interval"):
+            mc_cf_trimmed_table([2, 40], 10**4)
 
     @pytest.mark.parametrize("samples", [2 * 10**5, 8 * 10**5])
     def test_memory_is_the_block_histograms_and_buffers(self, cores, samples):
         # nothing per trial: each block's uint16 histograms and, per k, up to
-        # 1 KB for its moments and their objects are held to the end; on top,
+        # 256 B for its dict entry and ndarray header are held to the end; on top,
         # per worker a block's six arrays (s, u and the digits in _cf_digits,
         # which y = sum - max overwrites, the running sum and maximum, and y's
         # integer copy), one numpy cast buffer of getbufsize() doubles, and
@@ -434,6 +477,6 @@ class TestMcCfTrimmed:
         finally:
             tracemalloc.stop()
         blocks = -(-samples // _RHO_BLOCK)
-        held = blocks * sum(2 * (_overflow_bin(k) + 1) + 1024 for k in ks)
+        held = blocks * sum(2 * (_overflow_bin(k) + 1) + 256 for k in ks)
         buffers = 6 * 8 * _RHO_BLOCK + 8 * np.getbufsize()
         assert peak < held + 2 * buffers + (256 << 10), peak
