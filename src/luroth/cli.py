@@ -114,6 +114,7 @@ def cmd_j2(args) -> int:
     # row N carries the partial sum of all series terms with index below N,
     # so the table starts at N = 3 (one term) and has nmax - 2 rows; the
     # arrays go once their floats are out
+    _require(args.nmax >= 3, "--nmax must be >= 3")
     rows = enumerate(j2_partial_sums(args.nmax - 1)[0].tolist(), start=3)
     return _write_csv(args.out, "N,partial_sum", "%d,%.17g", rows)
 

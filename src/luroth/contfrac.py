@@ -111,27 +111,6 @@ def _overflow_bin(k: int) -> int:
     return math.ceil(4 * k * math.log(k)) + 64
 
 
-def _counts_median(counts: np.ndarray, scale: float) -> float:
-    """np.median(y / scale) in float64, bit for bit, where counts[v] of the integers y equal v.
-
-    The last bin holds every y at or above its index, so a middle order
-    statistic there is no value of y: it raises RuntimeError.  Order
-    statistic i is the first v whose running count exceeds i.  The result is
-    hi/scale at i = N//2, or (lo/scale + hi/scale)/2 with lo at N//2 - 1,
-    np.median's mean of the two middle quotients.  That is exact for any
-    scale > 0: correctly rounded division by a positive constant is monotone
-    (x <= x' gives x/scale <= x'/scale, and rounding keeps the order), so the
-    order statistics of the rounded quotients are the rounded quotients of
-    the order statistics of y, and integers below 2^53 are float64 values.
-    """
-    cum = np.cumsum(counts)
-    h = int(cum[-1]) // 2
-    lo, hi = np.searchsorted(cum, [h - 1, h], side="right")
-    if hi == counts.size - 1:
-        raise RuntimeError("the median of S_k - M_k lies in the overflow bin %d" % hi)
-    return float(hi) / scale if cum[-1] % 2 else (float(lo) / scale + float(hi) / scale) / 2
-
-
 def mc_cf_rho_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[McResult]:
     """P(max(a_1..a_k) is attained once) under the Gauss measure, one result per entry of ks.
 
@@ -145,20 +124,30 @@ def mc_cf_rho_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[McRe
     return _unique_max_table(samples, seed, lambda stream, n: _cf_digits(stream, n, max(ks)), ks)
 
 
-def _median_interval(counts: np.ndarray) -> Tuple[int, int]:
-    """[y_(l), y_(u)], the distribution-free 95 % interval for the median of the y in counts.
+def _median_and_interval(counts: np.ndarray, scale: float) -> Tuple[float, int, int]:
+    """np.median(y / scale) and [y_(l), y_(u)], where counts[v] of the integers y equal v.
 
-    counts as in ``_counts_median``.  At 0-based ranks l = floor(N/2 - 0.98 sqrt N)
-    and u = ceil(N/2 + 0.98 sqrt N) in [0, N - 1], 1.96 SDs of the binomial(N,
-    1/2) count below the median (ties only add coverage); an end in the last bin raises.
+    The median is np.median's in float64, bit for bit: the mean of the
+    quotients at 0-based ranks (N - 1)//2 and N//2, one quotient at odd N.
+    That is exact for any scale > 0: correctly rounded division by a positive
+    constant is monotone, so the order statistics of the rounded quotients
+    are the rounded quotients of the order statistics of y, and integers
+    below 2^53 are float64 values.  [y_(l), y_(u)] is the distribution-free
+    95 % interval for the median, at ranks l = floor(N/2 - 0.98 sqrt N) and
+    u = ceil(N/2 + 0.98 sqrt N) in [0, N - 1], 1.96 SDs of the binomial(N,
+    1/2) count below the median (ties only add coverage).  Order statistic
+    i is the first v whose running count exceeds i.  The last bin holds
+    every y at or above its index, so y_(u) there raises RuntimeError; it
+    is the largest of the four ranks, so that covers the median too.
     """
     cum = np.cumsum(counts)
     n, half = int(cum[-1]), 0.98 * math.sqrt(cum[-1])
-    lo, hi = np.searchsorted(cum, [max(math.floor(n / 2 - half), 0),
-                                   min(math.ceil(n / 2 + half), n - 1)], side="right")
+    mid_lo, mid_hi, lo, hi = np.searchsorted(
+        cum, [(n - 1) // 2, n // 2, max(math.floor(n / 2 - half), 0),
+              min(math.ceil(n / 2 + half), n - 1)], side="right")
     if hi == counts.size - 1:
         raise RuntimeError("the median's 95 %% interval reaches the overflow bin %d" % hi)
-    return int(lo), int(hi)
+    return (float(mid_lo) / scale + float(mid_hi) / scale) / 2, int(lo), int(hi)
 
 
 def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[McResult]:
@@ -169,10 +158,10 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[
     max is a nonnegative integer (a rounded sum or difference of integers is
     one).  Each block returns, per k, the uint16 histogram of min(y, H_k)
     (``_overflow_bin``; a block has at most 2^15 trials).  Both columns read
-    their sum, in integers: the median, and as its standard error
-    (y_(u) - y_(l) + 1)/(2 * 1.96 * k log k) from ``_median_interval``, whose
-    + 1, y's lattice step, keeps it > 0.  A median or an interval end in the
-    overflow bin raises RuntimeError.
+    their sum, in integers, through ``_median_and_interval``: the median,
+    and as its standard error (y_(u) - y_(l) + 1)/(2 * 1.96 * k log k), whose
+    + 1, y's lattice step, keeps it > 0.  An interval end in the overflow bin
+    raises RuntimeError.
     """
     ks = list(ks)
     if not ks or min(ks) < 2:
@@ -199,7 +188,7 @@ def mc_cf_trimmed_table(ks: Sequence[int], samples: int, seed: int = 0) -> List[
         counts = sum((block[k] for block in per_block), np.zeros(tops[k] + 1, dtype=np.int64))
         scale = k * math.log(k)
         try:
-            median, (lo, hi) = _counts_median(counts, scale), _median_interval(counts)
+            median, lo, hi = _median_and_interval(counts, scale)
         except RuntimeError as exc:
             raise RuntimeError("k = %d: %s" % (k, exc)) from None
         return McResult(median, (hi - lo + 1) / (2 * 1.96 * scale))

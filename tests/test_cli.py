@@ -157,8 +157,9 @@ class TestJ2:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_rejects_tiny(self, capsys):
+        # the user's flag, not j2_partial_sums' bound on nmax - 1
         assert main(["j2", "--nmax", "2"]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err == "usage error: --nmax must be >= 3\n"
 
 
 class TestTrim:
@@ -305,7 +306,6 @@ class TestInvalidFlags:
         ["expand", "1/2", "--count", "0"],
         ["expand", "3/2"],
         ["reconstruct", "0,3"],
-        ["j2", "--nmax", "2"],
         ["trim", "--kmax", "1"],
         ["trim", "--kmax", "1000000000001"],
         ["maxdist", "--k", "0"],
@@ -323,6 +323,7 @@ class TestInvalidFlags:
         ["rho", "--mode", "exact", "--kmax", "3", "--samples", "5"],
         ["rho", "--mode", "series", "--kmax", "3", "--precision-bits", "4"],
         ["trim", "--kmax", "10", "--seeds", "0"],
+        ["j2", "--nmax", "2"],
         ["rho", "--mode", "exact", "--kmax", "3", "--seed", "-1"],
     ]
 

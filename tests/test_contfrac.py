@@ -12,8 +12,7 @@ import luroth.contfrac
 from luroth.contfrac import (
     expand_cf,
     _cf_digits,
-    _counts_median,
-    _median_interval,
+    _median_and_interval,
     _overflow_bin,
     mc_cf_rho_table,
     mc_cf_trimmed_table,
@@ -304,7 +303,7 @@ def assert_matches_float64_path(ks, samples, seed):
 
 
 def counts_of(y, top):
-    """The histogram _counts_median reads: counts[v] of the y equal v, y >= top in bin top."""
+    """The histogram _median_and_interval reads: counts[v] of the y equal v, y >= top in bin top."""
     return np.bincount(np.minimum(y, top), minlength=top + 1)
 
 
@@ -313,7 +312,7 @@ class TestMedian:
     def check(y, scale=1.0):
         # the counts median against np.median of the float64 quotients of y
         want = np.median(y.astype(np.float64) / scale)
-        got = _counts_median(counts_of(y, int(y.max()) + 1), scale)
+        got = _median_and_interval(counts_of(y, int(y.max()) + 1), scale)[0]
         assert np.float64(got).tobytes() == want.tobytes(), (y.size, scale)
 
     def test_odd_and_even_sizes(self):
@@ -337,21 +336,22 @@ class TestMedian:
                 self.check(rng.integers(0, 40, n), scale)
                 self.check(np.full(n, 2**16 - 1), scale)
         # counts beyond 2^32 trials: the middle of 2^33 + 1 is the single 1
-        assert _counts_median(np.array([2**32, 1, 2**32, 0]), 1.0) == 1.0
+        assert _median_and_interval(np.array([2**32, 1, 2**32, 0]), 1.0) == (1.0, 0, 2)
 
     def test_middle_in_overflow_bin_raises(self):
-        # at top 3 the middle of 0 1 3 3 9 is no value of y; of 0 1 2 3 9 it is 2
+        # at top 3 the middle of 0 1 3 3 9 is no value of y; 0..98 at top 61
+        # reads ranks 39, 49 and 60 below the bin, so pooling its tail changes nothing
         with pytest.raises(RuntimeError, match="overflow bin 3"):
-            _counts_median(counts_of(np.array([0, 1, 3, 3, 9]), 3), 1.0)
-        assert _counts_median(counts_of(np.array([0, 1, 2, 3, 9]), 3), 1.0) == 2.0
+            _median_and_interval(counts_of(np.array([0, 1, 3, 3, 9]), 3), 1.0)
+        assert _median_and_interval(counts_of(np.arange(99), 61), 1.0) == (49.0, 39, 60)
 
     def test_even_size_middles_in_overflow_bin_raise(self):
         # at top 5: the upper middle of 0 1 5 6 lies in the bin, then the lower
-        # middle of 0 5 5 6 too; the tail of 0 1 4 6 changes nothing
+        # middle of 0 5 5 6 too; 0..99 at top 61 reads ranks 40, 49, 50 and 60
         for y in ([0, 1, 5, 6], [0, 5, 5, 6]):
             with pytest.raises(RuntimeError, match="overflow bin 5"):
-                _counts_median(counts_of(np.array(y), 5), 1.0)
-        assert _counts_median(counts_of(np.array([0, 1, 4, 6]), 5), 1.0) == 2.5
+                _median_and_interval(counts_of(np.array(y), 5), 1.0)
+        assert _median_and_interval(counts_of(np.arange(100), 61), 1.0) == (49.5, 40, 60)
 
     def test_default_trimmed_table_arrays(self):
         # `cf --statistic trimmed` at its defaults against the float64 path
@@ -365,8 +365,8 @@ class TestMedian:
 class TestMedianInterval:
     def test_ranks_are_clamped(self):
         # N = 1 asks for ranks -1 and 2, N = 5 for 0 and 5
-        assert _median_interval(counts_of(np.array([0]), 1)) == (0, 0)
-        assert _median_interval(counts_of(np.arange(5), 5)) == (0, 4)
+        assert _median_and_interval(counts_of(np.array([0]), 1), 1.0) == (0.0, 0, 0)
+        assert _median_and_interval(counts_of(np.arange(5), 5), 1.0) == (2.0, 0, 4)
 
     def test_coverage_on_a_lattice(self):
         # geometric(p) on 1, 2, ...: P(y <= 346) = 0.49977 and P(y <= 347) =
@@ -379,17 +379,17 @@ class TestMedianInterval:
         hits = 0
         for _ in range(reps):
             y = rng.geometric(p, n)
-            lo, hi = _median_interval(counts_of(y, int(y.max()) + 1))
+            _, lo, hi = _median_and_interval(counts_of(y, int(y.max()) + 1), 1.0)
             hits += lo <= median <= hi
         se = math.sqrt(0.95 * 0.05 / reps)
         assert 0.95 - 4 * se <= hits / reps <= 0.95 + 4 * se, hits
 
     def test_end_in_overflow_bin_raises(self):
-        # N = 100 asks for ranks 40 and 60: the median is 0, y_(60) lies in bin 1
-        counts = np.array([55, 45])
-        assert _counts_median(counts, 1.0) == 0.0
+        # N = 100 asks for ranks 40 and 60: the median is 0 and y_(60) is 1,
+        # which a last bin at 2 leaves alone and a last bin at 1 holds
+        assert _median_and_interval(np.array([55, 45, 0]), 1.0) == (0.0, 0, 1)
         with pytest.raises(RuntimeError, match="interval reaches the overflow bin 1"):
-            _median_interval(counts)
+            _median_and_interval(np.array([55, 45]), 1.0)
 
 
 class TestMcCfTrimmed:

@@ -231,6 +231,22 @@ def test_rho_exact_increasing_precision_consistent():
     assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
 
+@pytest.mark.parametrize("k", [40, 80, 120, 200, 300])
+def test_rho_exact_rate_to_one(k):
+    # the paper's limit rho_k -> 1, with its rate.  rho_k = L_k + r_k, with
+    # L_k = (k/2) Phi(1/2, 1, k), a Lerch value, and 1 - L_k =
+    # sum_{i>=1} i/(2^(i+1) (k + i)).  Four terms of 1/(1 + i/k) = 1 - i/k + ... give
+    # the ordered Bell (Fubini) numbers 1, 3, 13, 75 = sum_i i^n/2^(i+1) and
+    # leave k^-5 sum_i i^5/(2^(i+1) (1 + i/k)), which 1 - i/k <= 1/(1 + i/k)
+    # <= 1 puts between 541/k^5 - 4683/k^6 and 541/k^5 (the next two)
+    value, bound = rho_exact(k, 256)
+    e = 1 - value - (Fraction(1, k) - Fraction(3, k**2) + Fraction(13, k**3) - Fraction(75, k**4))
+    # bound is certified; the second term is the measured envelope of the
+    # Poisson remainder r_k, 2.5-19 e^(-2 sqrt(pi k)) from k = 40 to 300, not a proof
+    eps = bound + Fraction(100 * math.exp(-2 * math.sqrt(math.pi * k)))
+    assert Fraction(541, k**5) - Fraction(4683, k**6) - eps <= e <= Fraction(541, k**5) + eps
+
+
 # ------------------------------------------------------------- rho series
 
 

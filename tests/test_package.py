@@ -18,6 +18,11 @@ def test_public_names_are_the_union_of_module_exports():
     public = {name for name, obj in vars(luroth).items()
               if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
     assert public == exported
+    # the same objects, not copies: the benchmark tracer rebinds wrapped
+    # callables in the package by the id of the module's own object
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(luroth, name) is getattr(m, name), (m.__name__, name)
 
 
 def test_readme_library_block_runs():
