@@ -136,22 +136,25 @@ def _unique_max_table(samples: int, seed: int,
     ``digit_steps(stream, n)`` yields max(ks) arrays of n digits >= 1, one per
     step, of any ordered dtype, each of which the next step may overwrite; it
     runs once per ``_step_blocks`` block of _RHO_BLOCK trials.  Per trial the
-    running maximum and runner-up are kept (a tie puts the runner-up at the
-    maximum); at the steps in ks only, the trials with runner-up < max are
-    counted.  As runner-up <= max, max(second, min(maxd, d)) equals
-    min(maxd, max(second, d)), which updates the runner-up with no scratch array.
+    running maximum and a one-byte flag, tied, are kept: tied holds when the
+    maximum so far is attained more than once.  A digit above the maximum
+    clears the flag, one equal to it sets it, a smaller one leaves it; for
+    bools, tied and not above is tied > above, so no scratch array is made.
+    At the steps in ks only, the trials with the flag clear are counted.
     """
     def one_block(stream: RngStream, n: int) -> List[int]:
         steps = iter(digit_steps(stream, n))
         maxd = next(steps).copy()
-        second = np.zeros_like(maxd)  # below every digit
+        tied, above, equal = (np.zeros(n, dtype=bool) for _ in range(3))
         unique = {1: n}
         for k, d in enumerate(steps, start=2):
-            np.maximum(second, d, out=second)
-            np.minimum(second, maxd, out=second)
+            np.greater(d, maxd, out=above)
+            np.equal(d, maxd, out=equal)
+            tied |= equal
+            np.greater(tied, above, out=tied)
             np.maximum(maxd, d, out=maxd)
             if k in ks:
-                unique[k] = int(np.count_nonzero(second < maxd))
+                unique[k] = n - int(np.count_nonzero(tied))
         return [unique[k] for k in ks]
 
     per_block = _step_blocks(samples, seed, one_block)

@@ -366,6 +366,13 @@ class TestPinnedSampledTables:
                      "--seed", "3"]) == 0
         assert capsys.readouterr().out == self.RHO
 
+    def test_rho_mc_full_block_at_every_depth(self, capsys):
+        # the benchmark's shape: one whole block of 2^15 trials, counted at 40 depths
+        assert main(["rho", "--mode", "mc", "--kmax", "40", "--samples", "32768",
+                     "--seed", "3"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "0c2e1aa1777a76e79f0071b8ffbdc4d725f61aae2e02903d66b65804d0c85d56"
+
     # the CF tables on PCG64DXSM streams
     CF_RHO = (
         "k,rho_hat,se\n"

@@ -248,11 +248,13 @@ class TestMcCfRho:
             mc_cf_rho_table([8], 9999)
 
     @pytest.mark.parametrize("samples", [2 * 10**5, 8 * 10**5])
-    def test_memory_is_five_block_arrays_per_worker(self, cores, samples):
+    def test_memory_is_four_float_and_three_bool_block_arrays_per_worker(self, cores, samples):
         # nothing per trial: a block's counts, one int per k, are held to the
-        # end; on top, per worker a block's five arrays (s, u and the digits
-        # in _cf_digits, the running maximum and runner-up), one numpy cast
-        # buffer of getbufsize() doubles, and 256 KB for the rest
+        # end; on top, per worker a block's four float64 arrays (s, u and the
+        # digits in _cf_digits, the running maximum) and three bool arrays (the
+        # tie flag and a step's above and equal masks), one numpy cast buffer
+        # of getbufsize() doubles, and 128 KB for the rest.  A float64
+        # runner-up in place of the flag breaks it
         cores(2)
         ks = [2, 8]
         mc_cf_rho_table(ks, samples)
@@ -263,8 +265,8 @@ class TestMcCfRho:
         finally:
             tracemalloc.stop()
         held = -(-samples // _RHO_BLOCK) * 1024
-        buffers = 5 * 8 * _RHO_BLOCK + 8 * np.getbufsize()
-        assert peak < held + 2 * buffers + (256 << 10), peak
+        buffers = 4 * 8 * _RHO_BLOCK + 3 * _RHO_BLOCK + 8 * np.getbufsize()
+        assert peak < held + 2 * buffers + (128 << 10), peak
 
 
 def _float64_trimmed_stats(ks, samples, seed):

@@ -1,5 +1,6 @@
 """Tests for the RNG streams and the Monte Carlo engine."""
 
+import itertools
 import math
 import os
 import sys
@@ -478,15 +479,19 @@ def test_mc_rho_deterministic_and_worker_independent(cores):
 
 
 def test_unique_max_table_against_python_count(cores):
-    # digits 1..3 tie often; the result for k counts the trials whose maximum
-    # over the first k digits is attained once, at every depth and at a few
-    # depths asked for out of order and with a repeat
+    # three digit values tie often; the result for k counts the trials whose
+    # maximum over the first k digits is attained once, at every depth and at
+    # a few depths asked for out of order and with a repeat.  The digits are
+    # floats 1..3, int64 1..3, and the even floats 2^53, 2^53 + 2 and 2^53 + 4,
+    # the size CF digits reach, where d + 1 rounds back to d
     n = 5000
     cores(1)
-    for ks in (range(1, 7), [5, 2, 5]):
+    maps = (lambda w: w % np.uint64(3) + 1.0,
+            lambda w: (w % np.uint64(3)).astype(np.int64) + 1,
+            lambda w: 2.0 ** 53 + 2.0 * (w % np.uint64(3)))
+    for to_digits, ks in itertools.product(maps, (range(1, 7), [5, 2, 5])):
         def steps(stream, size):
-            return (stream.luroth_digits(size) % np.uint64(3) + np.uint64(1)
-                    for _ in range(max(ks)))
+            return (to_digits(stream.raw64(size)) for _ in range(max(ks)))
 
         table = _unique_max_table(n, 4, steps, ks)
         rows = np.array([d.tolist() for d in steps(RngStream(4, 0), n)]).T.tolist()
@@ -515,11 +520,12 @@ def test_samples_beyond_the_stream_keys_are_refused():
 
 
 @pytest.mark.parametrize("samples", [2 * 10**5, 8 * 10**5])
-def test_mc_rho_memory_is_three_block_arrays_per_worker(cores, samples):
+def test_mc_rho_memory_is_two_float_and_three_bool_block_arrays_per_worker(cores, samples):
     # nothing per trial: a block's counts, one int per row, are held to the
-    # end; on top, per worker a block's three arrays (the digits, the running
-    # maximum and runner-up), one numpy cast buffer of getbufsize() doubles,
-    # and 256 KB for the rest
+    # end; on top, per worker a block's two float64 arrays (the digits and the
+    # running maximum) and three bool arrays (the tie flag and a step's above
+    # and equal masks), one numpy cast buffer of getbufsize() doubles, and
+    # 128 KB for the rest.  A float64 runner-up in place of the flag breaks it
     cores(2)
     mc_rho(8, samples)
     tracemalloc.start()
@@ -529,8 +535,8 @@ def test_mc_rho_memory_is_three_block_arrays_per_worker(cores, samples):
     finally:
         tracemalloc.stop()
     held = -(-samples // _RHO_BLOCK) * 8 * 64
-    buffers = 3 * 8 * _RHO_BLOCK + 8 * np.getbufsize()
-    assert peak < held + 2 * buffers + (256 << 10), peak
+    buffers = 2 * 8 * _RHO_BLOCK + 3 * _RHO_BLOCK + 8 * np.getbufsize()
+    assert peak < held + 2 * buffers + (128 << 10), peak
 
 
 def test_mc_rho_rows_do_not_depend_on_k_max(cores):
