@@ -111,9 +111,7 @@ def rho_exact(k: int, target: int = 128) -> HighPrecisionReal:
     # rho_k is k acc ulps of 2**-s; rounding it half to even onto the grid
     # 2**-(target+16), of 2**sh ulps, adds at most 2**(sh-1) ulps to the bound
     sh = s - target - 16
-    q, r = divmod(k * acc, 1 << sh)
-    if 2 * r > 1 << sh or (2 * r == 1 << sh and q & 1):
-        q += 1
+    q = round(Fraction(k * acc, 1 << sh))  # a Fraction rounds half to even
     err = k * errsum + (1 << (sh - 1))
     if err > 1 << (s - target):
         raise PrecisionError("rho_exact could not certify 2^-%d at k=%d" % (target, k))

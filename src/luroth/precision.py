@@ -5,11 +5,12 @@ rows) plus two certified real-valued kernels.
 
 Riemann zeta at integer arguments comes from Borwein's Chebyshev-weighted
 alternating sum for eta(j) in fixed-point integers, then
-zeta(j) = eta(j) 2**(j-1) / (2**(j-1) - 1), a row of j per sweep over the
-integer weights of a 64-bit accuracy bucket.  Their count n makes
-T_n(3) >= 2**(s+1), so the truncation stays under half an ulp.  The payload
-is an integer numerator over 2**s with a certified count of ulps: one per
-summed term, plus five for the truncation, the tail and the final division.
+zeta(j) = eta(j) 2**(j-1) / (2**(j-1) - 1), a row of j = 2..jmax per sweep
+over the integer weights of a 64-bit accuracy bucket, which ``rho_exact``
+reads.  The weights' count n makes T_n(3) >= 2**(s+1), so the truncation
+stays under half an ulp.  Each entry is an integer numerator over 2**s with
+a certified count of ulps: one per summed term, plus five for the
+truncation, the tail and the final division.
 
 The principal branch of Lambert W comes from a float seed refined by Newton
 steps in fixed-point integers, certified by a bracket from an integer exp
@@ -18,10 +19,10 @@ float64 Lambert W: a vectorised Halley iteration, also used uncertified where
 a W value only feeds a float result (the J2 series in ``trimming``).
 
 ``HighPrecisionReal`` is the package's one certified-real record: an exact
-rational payload (usually dyadic; for zeta, the fixed-point numerator over
-2**s) together with a conservative absolute error bound.  It is a record,
-not a number type: callers read ``value`` and ``error_bound`` and combine
-them in their own integer or rational arithmetic, stating their own bounds.
+rational payload (usually dyadic) together with a conservative absolute
+error bound.  It is a record, not a number type: callers read ``value`` and
+``error_bound`` and combine them in their own integer or rational
+arithmetic, stating their own bounds.
 Exact quantities are returned as plain ``Fraction`` values instead.
 """
 
@@ -29,6 +30,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import floordiv
 from typing import NamedTuple, Tuple, Union
 
 import numpy as np
@@ -40,7 +42,6 @@ __all__ = [
     "PrecisionError",
     "bernoulli_triangle",
     "lambert_w0",
-    "zeta_int",
 ]
 
 
@@ -135,17 +136,14 @@ def _borwein_weights(bucket: int) -> Tuple[int, ...]:
     return tuple(((d[n] - dk) << s) // d[n] for dk in d[:n])
 
 
-def _bucket(bits: int) -> int:
-    return -(-bits // 64) * 64  # the 64-bit accuracy bucket that serves bits
-
-
 def _zeta_row(bits: int, jmax: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
     """(nums, ulps, s): |nums[j-2] / 2**s - zeta(j)| <= ulps[j-2] / 2**s <= 2**-bits.
 
     The cached sweep of bits' 64-bit bucket to jmax plus the bucket's slack
-    over bits: a lone argument sweeps only up to it and the slack, and bits
-    that grow one for one with jmax, as ``rho_exact``'s, read one row per bucket."""
-    return _zeta_sweep(_bucket(bits), jmax + _bucket(bits) - bits)
+    over bits, so bits that grow one for one with jmax, as ``rho_exact``'s,
+    read one row per bucket."""
+    bucket = -(-bits // 64) * 64
+    return _zeta_sweep(bucket, jmax + bucket - bits)
 
 
 @functools.cache
@@ -175,52 +173,24 @@ def _zeta_sweep(bucket: int, jmax: int) -> Tuple[Tuple[int, ...], Tuple[int, ...
     err_ulps = K + 5 >= 2 ceil(K/2) + 4.  K <= n < s/2, so err_ulps stays
     within the 2**_ZETA_GUARD ulps of 2**-bucket below 2**32-bit buckets.
 
-    Sweep.  c_0 starts every eta(j).  For k >= 1, b = k + 1, q = c_k // b**2
-    and then q //= b per next j is c_k // b**j by the nested-floor identity,
-    so no power is formed; weight k is added while q >= 1.  As c_k falls and
-    b**j rises with k, that is the stop rule above, and a weight adding
-    nothing at j = 2 ends the sweep.  At j >= s only c_0 is left (c_1 < 2**s).
+    Sweep.  Per argument j, q holds the live quotients
+    q_k = c_k // (k+1)**(j-1), k >= 1; one floor division by k + 1 each
+    turns them into c_k // (k+1)**j by the nested-floor identity, so no
+    power is formed.  As c_k falls and (k+1)**j rises with k, they fall
+    with k and their zeros are a suffix: cutting q at the first zero is the
+    stop rule above, and a cut quotient stays zero at every larger j.  Then
+    eta(j) = c_0 - sum q[0::2] + sum q[1::2] over K = 1 + len(q) terms.
     """
     c = _borwein_weights(bucket)
-    pos, neg, ulps = [c[0]] * (jmax - 1), [0] * (jmax - 1), [6] * (jmax - 1)
-    for b in range(2, len(c) + 1):
-        acc = neg if b & 1 == 0 else pos  # weight k = b - 1 has sign (-1)**k
-        q = c[b - 1] // (b * b)
-        i = 0
-        while q and i < jmax - 1:
-            acc[i] += q
-            ulps[i] += 1
-            q //= b
-            i += 1
-        if not i:
-            break
-    nums = tuple(((p - m) << (j - 1)) // ((1 << (j - 1)) - 1)
-                 for j, p, m in zip(itertools.count(2), pos, neg))
-    return nums, tuple(ulps), bucket + _ZETA_GUARD
-
-
-def zeta_int(j: int, precision_bits: int = 128) -> HighPrecisionReal:
-    """Riemann zeta at an integer argument j >= 2 with |error| <= 2**-precision_bits.
-
-    Borwein's Chebyshev-weighted alternating sum in fixed-point integers
-    (``_zeta_sweep``); the returned bound counts one ulp per floored term
-    plus the truncation, which the shifted Chebyshev polynomial holds below
-    eta(j) / T_n(3) <= half an ulp, so it is certified rather than heuristic.
-    """
-    if not isinstance(j, int) or isinstance(j, bool):
-        raise TypeError("argument must be an integer")
-    if j < 2:
-        raise ValueError("argument must be >= 2")
-    if precision_bits < 16:
-        raise ValueError("precision_bits must be >= 16")
-    s = _bucket(precision_bits) + _ZETA_GUARD
-    if j < s:
-        nums, ulps, s = _zeta_row(precision_bits, j)
-        num, ulps = nums[j - 2], ulps[j - 2]
-    else:  # only c_0 contributes (``_zeta_sweep``): eta(j) = c_0, one term
+    b = range(2, len(c) + 1)  # k + 1 for the weights c_k, k >= 1
+    q = list(map(floordiv, c[1:], b))
+    nums, ulps = [], []
+    for j in range(2, jmax + 1):
+        q = list(itertools.takewhile(bool, map(floordiv, q, b)))
         half = 1 << (j - 1)
-        num, ulps = (_borwein_weights(s - _ZETA_GUARD)[0] * half) // (half - 1), 6
-    return HighPrecisionReal(Fraction(num, 1 << s), Fraction(ulps, 1 << s))
+        nums.append(((c[0] - sum(q[0::2]) + sum(q[1::2])) * half) // (half - 1))
+        ulps.append(6 + len(q))
+    return tuple(nums), tuple(ulps), bucket + _ZETA_GUARD
 
 
 def _exp_bracket(w: int, s: int) -> Tuple[int, int]:

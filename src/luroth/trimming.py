@@ -25,21 +25,12 @@ import numpy as np
 from .precision import _lambert_w_float
 
 __all__ = [
-    "EULER_GAMMA",
-    "a_of",
     "c_k",
     "harmonic",
     "j2_partial_sums",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
-
-
-def a_of(x: float) -> float:
-    """A(x) = x*log(x) for x > 1 (natural log)."""
-    if not x > 1:
-        raise ValueError("a_of requires x > 1")
-    return x * math.log(x)
 
 
 def harmonic(n: int) -> float:
@@ -62,7 +53,8 @@ def c_k(k: int) -> float:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    a = a_of(float(k))
+    x = float(k)
+    a = x * math.log(x)
     c = math.ceil(a)
     conditional = (harmonic(c) - 1.0) / (1.0 - 1.0 / c)
     return (k / a) * conditional

@@ -27,7 +27,6 @@ from luroth.precision import (
     _row_sums,
     bernoulli_triangle,
     lambert_w0,
-    zeta_int,
 )
 
 
@@ -102,20 +101,26 @@ def test_triangle_rejects_out_of_row():
 # -------------------------------------------------------------------- zeta
 
 
+def zeta(j, bits):
+    """zeta(j) at bits as (value, bound), read from the row ``rho_exact`` reads."""
+    nums, ulps, s = precision._zeta_row(bits, j)
+    return Fraction(nums[j - 2], 1 << s), Fraction(ulps[j - 2], 1 << s)
+
+
 def test_zeta2_against_pi_squared():
-    got = zeta_int(2, 128)
+    value, bound = zeta(2, 128)
     with mpmath.workprec(320):
         oracle = mpmath.pi**2 / 6
-        err = abs(mpmath.mpf(got.value.numerator) / got.value.denominator - oracle)
+        err = abs(mpmath.mpf(value.numerator) / value.denominator - oracle)
         assert err <= mpmath.mpf(2) ** -120
-    assert got.error_bound <= Fraction(1, 2**128)
+    assert bound <= Fraction(1, 2**128)
 
 
 def test_zeta4_against_pi_fourth():
-    got = zeta_int(4, 160)
+    value, _ = zeta(4, 160)
     with mpmath.workprec(400):
         oracle = mpmath.pi**4 / 90
-        diff = abs(mpmath.mpf(got.value.numerator) / got.value.denominator - oracle)
+        diff = abs(mpmath.mpf(value.numerator) / value.denominator - oracle)
         assert diff <= mpmath.mpf(2) ** -155
 
 
@@ -124,11 +129,11 @@ def test_zeta4_against_pi_fourth():
 @pytest.mark.parametrize("j,bits", [(3, 64), (5, 128), (7, 192), (11, 96), (40, 128),
                                     (2, 384), (120, 320), (200, 384)])
 def test_zeta_against_mpmath(j, bits):
-    got = zeta_int(j, bits)
+    value, err = zeta(j, bits)
     with mpmath.workprec(bits + 80):
         oracle = mpmath.zeta(j)
-        diff = abs(mpmath.mpf(got.value.numerator) / got.value.denominator - oracle)
-        bound = mpmath.mpf(got.error_bound.numerator) / got.error_bound.denominator
+        diff = abs(mpmath.mpf(value.numerator) / value.denominator - oracle)
+        bound = mpmath.mpf(err.numerator) / err.denominator
         assert diff <= bound
         assert bound <= mpmath.mpf(2) ** -bits
 
@@ -161,37 +166,27 @@ def test_zeta_weights_rest_on_chebyshev_t3():
 @pytest.mark.parametrize("j,bits", [(j, bucket) for bucket in BUCKETS
                                     for j in (2, 3, 63, 64, 65, 300)])
 def test_zeta_per_argument_params_against_mpmath(j, bits):
-    got = zeta_int(j, bits)
+    value, err = zeta(j, bits)
     with mpmath.workprec(bits + 80):
         oracle = mpmath.zeta(j)
-        diff = abs(mpmath.mpf(got.value.numerator) / got.value.denominator - oracle)
-        bound = mpmath.mpf(got.error_bound.numerator) / got.error_bound.denominator
+        diff = abs(mpmath.mpf(value.numerator) / value.denominator - oracle)
+        bound = mpmath.mpf(err.numerator) / err.denominator
         assert diff <= bound
         assert bound <= mpmath.mpf(2) ** -bits
 
 
 def test_zeta_large_argument_near_one():
     # zeta(60) - 1 is within ten percent of 2^-60 (the n=2 term dominates)
-    got = zeta_int(60, 128)
-    excess = Fraction(got.value) - 1
+    excess = zeta(60, 128)[0] - 1
     assert Fraction(9, 10) * Fraction(1, 2**60) < excess < Fraction(11, 10) * Fraction(1, 2**60)
 
 
 def test_zeta_precision_consistency():
     # same true value underneath: any two precisions agree within summed bounds
-    vals = [zeta_int(3, p) for p in (32, 64, 128, 192)]
-    for a in vals:
-        for b in vals:
-            assert abs(a.value - b.value) <= a.error_bound + b.error_bound
-
-
-def test_zeta_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        zeta_int(1, 64)
-    with pytest.raises(ValueError):
-        zeta_int(2, 8)
-    with pytest.raises(TypeError):
-        zeta_int(2.0, 64)
+    vals = [zeta(3, p) for p in (32, 64, 128, 192)]
+    for a, ea in vals:
+        for b, eb in vals:
+            assert abs(a - b) <= ea + eb
 
 
 # ------------------------------------------- zeta rows against the per-j loop
@@ -250,25 +245,16 @@ def test_zeta_rows_match_per_argument_loop(bits):
 
 
 def test_lone_zeta_sweeps_only_to_its_argument():
-    # zeta(3) at 4096 bits sweeps the row of j = 2..3 once, not j = 2..64
+    # the row to j = 3 at 4096 bits sweeps j = 2..3 once, not j = 2..64, and
+    # its two entries are the per-argument loop's at that bucket
     cache = precision._zeta_sweep
     cache.cache_clear()
-    zeta_int(3, 4096)
+    nums, ulps, s = precision._zeta_row(4096, 3)
     assert cache.cache_info().currsize == 1
     assert len(cache(4096, 3)[0]) == 2
     assert cache.cache_info().hits == 1
-
-
-@pytest.mark.parametrize("bucket", BUCKETS)
-def test_zeta_int_past_the_row_matches_per_argument_loop(bucket):
-    # j = 300 lies past s in the buckets below 320 and inside a row above;
-    # j = 10^5 is past s everywhere and must not build a row of that length
-    before = precision._zeta_sweep.cache_info().currsize
-    got = zeta_int(10**5, bucket)
-    assert precision._zeta_sweep.cache_info().currsize == before
-    for j, z in ((10**5, got), (300, zeta_int(300, bucket))):
-        num, ulps, s = zeta_per_argument(j, bucket)
-        assert z == (Fraction(num, 1 << s), Fraction(ulps, 1 << s)), j
+    for j in (2, 3):
+        assert (nums[j - 2], ulps[j - 2], s) == zeta_per_argument(j, 4096), j
 
 
 # the edges of the 64-bit buckets that rho_exact(k, target) reads at

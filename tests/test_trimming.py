@@ -9,7 +9,6 @@ import pytest
 
 from luroth.precision import lambert_w0
 from luroth.trimming import (
-    a_of,
     c_k,
     harmonic,
     j2_partial_sums,
@@ -27,18 +26,6 @@ def lambert_bisect(x, iters=200):
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-# ---------------------------------------------------------------------- a
-
-
-def test_a_of_e_is_e():
-    assert abs(a_of(math.e) - math.e) < 1e-15
-
-
-def test_domain_checks():
-    with pytest.raises(ValueError):
-        a_of(1.0)
 
 
 # ---------------------------------------------------------------- harmonic
