@@ -6,9 +6,12 @@ Conventions shared by all subcommands:
   holds a comma, a quote or a line break, so none is quoted;
 * a table is written in one write, only once all its rows are computed and
   formatted, so no failure leaves a partial table;
-* each table has one row format, applied with one ``%`` operation per row:
-  floating values as ``%.17g`` (17 significant digits, round-trippable),
-  integers as ``%d``, labels and exact rationals ("p/q") as ``%s``;
+* each table has one row format: floating values as ``%.17g`` (17
+  significant digits, round-trippable), integers as ``%d``, labels and exact
+  rationals ("p/q") as ``%s``.  It is applied with one ``%`` operation per
+  row, except in ``j2``, whose rows ``_rows_d_17g`` builds column-wise in
+  integer numpy, byte-identical to ``%d,%.17g`` (the oracle is
+  tests/test_cli.py::TestColumnRows);
 * the same invocation with the same seed produces byte-identical output;
 * exit status 0 means every computation certified its error bound (or, for
   Monte Carlo, completed within its sampling contract), 1 a runtime failure
@@ -29,6 +32,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .contfrac import mc_cf_rho_table, mc_cf_trimmed_table
 from .expansion import expand, reconstruct
 from .extrema import rho_exact, rho_series
@@ -47,10 +52,82 @@ def _write_csv(path: Optional[str], header: str, fmt: str,
     compute the values first, and may pass them as an iterator, such as
     ``enumerate`` of a list, so that no long table is held as tuples.
     """
-    text = header + "\n" + "".join(map((fmt + "\n").__mod__, rows))
+    return _write(path, header + "\n" + "".join(map((fmt + "\n").__mod__, rows)))
+
+
+def _write(path: Optional[str], text: str) -> int:
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
         fh.write(text)
     return 0
+
+
+def _rows_d_17g(start: int, x: np.ndarray) -> str:
+    """The rows ``"%d,%.17g\n" % (start + i, x[i])`` of float64 x, built column-wise.
+
+    ``%.17g`` prints D 10^(X-16), where X = floor(log10 x) and D in
+    [10^16, 10^17) is x 10^(16-X) rounded half to even, as CPython's
+    correctly rounded dtoa does.  X is exact from comparing x with the
+    doubles 1e-4 ... 1e16: those below 1 lie above the powers they round.
+    With x = m 2^e exactly (m < 2^53) and q = 16 - X, x 10^q = m 5^q 2^-s
+    for s = -(e + q): m 5^q < 2^100 is formed in two uint64 words, and the
+    remainder of the shift decides the rounding, which cannot carry D to
+    10^17 since x is at least 2^-54 of itself below 10^(X+1).  On
+    1e-4 <= x < 2^50 the format is fixed notation, "d.ddd" or "0.0ddd" with
+    trailing zeros stripped, and s lies in [1, 46]; a value outside raises
+    RuntimeError.
+    """
+    if len(x) > 1 << 15:
+        # a fixed block of rows at a time bounds the temporaries, about 8 MB
+        return "".join(_rows_d_17g(start + i, x[i:i + (1 << 15)])
+                       for i in range(0, len(x), 1 << 15))
+    if not np.all((x >= 1e-4) & (x < 2.0**50)):
+        raise RuntimeError("a %.17g column in fixed notation needs values in [1e-4, 2^50)")
+    f, e = np.frexp(x)
+    m, e = np.ldexp(f, 53).astype(np.uint64), e - 53
+    X = np.searchsorted([float("1e%d" % k) for k in range(-4, 17)], x, side="right") - 5
+    word, pow5 = np.uint64(2**32 - 1), 5 ** np.arange(21, dtype=np.uint64)
+    # m 5^q = hi 2^64 + lo from 32-bit halves, then shifted right by s
+    p, s = pow5[16 - X], (X - 16 - e).astype(np.uint64)
+    ml, mh, pl, ph = m & word, m >> 32, p & word, p >> 32
+    mid = (ml * pl >> 32) + ml * ph + mh * pl
+    lo, hi = (ml * pl & word) | (mid << 32), mh * ph + (mid >> 32)
+    d, r = (hi << (64 - s)) | (lo >> s), lo & ((1 << s) - 1)
+    d = d + (r + (d & 1) > 1 << (s - 1))
+    n = len(x)
+    dig = np.empty((n, 17), np.uint8)
+    for j in range(16, -1, -1):
+        q = d // 10
+        dig[:, j] = d - q * 10
+        d = q
+    # ASCII digits; those past the last nonzero one and past the units go NUL
+    last = 16 - np.argmax(dig[:, ::-1] != 0, axis=1)
+    dig |= 48
+    dig &= np.tril(np.full((17, 17), 255, np.uint8))[np.maximum(last, X)]
+    # one NUL-padded row of bytes per value: the index, ",", the fixed-notation
+    # field from column c (at most 22 bytes, at X = -4), "\n"
+    w = len(str(start + n - 1))
+    grid = np.zeros((n, w + 24), np.uint8)
+    v = np.arange(start, start + n)
+    for j in range(w - 1, -1, -1):
+        q = v // 10
+        grid[:, j] = v - q * 10 + 48
+        v = q
+    for j in range(w - 1):
+        grid[:max(0, 10 ** (w - 1 - j) - start), j] = 0
+    grid[:, w], grid[:, -1], c = ord(","), ord("\n"), w + 1
+    # the exponents present; np.unique would import numpy.ma on its first call
+    for Xv in np.flatnonzero(np.bincount(X + 4)) - 4:
+        rows = np.flatnonzero(X == Xv)
+        if rows[-1] - rows[0] == len(rows) - 1:  # one run, as in a sorted column:
+            rows = slice(rows[0], rows[-1] + 1)  # copy it without a gather
+        if Xv >= 0:
+            grid[rows, c:c + Xv + 1] = dig[rows, :Xv + 1]
+            grid[rows, c + Xv + 1] = (last[rows] > Xv) * ord(".")
+            grid[rows, c + Xv + 2:c + 18] = dig[rows, Xv + 1:]
+        else:
+            grid[rows, c:c + 1 - Xv] = np.frombuffer(b"0." + b"0" * (-1 - Xv), np.uint8)
+            grid[rows, c + 1 - Xv:c + 18 - Xv] = dig[rows]
+    return grid[grid != 0].tobytes().decode("ascii")
 
 
 def _require(cond: bool, message: str):
@@ -112,11 +189,10 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_j2(args) -> int:
     # row N carries the partial sum of all series terms with index below N,
-    # so the table starts at N = 3 (one term) and has nmax - 2 rows; the
-    # arrays go once their floats are out
+    # so the table starts at N = 3 (one term) and has nmax - 2 rows
     _require(args.nmax >= 3, "--nmax must be >= 3")
-    rows = enumerate(j2_partial_sums(args.nmax - 1)[0].tolist(), start=3)
-    return _write_csv(args.out, "N,partial_sum", "%d,%.17g", rows)
+    values = j2_partial_sums(args.nmax - 1)[0]
+    return _write(args.out, "N,partial_sum\n" + _rows_d_17g(3, values))
 
 
 def _decade_checkpoints(k_max: int) -> List[int]:

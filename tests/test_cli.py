@@ -4,13 +4,16 @@ import csv
 import gc
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import luroth.contfrac
@@ -160,6 +163,25 @@ class TestJ2:
         # the user's flag, not j2_partial_sums' bound on nmax - 1
         assert main(["j2", "--nmax", "2"]) == 2
         assert capsys.readouterr().err == "usage error: --nmax must be >= 3\n"
+
+    def test_bytes_at_the_benchmark_size(self, capsys):
+        # the bytes of the table when each row was "%d,%.17g" % row
+        assert main(["j2", "--nmax", "20000"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "8d3786bd643d5892e468fcf785d5a62f7eab994b040cf5299633802b6908e7ea"
+
+    def test_peak_memory_per_row(self, tmp_path):
+        # j2_partial_sums' float64 arrays peak at about 83 bytes a row; the
+        # rows add the text twice (blocks and their join, about 25 bytes a row
+        # each) and one block's temporaries.  One str per row, as "%" made
+        # them, took 115 bytes a row, and one grid over all the rows 242
+        tracemalloc.start()
+        try:
+            assert main(["j2", "--nmax", "200000", "--out", str(tmp_path / "j2.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 199998 < 100
 
 
 class TestTrim:
@@ -677,6 +699,58 @@ class TestWriteCount:
         assert len(lines) == 1 + 19998 + 1
 
 
+class TestColumnRows:
+    # cli._rows_d_17g against "%d,%.17g\n" % row, byte for byte, over its
+    # whole domain 1e-4 <= x < 2^50
+    @staticmethod
+    def check(x, start=3):
+        got = cli._rows_d_17g(start, x)
+        want = "".join(map("%d,%.17g\n".__mod__, enumerate(x.tolist(), start=start)))
+        # a mismatch names its first rows; pytest's diff of megabytes would not end
+        same = got == want
+        assert same, [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w][:3]
+
+    def test_log_uniform_over_the_domain(self):
+        # 200000 rows: seven blocks of rows, and indices of 1 to 6 digits
+        x = np.exp(np.random.default_rng(40).uniform(np.log(1e-4), np.log(2.0**50), 200000))
+        self.check(np.clip(x, 1e-4, np.nextafter(2.0**50, 0)))
+
+    def test_odd_multiples_of_powers_of_two(self):
+        # k 2^-j for odd k < 2^53 and j <= 60; where j = 17 - X the exact
+        # value lies half way between two 17-digit decimals
+        rng = np.random.default_rng(41)
+        j = np.repeat(np.arange(61), 400)
+        x = np.exp(rng.uniform(np.log(1e-4), np.log(2.0**50), j.size))
+        k = np.floor(np.ldexp(x, j) / 2) * 2 + 1
+        x = np.ldexp(k, -j)
+        keep = (k < 2.0**53) & (x >= 1e-4) & (x < 2.0**50)
+        x, j = x[keep], j[keep]
+        assert np.count_nonzero(j == 17 - np.floor(np.log10(x))) > 200
+        self.check(x)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # X steps at 10^X, where floor(log10 x) in floats is one too high
+        # just below it
+        p = 10.0 ** np.arange(-4, 16)
+        x = np.concatenate([p, np.nextafter(p, 0)[1:], np.nextafter(p, np.inf)])
+        self.check(x)
+        self.check(x, start=0)
+
+    def test_decades_in_runs_of_rows(self):
+        # a sorted column holds each decade in one run of rows, which is copied
+        # as a slice; a run broken by one row of the decade below or above is not
+        runs = [np.linspace(1, 9.99, 40) * 10.0**X for X in range(-3, 14, 2)]
+        self.check(np.concatenate(runs))
+        for scale in (0.1, 10.0):
+            self.check(np.concatenate([np.insert(r, 20, r[5] * scale) for r in runs]))
+
+    def test_domain_ends(self):
+        self.check(np.array([1e-4, np.nextafter(2.0**50, 0)]))
+        for bad in (np.nextafter(1e-4, 0), 2.0**50, 0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(RuntimeError):
+                cli._rows_d_17g(3, np.array([1.0, bad]))
+
+
 class TestRuntimeFailure:
     def test_memory_error_exits_1(self, cores, capsys):
         # 2^62 seeds: the result list of the worker pool cannot be allocated.
@@ -711,6 +785,36 @@ class TestEntryPoint:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("usage error:")
+
+
+class TestNoImportDuringMain:
+    # a first call can import more of numpy: np.unique's imports numpy.ma,
+    # about 10 ms.  main runs on the modules that importing luroth.cli made
+    SCRIPT = """
+import io, json, sys
+import luroth.cli
+added = []
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    sys.stdout, out = io.StringIO(), sys.stdout
+    code = luroth.cli.main(argv)
+    sys.stdout = out
+    added.append([argv, code, sorted(set(sys.modules) - before)])
+print(json.dumps(added))
+"""
+
+    def test_main_imports_no_module(self, tmp_path):
+        argvs = [["j2", "--nmax", "50"], ["figures", "--out", str(tmp_path)],
+                 ["rho", "--kmax", "3"], ["rho", "--mode", "series"],
+                 ["cf", "--samples", "10000"],
+                 ["cf", "--statistic", "trimmed", "--samples", "10000"],
+                 ["trim", "--kmax", "1000", "--seeds", "2"],
+                 ["maxdist", "--samples", "1000"]]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        done = subprocess.run([sys.executable, "-B", "-c", self.SCRIPT, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [[argv, 0, []] for argv in argvs]
 
 
 class TestArgv:
