@@ -39,7 +39,7 @@ from .expansion import expand, reconstruct
 from .extrema import rho_exact, rho_series
 from .precision import PrecisionError
 from .simulation import _ordered_map, mc_max_scaled_cdf, mc_rho, mc_trimmed_trajectory
-from .trimming import c_k, j2_partial_sums
+from .trimming import _J2_BLOCK, c_k, j2_partial_sums
 
 __all__ = ["main"]
 
@@ -76,10 +76,10 @@ def _rows_d_17g(start: int, x: np.ndarray) -> str:
     trailing zeros stripped, and s lies in [1, 46]; a value outside raises
     RuntimeError.
     """
-    if len(x) > 1 << 15:
-        # a fixed block of rows at a time bounds the temporaries, about 8 MB
-        return "".join(_rows_d_17g(start + i, x[i:i + (1 << 15)])
-                       for i in range(0, len(x), 1 << 15))
+    if len(x) > _J2_BLOCK:
+        # blocks of rows reuse freed memory, not fresh pages (trimming._J2_BLOCK)
+        return "".join(_rows_d_17g(start + i, x[i:i + _J2_BLOCK])
+                       for i in range(0, len(x), _J2_BLOCK))
     if not np.all((x >= 1e-4) & (x < 2.0**50)):
         raise RuntimeError("a %.17g column in fixed notation needs values in [1e-4, 2^50)")
     f, e = np.frexp(x)

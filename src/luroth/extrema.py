@@ -40,8 +40,13 @@ __all__ = [
 
 
 def _probability(value: Fraction, bound: Fraction) -> HighPrecisionReal:
-    """rho_k as a certified real, rejected if outside (0, 1] by more than its bound."""
-    if not 0 < value <= 1 + bound:
+    """rho_k as a certified real, rejected if outside (0, 1] by more than its bound.
+
+    With value = p/q and bound = e/f (q, f > 0, as a Fraction keeps them),
+    0 < value <= 1 + bound is 0 < p and (p - q) f <= e q, on integers.
+    """
+    p, q, e, f = value.numerator, value.denominator, bound.numerator, bound.denominator
+    if not (p > 0 and (p - q) * f <= e * q):
         raise PrecisionError("rho estimate outside (0, 1] by more than its bound")
     return HighPrecisionReal(value, bound)
 
@@ -111,7 +116,8 @@ def rho_exact(k: int, target: int = 128) -> HighPrecisionReal:
     # rho_k is k acc ulps of 2**-s; rounding it half to even onto the grid
     # 2**-(target+16), of 2**sh ulps, adds at most 2**(sh-1) ulps to the bound
     sh = s - target - 16
-    q = round(Fraction(k * acc, 1 << sh))  # a Fraction rounds half to even
+    q, r = divmod(k * acc, 1 << sh)
+    q += r + (q & 1) > 1 << (sh - 1)  # up past the half step, or to even on it
     err = k * errsum + (1 << (sh - 1))
     if err > 1 << (s - target):
         raise PrecisionError("rho_exact could not certify 2^-%d at k=%d" % (target, k))

@@ -22,7 +22,7 @@ import luroth.precision
 from luroth import cli
 from luroth.cli import main
 from luroth.expansion import max_cdf_exact
-from luroth.trimming import c_k
+from luroth.trimming import _J2_BLOCK, c_k, j2_partial_sums
 
 
 def run_cli(argv, capsys):
@@ -170,18 +170,28 @@ class TestJ2:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "8d3786bd643d5892e468fcf785d5a62f7eab994b040cf5299633802b6908e7ea"
 
+    @pytest.mark.parametrize("nmax", [_J2_BLOCK + 2, 2 * _J2_BLOCK + 2])
+    def test_rows_at_block_ends(self, capsys, nmax):
+        # nmax - 2 rows: one block of terms and rows, then exactly two
+        assert main(["j2", "--nmax", str(nmax)]) == 0
+        values = j2_partial_sums(nmax - 1)[0].tolist()
+        want = "".join(map("%d,%.17g\n".__mod__, enumerate(values, start=3)))
+        assert capsys.readouterr().out == "N,partial_sum\n" + want
+
     def test_peak_memory_per_row(self, tmp_path):
-        # j2_partial_sums' float64 arrays peak at about 83 bytes a row; the
-        # rows add the text twice (blocks and their join, about 25 bytes a row
-        # each) and one block's temporaries.  One str per row, as "%" made
-        # them, took 115 bytes a row, and one grid over all the rows 242
+        # The partial sums stay, 8 bytes a row; the terms and the series'
+        # temporaries go block by block.  The rows' text is held twice
+        # (blocks and their join, 25.3 bytes a row each), next to one block's
+        # temporaries, so the peak is about 59 bytes a row.  One pass over all
+        # the terms peaked at 83 bytes a row, one str per row, as "%" made
+        # them, at 115, and one grid over all the rows at 242
         tracemalloc.start()
         try:
             assert main(["j2", "--nmax", "200000", "--out", str(tmp_path / "j2.csv")]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 199998 < 100
+        assert peak / 199998 < 70
 
 
 class TestTrim:

@@ -461,6 +461,27 @@ class TestMcCfTrimmed:
         with pytest.raises(RuntimeError, match="k = 40: the median's 95 % interval"):
             mc_cf_trimmed_table([2, 40], 10**4)
 
+    def test_interval_covers_the_reference_median(self):
+        # The population medians of y = S_k - M_k are 51 at k = 16 and 132 at
+        # k = 32: in 2^26 trials of this sampler (seed 10^6), P(y <= 50) =
+        # 0.49527 and P(y <= 51) = 0.51292, P(y <= 131) = 0.49304 and
+        # P(y <= 132) = 0.50081, each at least 13 SEs (6.1e-5) from 1/2.
+        # The columns print the median med/(k ln k) and the 95 % interval's
+        # width W = y_(u) - y_(l) + 1 as 2 * 1.96 * se * k ln k; both are read
+        # back exactly on the lattice (2 med and W are integers), since the
+        # reference often sits on the end of med +- W/2.  Over 100 seeds at
+        # 10^4 trials, med +- W/2 must cover it at least as often as 95 %
+        # less 4 binomial SEs allows
+        reps, want = 100, {16: 51, 32: 132}
+        hits = dict.fromkeys(want, 0)
+        for seed in range(reps):
+            for k, r in zip(want, mc_cf_trimmed_table(list(want), 10**4, seed=seed)):
+                scale = 2 * k * math.log(k)
+                twice_med, width = round(r.estimate * scale), round(1.96 * r.standard_error * scale)
+                hits[k] += abs(twice_med - 2 * want[k]) <= width
+        se = math.sqrt(0.95 * 0.05 / reps)
+        assert all(h / reps >= 0.95 - 4 * se for h in hits.values()), hits
+
     @pytest.mark.parametrize("samples", [2 * 10**5, 8 * 10**5])
     def test_memory_is_the_block_histograms_and_buffers(self, cores, samples):
         # nothing per trial: each block's uint16 histograms and, per k, up to

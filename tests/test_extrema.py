@@ -206,6 +206,59 @@ def test_rho_exact_outside_unit_interval_raises(monkeypatch):
         rho_exact(3)
 
 
+def patch_zeta2(monkeypatch, num):
+    # zeta(2) read as num(z, s) / 2**s in place of z / 2**s, every ulp count
+    # and other zeta value kept; returns the new numerator and the scale s at
+    # the row that rho_exact(2, 128) reads, of 128 + 2 + 64 bits.  rho_2 is
+    # 4 - 2 zeta(2), so k acc = 2**(s+2) - 2 num(z, s) exactly, in ulps of 2**-s
+    real = extrema._zeta_row
+
+    def row(bits, jmax):
+        nums, ulps, s = real(bits, jmax)
+        return (num(nums[0], s),) + nums[1:], ulps, s
+
+    monkeypatch.setattr(extrema, "_zeta_row", row)
+    nums, _, s = row(194, 2)
+    return nums[0], s
+
+
+@pytest.mark.parametrize("quarter, floor_parity", [(1, 1), (3, 0)])
+def test_rho_exact_rounds_half_to_even(monkeypatch, quarter, floor_parity):
+    # the output grid 2**-(128+16) is 2**sh ulps, sh = s - 144; zeta(2)'s
+    # numerator at an odd multiple of 2**(sh-2) puts k acc half way between
+    # two grid points: quarter 1 above an odd one, which rounds up, and
+    # quarter 3 above an even one, which stays
+    z, s = patch_zeta2(monkeypatch, lambda z, s: (z >> s - 144 << s - 144) + (quarter << s - 146))
+    k_acc, sh = (1 << s + 2) - 2 * z, s - 144
+    q, r = divmod(k_acc, 1 << sh)
+    assert r == 1 << sh - 1 and q & 1 == floor_parity
+    want = round(Fraction(k_acc, 1 << sh))  # a Fraction rounds half to even
+    assert want == q + floor_parity
+    got = rho_exact(2, 128)
+    assert got.value == Fraction(want, 1 << 144)
+    assert abs(got.value - Fraction(k_acc, 1 << s)) == Fraction(1, 1 << 145)
+
+
+@pytest.mark.parametrize("zeta2", [Fraction(2), Fraction(2) + Fraction(1, 1 << 100)])
+def test_rho_exact_at_or_below_zero_raises(monkeypatch, zeta2):
+    # zeta(2) read as 2 gives rho_2 = 0, and a little more a negative rho_2,
+    # each within a small bound: outside (0, 1], a failed certificate
+    patch_zeta2(monkeypatch, lambda z, s: int(zeta2 * (1 << s)))
+    with pytest.raises(PrecisionError):
+        rho_exact(2, 128)
+
+
+def test_probability_range_ends():
+    # 0 < value <= 1 + bound, checked on numerators and denominators: both
+    # ends are exact, for rho_exact's dyadic values and any rational bound
+    bound = Fraction(1, 3 << 150)
+    for value in (Fraction(1, 1 << 144), Fraction(1), 1 + bound):
+        assert extrema._probability(value, bound) == (value, bound)
+    for value in (Fraction(0), -bound, 1 + bound + Fraction(1, 1 << 300)):
+        with pytest.raises(PrecisionError):
+            extrema._probability(value, bound)
+
+
 def test_rho_exact_evaluates_zeta_once_per_bucket():
     # rho_exact(k, 128) asks for 192 + k bits: k <= 64 reads the 256-bit
     # bucket's row of j = 2..64 and k >= 65 the 320-bit one's of j = 2..128,

@@ -7,7 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from luroth.precision import lambert_w0
+from luroth import trimming
+from luroth.precision import _lambert_w_float, lambert_w0
 from luroth.trimming import (
     c_k,
     harmonic,
@@ -72,6 +73,29 @@ def test_j2_partial_matches_prefix():
     longer, longer_terms = j2_partial_sums(1000)
     assert values[-1] == longer[498]
     assert terms[-1] == longer_terms[498]
+
+
+def j2_one_pass(n_max):
+    # the series in one pass over all n: one Lambert W, 4 Newton steps, one cumsum
+    n = np.arange(2, n_max + 1, dtype=np.float64)
+    w = _lambert_w_float(n - 1.0)
+    r = np.log1p(1.0 / (n - 1.0))
+    d = r * w / (1.0 + w)
+    for _ in range(4):
+        d -= (d + np.log1p(d / w) - r) / (1.0 + 1.0 / (w + d))
+    terms = np.exp(2.0 * w) * np.expm1(2.0 * d) / (n * n)
+    return np.cumsum(terms), terms
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2, trimming._J2_BLOCK + 1])
+def test_j2_blocks_match_one_pass(offset):
+    # terms go in blocks of _J2_BLOCK values of n; at and around the block
+    # ends every term and partial sum must keep every bit of one pass
+    n_max = trimming._J2_BLOCK + offset
+    values, terms = j2_partial_sums(n_max)
+    want_values, want_terms = j2_one_pass(n_max)
+    assert terms.tobytes() == want_terms.tobytes()
+    assert values.tobytes() == want_values.tobytes()
 
 
 def test_j2_last_term_asymptotics():
